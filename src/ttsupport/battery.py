@@ -346,8 +346,7 @@ def criterion_noetherian_agreement(seed=DEFAULT_SEED, samples=DEFAULT_SAMPLES, p
 def _bottom_cohomology_primes(cx):
     for i in cx.degrees():
         h = cx.cohomology(i)
-        zero = h.is_zero() if callable(getattr(h, "is_zero", None)) else h.is_zero
-        if not zero:
+        if not h.is_zero:
             return weakly_associated(h)
     return frozenset()
 
@@ -413,13 +412,16 @@ def criterion_eta_factorization(seed=DEFAULT_SEED, **_kw):
     data.extend(canonical_datum(spec(ring).space) for ring in _finite_spectrum_rings())
     for datum in data:
         checked += 1
+        reason = None
         try:
             result = construct_eta(datum, seed=seed)
             ok = result.hom is not None and eta_is_unique(datum, result)
-        except Exception:
+        except Exception as exc:
             ok = False
+            reason = "%s: %s" % (type(exc).__name__, exc)
         if not ok:
-            bad.append(repr(datum.space.order))
+            where = repr(datum.space.order)
+            bad.append(where if reason is None else "%s (%s)" % (where, reason))
     return _row(
         10,
         "eta exists and is unique",

@@ -181,8 +181,7 @@ def _cmd_support(args):
         union = set()
         for i in cx.degrees():
             h = cx.cohomology(i)
-            zero = h.is_zero() if callable(getattr(h, "is_zero", None)) else h.is_zero
-            if not zero:
+            if not h.is_zero:
                 union |= weakly_associated(h)
         return {
             "primes": sorted((prime_label(p) for p in union if p != 0), key=str),

@@ -236,19 +236,46 @@ class LocalNilpotentAlgebra:
         }
 
 
+def _json_key(obj, key, what):
+    if not isinstance(obj, dict) or key not in obj:
+        raise InputError("%s JSON needs the key %r" % (what, key))
+    return obj[key]
+
+
+def _json_ints(raw, what):
+    """raw itself if it is a JSON list of integers, else InputError."""
+    if not isinstance(raw, list) or not all(type(x) is int for x in raw):
+        raise InputError("%s must be a list of integers" % what)
+    return raw
+
+
+def _json_int_matrix(raw, what):
+    """raw itself if it is a JSON list of rows of integers, else InputError."""
+    if not isinstance(raw, list):
+        raise InputError("%s must be a list of rows of integers" % what)
+    for row in raw:
+        _json_ints(row, "each row of " + what)
+    return raw
+
+
 def ring_from_json(obj):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise InputError("ring JSON needs a type")
-    t = obj["type"]
+    t = _json_key(obj, "type", "ring")
     if t == "Z":
-        if "at_prime" in obj and obj["at_prime"] is not None:
+        if obj.get("at_prime") is not None:
             return IntegersLocalized(at_prime=obj["at_prime"])
-        return IntegersLocalized(inverted=frozenset(obj.get("inverted", ())))
+        inverted = _json_ints(obj.get("inverted", []), "ring key 'inverted'")
+        return IntegersLocalized(inverted=frozenset(inverted))
     if t == "Z/n":
-        return ModularIntegers(obj["n"])
+        return ModularIntegers(_json_key(obj, "n", "Z/n ring"))
     if t == "local_nilpotent":
-        return LocalNilpotentAlgebra(obj["p"], tuple((n, e) for n, e in obj["generators"]))
-    raise InputError("unknown ring type %r" % t)
+        p = _json_key(obj, "p", "local_nilpotent ring")
+        gens = _json_key(obj, "generators", "local_nilpotent ring")
+        if not isinstance(gens, list) or not all(
+            isinstance(g, list) and len(g) == 2 and type(g[1]) is int for g in gens
+        ):
+            raise InputError("ring key 'generators' must be a list of [name, exponent] pairs")
+        return LocalNilpotentAlgebra(p, tuple((n, e) for n, e in gens))
+    raise InputError("unknown ring type %r" % (t,))
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +556,12 @@ class ChainComplex:
             self.differentials[k] = d
             # well-definedness: d carries relations into relations
             if src.ngens and tgt.ngens:
-                for col in src.relation_columns():
-                    img = [sum(d[i][j] * col[j] for j in range(src.ngens)) for i in range(tgt.ngens)]
-                    if not _in_lattice(img, tgt.relation_columns()):
-                        raise InputError("differential not well defined at slot %d" % k)
+                images = [
+                    [sum(d[i][j] * col[j] for j in range(src.ngens)) for i in range(tgt.ngens)]
+                    for col in src.relation_columns()
+                ]
+                if not _all_in_lattice(images, tgt.relation_columns()):
+                    raise InputError("differential not well defined at slot %d" % k)
         for k in range(len(self.differentials) - 1):
             a = self.differentials[k]
             b = self.differentials[k + 1]
@@ -541,11 +570,8 @@ class ChainComplex:
             far = self.modules[k + 2]
             if src.ngens == 0 or mid.ngens == 0 or far.ngens == 0:
                 continue
-            comp = mat_mul(b, a)
-            for j in range(src.ngens):
-                col = [comp[i][j] for i in range(far.ngens)]
-                if not _in_lattice(col, far.relation_columns()):
-                    raise InputError("d^2 != 0 between slots %d and %d" % (k, k + 2))
+            if not _all_in_lattice(transpose(mat_mul(b, a)), far.relation_columns()):
+                raise InputError("d^2 != 0 between slots %d and %d" % (k, k + 2))
 
     def _validate_lna(self):
         p = self.ring.p
@@ -554,6 +580,8 @@ class ChainComplex:
                 raise InputError("module/ring mismatch in complex")
         for k, d in enumerate(self.differentials):
             src, tgt = self.modules[k], self.modules[k + 1]
+            if d and src.dim and tgt.dim and (len(d) != tgt.dim or any(len(r) != src.dim for r in d)):
+                raise InputError("differential shape mismatch at slot %d" % k)
             d = _shaped(d, tgt.dim, src.dim)
             self.differentials[k] = d
             for name in src.actions:
@@ -704,21 +732,34 @@ class ChainComplex:
         if not isinstance(obj, dict) or not required <= set(obj):
             raise InputError("complex JSON needs ring/degrees/modules/differentials")
         ring = ring_from_json(obj["ring"])
-        lo, hi = obj["degrees"]
+        degrees = _json_ints(obj["degrees"], "complex key 'degrees'")
+        if len(degrees) != 2:
+            raise InputError("complex key 'degrees' must be [lowest, highest]")
+        lo, hi = degrees
         raw_modules = obj["modules"]
-        if len(raw_modules) != hi - lo + 1:
+        if not isinstance(raw_modules, list) or len(raw_modules) != hi - lo + 1:
             raise InputError("degree range and module count disagree")
         if isinstance(ring, LocalNilpotentAlgebra):
-            modules = [
-                LnaModule(ring, m["dim"], {n: mat for n, mat in m["actions"].items()})
-                for m in raw_modules
-            ]
+            modules = []
+            for m in raw_modules:
+                dim = _json_key(m, "dim", "module")
+                actions = _json_key(m, "actions", "module")
+                if type(dim) is not int or dim < 0 or not isinstance(actions, dict):
+                    raise InputError("module key 'dim' must be a count and 'actions' an object")
+                for mat in actions.values():
+                    _json_int_matrix(mat, "module key 'actions'")
+                modules.append(LnaModule(ring, dim, actions))
         else:
             modules = []
             for m in raw_modules:
-                rows = [list(map(int, r)) for r in m]
+                rows = _json_int_matrix(m, "complex key 'modules'")
                 modules.append(PresentedModule(ring, len(rows), rows))
-        return cls(ring, lo, modules, obj["differentials"])
+        diffs = obj["differentials"]
+        if not isinstance(diffs, list):
+            raise InputError("complex key 'differentials' must be a list of matrices")
+        for d in diffs:
+            _json_int_matrix(d, "complex key 'differentials'")
+        return cls(ring, lo, modules, diffs)
 
     def __repr__(self):
         return "ChainComplex(%s, degrees %d..%d)" % (
@@ -739,13 +780,19 @@ def _shaped(mat, rows, cols):
     return [list(r) for r in mat]
 
 
-def _in_lattice(vec, cols):
-    if all(x == 0 for x in vec):
+def _all_in_lattice(vecs, cols):
+    """Whether every vector lies in the lattice spanned by cols.
+
+    One solve_int call, hence one Smith form of the relation matrix, decides
+    all nonzero vectors at once; it fails if any one of them has no integer
+    preimage."""
+    vecs = [v for v in vecs if any(v)]
+    if not vecs:
         return True
     if not cols:
         return False
-    mat = [[c[i] for c in cols] for i in range(len(vec))]
-    return solve_int(mat, [vec]) is not None
+    mat = [[c[i] for c in cols] for i in range(len(vecs[0]))]
+    return solve_int(mat, vecs) is not None
 
 
 def _fp_column_basis(cols, p):

@@ -27,16 +27,21 @@ def mat_mul(a, b):
     assert all(len(row) == n_inner for row in a)
     cols = len(b[0])
     out = []
+    # row-sparse: the relation and transform matrices here are mostly zero,
+    # so only nonzero pairs contribute a product
     for row in a:
-        out_row = []
-        for j in range(cols):
-            out_row.append(sum(row[k] * b[k][j] for k in range(n_inner)))
+        out_row = [0] * cols
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        out_row[j] += x * y
         out.append(out_row)
     return out
 
 
 def mat_vec(a, v):
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+    return [sum(x * y for x, y in zip(row, v) if x) for row in a]
 
 
 def transpose(a):

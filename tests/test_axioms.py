@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ttsupport import battery
 from ttsupport.axioms import (
     SupportDatum,
     canonical_datum,
@@ -108,3 +109,13 @@ def test_datum_json_round_trip():
 def test_datum_json_requires_all_fields():
     with pytest.raises(InputError):
         SupportDatum.from_json({"space": CHAIN2.order.to_json()})
+
+
+def test_failing_eta_row_names_the_exception(monkeypatch):
+    def boom(*_args, **_kw):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(battery, "construct_eta", boom)
+    row = battery.criterion_eta_factorization()
+    assert not row["passed"]
+    assert "RuntimeError: boom" in row["detail"]

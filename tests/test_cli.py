@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CHAIN2 = json.dumps({"elements": ["g", "c"], "leq": [["g", "c"]]})
 Z6_COMPLEX = json.dumps(
     {
@@ -78,6 +80,26 @@ def test_malformed_input_gives_structured_error_and_exit_one():
     code, out = _run("spectral", "cbrank", "{broken json")
     assert code == 1
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"ring": {"type": "Z/n"}}, "'n'"),
+        ({"degrees": [0]}, "'degrees'"),
+        ({"degrees": [0, 1], "modules": [[[]], [[]]], "differentials": [[["x"]]]}, "'differentials'"),
+    ],
+)
+def test_hostile_complex_json_gives_one_error_document_and_exit_one(change, key):
+    doc = dict(json.loads(Z6_COMPLEX), **change)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttsupport.cli", "support", "small", json.dumps(doc)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "" and len(proc.stdout.splitlines()) == 1
+    assert key in json.loads(proc.stdout)["error"]
 
 
 def test_oversized_poset_gives_exit_two_naming_the_bound():

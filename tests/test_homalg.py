@@ -2,6 +2,7 @@
 
 import pytest
 
+from ttsupport import homalg
 from ttsupport.errors import InputError
 from ttsupport.homalg import (
     ChainComplex,
@@ -100,6 +101,48 @@ def test_differential_square_zero_is_enforced():
         _free_complex(Z, [[[1]], [[1]]])
 
 
+Z6_ZERO = PresentedModule(Z6, 0, [])
+Z6_Z3 = PresentedModule(Z6, 1, [[3]])  # Z/3 as a Z/6-module
+
+
+def _z6_two_slot_complex(d0):
+    """0 -> (Z/6)^2 -> Z/6 -> Z/3 in degrees 0..3, with d1 = [[1]]."""
+    mods = [Z6_ZERO, PresentedModule.free(Z6, 2), PresentedModule.free(Z6, 1), Z6_Z3]
+    return ChainComplex(Z6, 0, mods, [[], d0, [[1]]])
+
+
+def test_ill_defined_differential_is_caught_past_the_first_column():
+    # source relations (0,3) and (2,0): the first maps into 3Z, the second
+    # to 2, which is not a relation of Z/3
+    src = PresentedModule(Z6, 2, [[0, 2], [3, 0]])
+    with pytest.raises(InputError, match="^differential not well defined at slot 1$"):
+        ChainComplex(Z6, 0, [Z6_ZERO, src, Z6_Z3], [[], [[1, 1]]])
+    ChainComplex(Z6, 0, [Z6_ZERO, src, Z6_Z3], [[], [[3, 1]]])
+
+
+def test_nonzero_square_is_caught_past_the_first_column():
+    # d1 d0 = [[3, 1]]: the first column is zero in Z/3, the second is not
+    with pytest.raises(InputError, match="^d\\^2 != 0 between slots 1 and 3$"):
+        _z6_two_slot_complex([[3, 1]])
+    _z6_two_slot_complex([[3, 3]])
+
+
+def test_validation_solves_once_per_slot(monkeypatch):
+    calls = []
+    solve_int = homalg.solve_int
+
+    def counting(a, b_cols):
+        calls.append(len(b_cols))
+        return solve_int(a, b_cols)
+
+    monkeypatch.setattr(homalg, "solve_int", counting)
+    _z6_two_slot_complex([[3, 3]])
+    # slots 1 and 2 are checked for well-definedness, (1, 3) for d^2 = 0;
+    # together the calls still carry all five nonzero columns
+    assert len(calls) <= 3
+    assert sum(calls) == 5
+
+
 def test_cohomology_of_multiplication_by_two_on_the_integers():
     cx = _free_complex(Z, [[[2]]])
     assert cx.cohomology(0).is_zero
@@ -157,6 +200,26 @@ def test_complex_json_round_trip():
     assert all(
         again.cohomology(i).factors == cx.cohomology(i).factors for i in cx.degrees()
     )
+
+
+@pytest.mark.parametrize(
+    "ring, modules, differentials",
+    [
+        ({"type": "local_nilpotent", "generators": [["x", 2]]}, [[[]]], []),
+        ({"type": "local_nilpotent", "p": 2, "generators": [["x", "two"]]}, [[[]]], []),
+        ({"type": "Z", "inverted": [[2]]}, [[[]]], []),
+        ({"type": "Z/n", "n": 6}, [[[True]]], []),
+        (
+            LNA.to_json(),
+            [LnaModule.free(LNA, 1).to_json()] * 2,
+            [[[1] * 7] * 6],  # 6 x 7 where 6 x 6 is needed
+        ),
+    ],
+)
+def test_complex_json_rejects_malformed_fields(ring, modules, differentials):
+    obj = {"ring": ring, "degrees": [0, len(modules) - 1], "modules": modules}
+    with pytest.raises(InputError):
+        ChainComplex.from_json(dict(obj, differentials=differentials))
 
 
 def test_lna_cohomology_is_dimension_counting():

@@ -7,6 +7,7 @@ from ttsupport.smith import (
     kernel_basis,
     lattice_basis,
     mat_mul,
+    mat_vec,
     quotient_invariants,
     smith_normal_form,
     solve_int,
@@ -67,3 +68,31 @@ def test_quotient_invariants_of_standard_embeddings():
     # Z^2 / Z(1,1): free of rank 1
     factors, rank = quotient_invariants(identity(2), [[1, 1]])
     assert factors == () and rank == 1
+
+
+def _reference_mul(a, b):
+    cols = len(b[0]) if b else 0
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)] for row in a]
+
+
+def test_mat_mul_and_mat_vec_match_the_plain_product():
+    rng = random.Random(11)
+    cases = [([], []), ([], [[1, 2]]), ([[], []], []), ([[0, 0], [0, 0]], [[1], [2]])]
+    for _ in range(300):
+        m, k, n = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        density = rng.choice((0.0, 0.1, 0.5, 1.0))
+        bits = rng.choice((3, 64, 3000))
+
+        def entry():
+            return rng.randint(-(2**bits), 2**bits) if rng.random() < density else 0
+
+        a = [[entry() for _ in range(k)] for _ in range(m)]
+        b = [[entry() for _ in range(n)] for _ in range(k)] if k else []
+        if m and rng.random() < 0.3:
+            a[rng.randrange(m)] = [0] * k  # an all-zero row
+        cases.append((a, b))
+    for a, b in cases:
+        assert mat_mul(a, b) == _reference_mul(a, b)
+        for j in range(len(b[0]) if b else 0):
+            col = [row[j] for row in b]
+            assert mat_vec(a, col) == [r[0] for r in _reference_mul(a, [[x] for x in col])]
