@@ -1,6 +1,6 @@
 """Rings, finitely presented modules, cochain complexes and their cohomology.
 
-Three base ring flavours are supported:
+Three base ring flavours are supported, each behind one ring interface:
 
 * ``IntegersLocalized`` -- the integers with a finite set of primes
   inverted, or ("at_prime" form) with every prime except one inverted.
@@ -12,6 +12,23 @@ Three base ring flavours are supported:
   F_p[x_1,...]/(x_i^{e_i}); modules are finite dimensional F_p vector
   spaces with commuting nilpotent generator actions.
 
+Every ring answers the questions that localization, the stable Koszul
+tensor and the supports in ``support`` ask of it, so none of those branches
+on the flavour:
+
+* ``zero_module()`` and ``module_from_json(raw)`` build its modules;
+* ``spectrum()`` gives its closed points (None when infinitely many) and a
+  description, ``has_generic`` says whether Spec has a generic point (0),
+  and ``closed_primes(cx)`` lists the closed points where a complex can have
+  support;
+* ``localized_at(p)`` is the ring at a prime, ``koszul_elements(p)``
+  generates the prime, ``_koszul_stable(x, cx)`` tensors with R -> R[1/x];
+* ``residue_nonzero(cx, p)`` tests C ⊗^L k(p) != 0.
+
+Modules share the generator count ``ngens``; the lattice (integer
+flavours) and F_p-linear (local nilpotent) algebra behind validation and
+cohomology sits in the two module classes.
+
 Differentials raise degree by one.  d(a ⊗ b) = da ⊗ b + (-1)^|a| a ⊗ db is
 the sign rule used for the two-term tensor constructions below.
 """
@@ -22,6 +39,7 @@ from . import smith
 from .errors import InputError, ResourceLimitError
 from .smith import (
     block_diag,
+    block_matrix,
     diagonal,
     factorize,
     hstack,
@@ -29,6 +47,7 @@ from .smith import (
     kernel_basis,
     lattice_basis,
     mat_mul,
+    mat_vec,
     quotient_invariants,
     smith_normal_form,
     solve_int,
@@ -47,10 +66,28 @@ def _is_prime(q):
 # rings
 
 
+class _IntegerFlavour:
+    """Ring interface shared by the flavours whose modules are presented by
+    integer matrices."""
+
+    def zero_module(self):
+        return PresentedModule(self, 0, [])
+
+    def module_from_json(self, raw):
+        # the constructor refuses anything but a list of integer rows
+        return PresentedModule(self, len(raw) if isinstance(raw, list) else 0, raw)
+
+    def koszul_elements(self, q):
+        """Generators of the prime q: q itself."""
+        return (q,)
+
+
 @dataclass(frozen=True)
-class IntegersLocalized:
+class IntegersLocalized(_IntegerFlavour):
     inverted: frozenset = frozenset()
     at_prime: int | None = None
+
+    has_generic = True
 
     def __post_init__(self):
         if self.at_prime is not None:
@@ -80,9 +117,40 @@ class IntegersLocalized:
         return all(self.is_unit_prime(q) for q in factorize(x))
 
     def localized_at(self, p):
+        """Every prime except p becomes a unit; matrices are unchanged and
+        canonicalization does the stripping."""
+        if p == 0:
+            raise InputError("use derived_tensor_residue for the generic point")
         if self.is_unit_prime(p):
             raise InputError("cannot localize at an already inverted prime")
         return IntegersLocalized(at_prime=p)
+
+    def spectrum(self):
+        if self.at_prime is not None:
+            return (self.at_prime,), "local, one closed point"
+        return None, "generic point plus all primes outside the inverted set"
+
+    def closed_primes(self, cx):
+        """Non-unit primes dividing any matrix entry of the complex or any
+        invariant factor of its cohomology.  Outside this set localization
+        kills every presentation entry's torsion, so membership is decided
+        by the free ranks alone."""
+        seen = set()
+        for mat in [m.rel for m in cx.modules] + cx.differentials:
+            for row in mat:
+                for v in row:
+                    if v:
+                        seen.update(factorize(v))
+        for i in cx.degrees():
+            for f in cx.cohomology(i).factors:
+                seen.update(factorize(f))
+        return tuple(sorted(q for q in seen if not self.is_unit_prime(q)))
+
+    def _koszul_stable(self, x, cx):
+        return _koszul_symbolic(x, cx)
+
+    def residue_nonzero(self, cx, p):
+        return derived_tensor_residue(cx, p).is_nonzero
 
     def strip_units(self, d):
         """Remove unit-prime parts from an invariant factor."""
@@ -113,8 +181,10 @@ class IntegersLocalized:
 
 
 @dataclass(frozen=True)
-class ModularIntegers:
+class ModularIntegers(_IntegerFlavour):
     n: int
+
+    has_generic = False
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
@@ -152,6 +222,25 @@ class ModularIntegers:
     def strip_units(self, d):
         return d
 
+    def spectrum(self):
+        return self.prime_divisors(), "finite discrete"
+
+    def closed_primes(self, cx):
+        return self.prime_divisors()
+
+    def localized_at(self, p):
+        """Z/p^k, the p-part of the modulus."""
+        return ModularIntegers(self.residue_modulus(p))
+
+    def _koszul_stable(self, x, cx):
+        if not isinstance(x, int):
+            raise InputError("elements of Z/n are integers")
+        return _localization_cone(cx, localize_by_element(cx, x))
+
+    def residue_nonzero(self, cx, p):
+        """The residue fields are those of Z at the primes dividing n."""
+        return derived_tensor_residue(restrict_to_integers(cx), p).is_nonzero
+
     def label(self):
         return "Z/%d" % self.n
 
@@ -164,6 +253,8 @@ class LocalNilpotentAlgebra:
     p: int
     generators: tuple  # of (name, exponent >= 2) pairs
 
+    has_generic = False
+
     def __post_init__(self):
         if not _is_prime(self.p):
             raise InputError("characteristic must be prime")
@@ -173,10 +264,6 @@ class LocalNilpotentAlgebra:
         if len({n for n, _e in gens}) != len(gens):
             raise InputError("duplicate generator names")
         object.__setattr__(self, "generators", gens)
-
-    @property
-    def modulus(self):
-        return self.p
 
     def monomials(self):
         """Exponent tuples of the monomial basis, lexicographic."""
@@ -220,6 +307,42 @@ class LocalNilpotentAlgebra:
             raise InputError("element vector has the wrong length")
         const_index = self.monomials().index(tuple(0 for _ in self.generators))
         return vec[const_index] % self.p != 0
+
+    def zero_module(self):
+        return LnaModule(self, 0, {n: [] for n, _e in self.generators})
+
+    def module_from_json(self, raw):
+        dim = _json_key(raw, "dim", "module")
+        actions = _json_key(raw, "actions", "module")
+        if type(dim) is not int or dim < 0 or not isinstance(actions, dict):
+            raise InputError("module key 'dim' must be a count and 'actions' an object")
+        return LnaModule(self, dim, actions)
+
+    def spectrum(self):
+        return ("m",), "one-point local"
+
+    def closed_primes(self, cx):
+        return ("m",)
+
+    def localized_at(self, p):
+        """The ring is local: at its only prime, the token "m", nothing
+        changes."""
+        if p != "m":
+            raise InputError("the only prime here is the maximal ideal token 'm'")
+        return self
+
+    def koszul_elements(self, q):
+        return tuple(n for n, _e in self.generators)
+
+    def _koszul_stable(self, x, cx):
+        # R[1/x] is R for a unit and 0 for a nilpotent
+        loc = cx if self.element_is_unit(x) else zero_complex(self, cx.min_deg)
+        return _localization_cone(cx, loc)
+
+    def residue_nonzero(self, cx, p):
+        """Over a local ring a bounded complex is residue-acyclic iff it is
+        acyclic, and cohomology here is plain linear algebra."""
+        return not cx.is_acyclic()
 
     def label(self):
         return "F%d[%s]/(%s)" % (
@@ -292,9 +415,14 @@ class CanonicalModule:
     rank: int = 0
     divisible: tuple = ()
 
+    rank_prime = 0  # free rank lives at the generic point
+
     @property
     def is_zero(self):
         return not self.factors and self.rank == 0 and not self.divisible
+
+    def canonical(self):
+        return self
 
 
 def canonical_module(ring, factors, rank, divisible=()):
@@ -317,10 +445,13 @@ class PresentedModule:
 
     __slots__ = ("ring", "ngens", "rel")
 
+    rank_prime = 0
+    _MAP_ERROR = "differential not well defined at slot %d"
+
     def __init__(self, ring, ngens, rel):
         if isinstance(ring, LocalNilpotentAlgebra):
             raise InputError("use LnaModule over a local nilpotent algebra")
-        rel = [list(map(int, row)) for row in rel]
+        rel = [row[:] for row in _json_int_matrix(rel, "complex key 'modules'")]
         if rel and len(rel) != ngens:
             raise InputError("presentation must have one row per generator")
         if rel and len({len(r) for r in rel}) > 1:
@@ -370,6 +501,30 @@ class PresentedModule:
         b = other.rel if other.nrels else [[] for _ in range(other.ngens)]
         rel = block_diag([a, b]) if (self.ngens or other.ngens) else []
         return PresentedModule(self.ring, self.ngens + other.ngens, rel)
+
+    def _kills(self, vecs):
+        """Whether every vector (on the generators) is zero in the module."""
+        return _all_in_lattice(vecs, self.relation_columns())
+
+    def _accepts(self, d, src):
+        """Whether d carries the relations of src into those of self."""
+        return self._kills([mat_vec(d, col) for col in src.relation_columns()])
+
+    def _homology(self, d_in, d_out, nxt):
+        """ker(d_out: self -> nxt) / im(d_in), as invariant factors."""
+        g = self.ngens
+        if g == 0:
+            return canonical_module(self.ring, (), 0)
+        if nxt.ngens == 0:
+            k_gens = identity(g)
+        else:
+            tgt_cols = nxt.relation_columns()
+            big = hstack(d_out, [[-c[r] for c in tgt_cols] for r in range(nxt.ngens)])
+            kern = kernel_basis(big, ncols=g + len(tgt_cols))
+            k_gens = [v[:g] for v in kern]
+        k_basis = lattice_basis(k_gens, g)
+        factors, rank = quotient_invariants(k_basis, transpose(d_in) + self.relation_columns())
+        return canonical_module(self.ring, factors, rank)
 
     def to_json(self):
         return [row[:] for row in self.rel]
@@ -443,21 +598,23 @@ def fp_solve(mat, b, p):
     return x
 
 
-def fp_rank(mat, p):
-    return len(fp_reduce(mat, p)[0]) if mat and mat[0] else 0
-
-
 class LnaModule:
     """Finite dimensional F_p vector space with commuting nilpotent actions
     of the algebra generators."""
 
     __slots__ = ("ring", "dim", "actions")
 
+    rank_prime = "m"  # canonical() reports the dimension as its rank
+    _MAP_ERROR = "differential is not module-linear at slot %d"
+
     def __init__(self, ring, dim, actions):
         if not isinstance(ring, LocalNilpotentAlgebra):
             raise InputError("LnaModule wants a LocalNilpotentAlgebra")
         p = ring.p
-        actions = {n: [[x % p for x in row] for row in m] for n, m in actions.items()}
+        actions = {
+            n: [[x % p for x in row] for row in _json_int_matrix(m, "module key 'actions'")]
+            for n, m in actions.items()
+        }
         if set(actions) != {n for n, _e in ring.generators}:
             raise InputError("need one action per algebra generator")
         for name, e in ring.generators:
@@ -482,19 +639,16 @@ class LnaModule:
 
     @classmethod
     def free(cls, ring, rank):
-        mats = {n: ring.multiplication_matrix(n) for n, _e in ring.generators}
-        d = ring.dim
-        big = {
-            n: block_diag([mats[n]] * rank) if rank else [[]] and []
-            for n in mats
-        }
-        if rank == 0:
-            big = {n: [] for n in mats}
-        return cls(ring, d * rank, big)
+        return cls(
+            ring,
+            ring.dim * rank,
+            {n: block_diag([ring.multiplication_matrix(n)] * rank) for n, _e in ring.generators},
+        )
 
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring, 0, {n: [] for n, _e in ring.generators})
+    @property
+    def ngens(self):
+        """Size of the action matrices, under the name PresentedModule uses."""
+        return self.dim
 
     def canonical(self):
         return CanonicalModule((), self.dim, ())
@@ -502,6 +656,48 @@ class LnaModule:
     @property
     def is_zero(self):
         return self.dim == 0
+
+    def _kills(self, vecs):
+        p = self.ring.p
+        return not any(x % p for v in vecs for x in v)
+
+    def _accepts(self, d, src):
+        """Whether d commutes with every generator action."""
+        for n in src.actions:
+            left, right = mat_mul(d, src.actions[n]), mat_mul(self.actions[n], d)
+            if not self._kills([[x - y for x, y in zip(a, b)] for a, b in zip(left, right)]):
+                return False
+        return True
+
+    def _homology(self, d_in, d_out, nxt):
+        """ker(d_out) / im(d_in) mod p, with the induced generator actions."""
+        p = self.ring.p
+        g = self.dim
+        if g == 0:
+            return self.ring.zero_module()
+        ker = fp_kernel(d_out, g, p)
+        # basis of the image inside the kernel, extended to a kernel basis
+        img_basis = _fp_column_basis([[x % p for x in col] for col in transpose(d_in)], p)
+        full = list(img_basis)
+        coset = []
+        for v in ker:
+            if _fp_in_span(full, v, p):
+                continue
+            full.append(v)
+            coset.append(v)
+        hdim = len(coset)
+        if hdim == 0:
+            return self.ring.zero_module()
+        actions = {}
+        for name, act in self.actions.items():
+            mat = zeros(hdim, hdim)
+            for cidx, v in enumerate(coset):
+                w = [sum(act[r][k] * v[k] for k in range(g)) % p for r in range(g)]
+                coords = _fp_coords_in_quotient(img_basis, coset, w, p)
+                for ridx in range(hdim):
+                    mat[ridx][cidx] = coords[ridx]
+            actions[name] = mat
+        return LnaModule(self.ring, hdim, actions)
 
     def direct_sum(self, other):
         assert self.ring == other.ring
@@ -530,69 +726,35 @@ class ChainComplex:
     __slots__ = ("ring", "min_deg", "modules", "differentials")
 
     def __init__(self, ring, min_deg, modules, differentials):
+        differentials = [_json_int_matrix(d, "complex key 'differentials'") for d in differentials]
         if len(differentials) != max(len(modules) - 1, 0):
             raise InputError("need exactly len(modules) - 1 differentials")
         self.ring = ring
         self.min_deg = int(min_deg)
         self.modules = list(modules)
-        self.differentials = [[list(map(int, row)) for row in d] for d in differentials]
-        if isinstance(ring, LocalNilpotentAlgebra):
-            self._validate_lna()
-        else:
-            self._validate_pid()
-
-    # -- validation ---------------------------------------------------------
-
-    def _validate_pid(self):
         for m in self.modules:
-            if not isinstance(m, PresentedModule) or m.ring != self.ring:
+            if not isinstance(m, (PresentedModule, LnaModule)) or m.ring != ring:
                 raise InputError("module/ring mismatch in complex")
-        for k, d in enumerate(self.differentials):
-            src, tgt = self.modules[k], self.modules[k + 1]
-            if len(d) != tgt.ngens or (d and any(len(r) != src.ngens for r in d)):
-                if not (tgt.ngens == 0 and not d) and not (src.ngens == 0):
-                    raise InputError("differential shape mismatch at slot %d" % k)
-            d = _shaped(d, tgt.ngens, src.ngens)
-            self.differentials[k] = d
-            # well-definedness: d carries relations into relations
-            if src.ngens and tgt.ngens:
-                images = [
-                    [sum(d[i][j] * col[j] for j in range(src.ngens)) for i in range(tgt.ngens)]
-                    for col in src.relation_columns()
-                ]
-                if not _all_in_lattice(images, tgt.relation_columns()):
-                    raise InputError("differential not well defined at slot %d" % k)
+        self.differentials = [self._checked_differential(k, d) for k, d in enumerate(differentials)]
         for k in range(len(self.differentials) - 1):
-            a = self.differentials[k]
-            b = self.differentials[k + 1]
-            src = self.modules[k]
-            mid = self.modules[k + 1]
-            far = self.modules[k + 2]
-            if src.ngens == 0 or mid.ngens == 0 or far.ngens == 0:
-                continue
-            if not _all_in_lattice(transpose(mat_mul(b, a)), far.relation_columns()):
-                raise InputError("d^2 != 0 between slots %d and %d" % (k, k + 2))
+            src, mid, far = self.modules[k : k + 3]
+            if src.ngens and mid.ngens and far.ngens:
+                square = mat_mul(self.differentials[k + 1], self.differentials[k])
+                if not far._kills(transpose(square)):
+                    raise InputError("d^2 != 0 between slots %d and %d" % (k, k + 2))
 
-    def _validate_lna(self):
-        p = self.ring.p
-        for m in self.modules:
-            if not isinstance(m, LnaModule) or m.ring != self.ring:
-                raise InputError("module/ring mismatch in complex")
-        for k, d in enumerate(self.differentials):
-            src, tgt = self.modules[k], self.modules[k + 1]
-            if d and src.dim and tgt.dim and (len(d) != tgt.dim or any(len(r) != src.dim for r in d)):
-                raise InputError("differential shape mismatch at slot %d" % k)
-            d = _shaped(d, tgt.dim, src.dim)
-            self.differentials[k] = d
-            for name in src.actions:
-                left = mat_mul(d, src.actions[name])
-                right = mat_mul(tgt.actions[name], d)
-                if any((x - y) % p for ra, rb in zip(left, right) for x, y in zip(ra, rb)):
-                    raise InputError("differential is not module-linear at slot %d" % k)
-        for k in range(len(self.differentials) - 1):
-            comp = mat_mul(self.differentials[k + 1], self.differentials[k])
-            if any(x % p for row in comp for x in row):
-                raise InputError("d^2 != 0 between slots %d and %d" % (k, k + 2))
+    def _checked_differential(self, k, d):
+        """Differential k as an exact target x source module map; [] stands
+        for the zero map only when one side has no generators."""
+        src, tgt = self.modules[k], self.modules[k + 1]
+        if not d and not (src.ngens and tgt.ngens):
+            return zeros(tgt.ngens, src.ngens)
+        if len(d) != tgt.ngens or any(len(r) != src.ngens for r in d):
+            raise InputError("differential shape mismatch at slot %d" % k)
+        d = [row[:] for row in d]
+        if src.ngens and tgt.ngens and not tgt._accepts(d, src):
+            raise InputError(tgt._MAP_ERROR % k)
+        return d
 
     # -- structure ----------------------------------------------------------
 
@@ -607,19 +769,13 @@ class ChainComplex:
         k = i - self.min_deg
         if 0 <= k < len(self.modules):
             return self.modules[k]
-        if isinstance(self.ring, LocalNilpotentAlgebra):
-            return LnaModule.zero(self.ring)
-        return PresentedModule(self.ring, 0, [])
-
-    def _gens(self, i):
-        m = self.module(i)
-        return m.dim if isinstance(m, LnaModule) else m.ngens
+        return self.ring.zero_module()
 
     def differential(self, i):
         k = i - self.min_deg
         if 0 <= k < len(self.differentials):
             return self.differentials[k]
-        return _shaped([], self._gens(i + 1), self._gens(i))
+        return zeros(self.module(i + 1).ngens, self.module(i).ngens)
 
     def shift(self, s):
         """Same complex moved so old degree i sits in degree i - s."""
@@ -633,86 +789,29 @@ class ChainComplex:
         diffs = []
         for i in range(lo, hi):
             # explicit shapes: a 0-row block would otherwise lose its width
-            ra, ca = self._gens(i + 1), self._gens(i)
-            rb, cb = other._gens(i + 1), other._gens(i)
-            d = zeros(ra + rb, ca + cb)
-            for r, row in enumerate(self.differential(i)):
-                for c, v in enumerate(row):
-                    d[r][c] = v
-            for r, row in enumerate(other.differential(i)):
-                for c, v in enumerate(row):
-                    d[ra + r][ca + c] = v
-            diffs.append(d)
+            ra, ca = self.module(i + 1).ngens, self.module(i).ngens
+            rb, cb = other.module(i + 1).ngens, other.module(i).ngens
+            diffs.append(
+                block_matrix(
+                    ra + rb,
+                    ca + cb,
+                    [(0, 0, self.differential(i)), (ra, ca, other.differential(i))],
+                )
+            )
         return ChainComplex(self.ring, lo, mods, diffs)
 
     # -- cohomology ---------------------------------------------------------
 
     def cohomology(self, i):
-        if isinstance(self.ring, LocalNilpotentAlgebra):
-            return self._cohomology_lna(i)
-        return self._cohomology_pid(i)
+        return self.module(i)._homology(
+            self.differential(i - 1), self.differential(i), self.module(i + 1)
+        )
 
     def cohomology_all(self):
         return {i: self.cohomology(i) for i in self.degrees()}
 
     def is_acyclic(self):
-        return all(_canon(self.cohomology(i)).is_zero for i in self.degrees())
-
-    def _cohomology_pid(self, i):
-        g = self._gens(i)
-        if g == 0:
-            return canonical_module(self.ring, (), 0)
-        d_i = self.differential(i)
-        nxt = self.module(i + 1)
-        if nxt.ngens == 0:
-            k_gens = [[1 if r == j else 0 for r in range(g)] for j in range(g)]
-        else:
-            tgt_cols = nxt.relation_columns()
-            big = hstack(d_i, [[-c[r] for c in tgt_cols] for r in range(nxt.ngens)])
-            kern = kernel_basis(big, ncols=g + len(tgt_cols))
-            k_gens = [v[:g] for v in kern]
-        k_basis = lattice_basis(k_gens, g)
-        d_prev = self.differential(i - 1)
-        l_cols = [
-            [d_prev[r][j] for r in range(g)] for j in range(self._gens(i - 1))
-        ] + self.module(i).relation_columns()
-        factors, rank = quotient_invariants(k_basis, l_cols)
-        return canonical_module(self.ring, factors, rank)
-
-    def _cohomology_lna(self, i):
-        p = self.ring.p
-        g = self._gens(i)
-        if g == 0:
-            return LnaModule.zero(self.ring)
-        ker = fp_kernel(self.differential(i), g, p)
-        d_prev = self.differential(i - 1)
-        img = []
-        for j in range(self._gens(i - 1)):
-            img.append([d_prev[r][j] % p for r in range(g)])
-        img_mat = [list(c) for c in img]
-        # basis of the image inside the kernel, extended to a kernel basis
-        img_basis = _fp_column_basis(img, p)
-        full = list(img_basis)
-        coset = []
-        for v in ker:
-            if _fp_in_span(full, v, p):
-                continue
-            full.append(v)
-            coset.append(v)
-        hdim = len(coset)
-        if hdim == 0:
-            return LnaModule.zero(self.ring)
-        actions = {}
-        for name in self.module(i).actions:
-            act = self.module(i).actions[name]
-            mat = zeros(hdim, hdim)
-            for cidx, v in enumerate(coset):
-                w = [sum(act[r][k] * v[k] for k in range(g)) % p for r in range(g)]
-                coords = _fp_coords_in_quotient(img_basis, coset, w, p)
-                for ridx in range(hdim):
-                    mat[ridx][cidx] = coords[ridx]
-            actions[name] = mat
-        return LnaModule(self.ring, hdim, actions)
+        return all(self.cohomology(i).is_zero for i in self.degrees())
 
     # -- JSON ---------------------------------------------------------------
 
@@ -739,26 +838,10 @@ class ChainComplex:
         raw_modules = obj["modules"]
         if not isinstance(raw_modules, list) or len(raw_modules) != hi - lo + 1:
             raise InputError("degree range and module count disagree")
-        if isinstance(ring, LocalNilpotentAlgebra):
-            modules = []
-            for m in raw_modules:
-                dim = _json_key(m, "dim", "module")
-                actions = _json_key(m, "actions", "module")
-                if type(dim) is not int or dim < 0 or not isinstance(actions, dict):
-                    raise InputError("module key 'dim' must be a count and 'actions' an object")
-                for mat in actions.values():
-                    _json_int_matrix(mat, "module key 'actions'")
-                modules.append(LnaModule(ring, dim, actions))
-        else:
-            modules = []
-            for m in raw_modules:
-                rows = _json_int_matrix(m, "complex key 'modules'")
-                modules.append(PresentedModule(ring, len(rows), rows))
+        modules = [ring.module_from_json(m) for m in raw_modules]
         diffs = obj["differentials"]
         if not isinstance(diffs, list):
             raise InputError("complex key 'differentials' must be a list of matrices")
-        for d in diffs:
-            _json_int_matrix(d, "complex key 'differentials'")
         return cls(ring, lo, modules, diffs)
 
     def __repr__(self):
@@ -767,17 +850,6 @@ class ChainComplex:
             self.min_deg,
             self.max_deg,
         )
-
-
-def _canon(h):
-    return h.canonical() if isinstance(h, LnaModule) else h
-
-
-def _shaped(mat, rows, cols):
-    if not mat or rows == 0 or cols == 0:
-        return [[0] * cols for _ in range(rows)]
-    assert len(mat) == rows and all(len(r) == cols for r in mat)
-    return [list(r) for r in mat]
 
 
 def _all_in_lattice(vecs, cols):
@@ -829,9 +901,7 @@ def _fp_coords_in_quotient(img_basis, coset, w, p):
 
 
 def zero_complex(ring, degree=0):
-    if isinstance(ring, LocalNilpotentAlgebra):
-        return ChainComplex(ring, degree, [LnaModule.zero(ring)], [])
-    return ChainComplex(ring, degree, [PresentedModule(ring, 0, [])], [])
+    return ChainComplex(ring, degree, [ring.zero_module()], [])
 
 
 def module_complex(module, degree=0):
@@ -846,47 +916,26 @@ def cone(f_blocks, src, tgt):
     f_blocks maps degree i to the matrix of f in that degree (missing
     degrees mean zero)."""
     assert src.ring == tgt.ring
-    ring = src.ring
     lo = min(src.min_deg, tgt.min_deg + 1)
     hi = max(src.max_deg, tgt.max_deg + 1)
-    is_lna = isinstance(ring, LocalNilpotentAlgebra)
-
-    def gens(m):
-        return m.dim if is_lna else m.ngens
-
-    modules = []
+    modules = [src.module(i).direct_sum(tgt.module(i - 1)) for i in range(lo, hi + 1)]
     diffs = []
-    for i in range(lo, hi + 1):
-        modules.append(src.module(i).direct_sum(tgt.module(i - 1)))
     for i in range(lo, hi):
-        sc, tc = src.module(i), tgt.module(i - 1)
-        sn, tn = src.module(i + 1), tgt.module(i)
-        rows = gens(sn) + gens(tn)
-        cols = gens(sc) + gens(tc)
-        d = zeros(rows, cols)
-        for r, row in enumerate(src.differential(i)):
-            for c, v in enumerate(row):
-                d[r][c] = v
-        fmat = f_blocks.get(i, None)
-        if fmat is None:
-            fmat = zeros(gens(tn), gens(sc))
-        for r in range(gens(tn)):
-            for c in range(gens(sc)):
-                d[gens(sn) + r][c] = fmat[r][c]
-        for r, row in enumerate(tgt.differential(i - 1)):
-            for c, v in enumerate(row):
-                d[gens(sn) + r][gens(sc) + c] = -v
-        diffs.append(d)
-    return ChainComplex(ring, lo, modules, diffs)
+        sc, tc = src.module(i).ngens, tgt.module(i - 1).ngens
+        sn, tn = src.module(i + 1).ngens, tgt.module(i).ngens
+        minus_d = [[-v for v in row] for row in tgt.differential(i - 1)]
+        diffs.append(
+            block_matrix(
+                sn + tn,
+                sc + tc,
+                [(0, 0, src.differential(i)), (sn, 0, f_blocks.get(i, [])), (sn, sc, minus_d)],
+            )
+        )
+    return ChainComplex(src.ring, lo, modules, diffs)
 
 
 def identity_blocks(cx):
-    is_lna = isinstance(cx.ring, LocalNilpotentAlgebra)
-
-    def gens(m):
-        return m.dim if is_lna else m.ngens
-
-    return {i: identity(gens(cx.module(i))) for i in cx.degrees()}
+    return {i: identity(cx.module(i).ngens) for i in cx.degrees()}
 
 
 # ---------------------------------------------------------------------------
@@ -894,32 +943,26 @@ def identity_blocks(cx):
 
 
 def localize(cx, p):
-    """Localize a complex at a prime.
-
-    * IntegersLocalized: switch the ring tag to 'every prime except p is a
-      unit'; matrices are unchanged, canonicalization does the stripping.
-    * ModularIntegers: pass to Z/p^k, the p-part of the modulus.
-    * LocalNilpotentAlgebra: the ring is local, localizing at the unique
-      prime changes nothing (p must be the token \"m\").
-    """
-    ring = cx.ring
-    if isinstance(ring, LocalNilpotentAlgebra):
-        if p != "m":
-            raise InputError("the only prime here is the maximal ideal token 'm'")
+    """Localize a complex at a prime p of its ring; ring.localized_at(p)
+    names the local ring and refuses primes it does not have."""
+    ring = cx.ring.localized_at(p)
+    if ring == cx.ring:
         return cx
-    if isinstance(ring, ModularIntegers):
-        m = ring.residue_modulus(p)
-        new_ring = ModularIntegers(m) if m > 1 else None
-        assert new_ring is not None  # p^k >= 2 whenever p | n
-        mods = [PresentedModule(new_ring, mm.ngens, mm.rel) for mm in cx.modules]
-        return ChainComplex(new_ring, cx.min_deg, mods, cx.differentials)
-    if isinstance(ring, IntegersLocalized):
-        if p == 0:
-            raise InputError("use derived_tensor_residue for the generic point")
-        new_ring = ring.localized_at(p)
-        mods = [PresentedModule(new_ring, mm.ngens, mm.rel) for mm in cx.modules]
-        return ChainComplex(new_ring, cx.min_deg, mods, cx.differentials)
-    raise InputError("unknown ring")
+    return _over_ring(cx, ring)
+
+
+def _over_ring(cx, ring, kill=0):
+    """cx with its presented modules moved over ring; kill > 0 adds the
+    relation kill * e_i on every generator e_i."""
+    mods = []
+    for m in cx.modules:
+        rel = m.rel
+        if kill:
+            rel = [
+                row + [kill if r == i else 0 for i in range(m.ngens)] for r, row in enumerate(rel)
+            ]
+        mods.append(PresentedModule(ring, m.ngens, rel))
+    return ChainComplex(ring, cx.min_deg, mods, cx.differentials)
 
 
 def localize_by_element(cx, x):
@@ -930,20 +973,25 @@ def localize_by_element(cx, x):
     n2 = ring.coprime_part(x)
     if n2 == 1:
         return zero_complex(ring, cx.min_deg)
-    extra = ring.n // _coprime_cofactor(ring.n, n2)
-    mods = []
-    for m in cx.modules:
-        rel = [row[:] for row in m.rel]
-        # kill the part of the modulus that x inverts: add n2 * e_i relations
-        for i in range(m.ngens):
-            for row_idx in range(m.ngens):
-                rel[row_idx].append(n2 if row_idx == i else 0)
-        mods.append(PresentedModule(ring, m.ngens, rel))
-    return ChainComplex(ring, cx.min_deg, mods, cx.differentials)
+    # kill the part of the modulus that x inverts
+    return _over_ring(cx, ring, n2)
 
 
-def _coprime_cofactor(n, n2):
-    return n // n2 if n % n2 == 0 else 1
+def restrict_to_integers(cx):
+    """Restriction of scalars along Z -> Z/n: same generators, relations
+    extended by n times each generator."""
+    ring = cx.ring
+    if not isinstance(ring, ModularIntegers):
+        raise InputError("integer restriction starts from Z/n")
+    return _over_ring(cx, IntegersLocalized(), ring.n)
+
+
+def restrict_modulus(cx, n):
+    """Restriction of scalars along Z/n -> Z/m for m | n."""
+    ring = cx.ring
+    if not isinstance(ring, ModularIntegers) or n % ring.n:
+        raise InputError("restriction needs the old modulus to divide the new one")
+    return _over_ring(cx, ModularIntegers(n), ring.n)
 
 
 # ---------------------------------------------------------------------------
@@ -985,38 +1033,23 @@ def koszul_stable(x, cx):
     presented quotient and the result is an honest complex.  Over localized
     integers R[1/x] is not finitely presented and the result is returned as
     a SymbolicComplex carrying cohomology only; see the long exact sequence
-    bookkeeping inline.
+    bookkeeping in _koszul_symbolic.
     """
-    ring = cx.ring
-    if isinstance(ring, ModularIntegers):
-        if not isinstance(x, int):
-            raise InputError("elements of Z/n are integers")
-        loc = localize_by_element(cx, x)
-        blocks = {}
-        for i in cx.degrees():
-            g = cx.module(i).ngens
-            blocks[i] = identity(g)
-        # pad the localized side so the cone helper sees matching degrees
-        return cone(blocks, cx, loc)
-    if isinstance(ring, LocalNilpotentAlgebra):
-        if ring.element_is_unit(x):
-            return cone(identity_blocks(cx), cx, cx)
-        return cone({}, cx, zero_complex(ring, cx.min_deg))
-    if isinstance(ring, IntegersLocalized):
-        return _koszul_symbolic(x, cx)
-    raise InputError("unknown ring")
+    return cx.ring._koszul_stable(x, cx)
+
+
+def _localization_cone(cx, loc):
+    """Cone of cx -> loc = cx[1/x]; loc keeps the generators of cx or is
+    zero, so the map is the identity on the generators of loc."""
+    return cone(identity_blocks(loc), cx, loc)
 
 
 def _koszul_symbolic(x, cx):
     ring = cx.ring
     if not isinstance(x, int):
         raise InputError("elements here are integers")
-    if isinstance(cx, SymbolicComplex):
-        h = dict(cx.h)
-        degs = cx.degrees()
-    else:
-        h = {i: cx.cohomology(i) for i in cx.degrees()}
-        degs = list(cx.degrees())
+    h = cx.cohomology_all()
+    degs = list(cx.degrees())
     if x == 0:
         # R[1/0] = 0, the tensor changes nothing
         return SymbolicComplex(ring, h)
@@ -1083,28 +1116,23 @@ def derived_tensor_residue(cx, p):
         return ResidueOutcome(p, tuple((i, 0) for i in cx.degrees()))
     lo = cx.min_deg - 1
     hi = cx.max_deg
-    modules = []
+    modules = [cx.module(i + 1).direct_sum(cx.module(i)) for i in range(lo, hi + 1)]
     diffs = []
-    for i in range(lo, hi + 1):
-        modules.append(cx.module(i + 1).direct_sum(cx.module(i)))
     for i in range(lo, hi):
-        up_src = cx.module(i + 1)
-        low_src = cx.module(i)
-        up_tgt = cx.module(i + 2)
-        low_tgt = cx.module(i + 1)
-        rows = up_tgt.ngens + low_tgt.ngens
-        cols = up_src.ngens + low_src.ngens
-        d = zeros(rows, cols)
-        for r, row in enumerate(cx.differential(i + 1)):
-            for c, v in enumerate(row):
-                d[r][c] = v
+        up_src, low_src, up_tgt = (cx.module(j).ngens for j in (i + 1, i, i + 2))
         sign = -1 if (i + 1) % 2 else 1
-        for r in range(low_tgt.ngens):
-            d[up_tgt.ngens + r][r] = sign * p
-        for r, row in enumerate(cx.differential(i)):
-            for c, v in enumerate(row):
-                d[up_tgt.ngens + r][up_src.ngens + c] = v
-        diffs.append(d)
+        times_p = [[sign * p * v for v in row] for row in identity(up_src)]
+        diffs.append(
+            block_matrix(
+                up_tgt + up_src,
+                up_src + low_src,
+                [
+                    (0, 0, cx.differential(i + 1)),
+                    (up_tgt, 0, times_p),
+                    (up_tgt, up_src, cx.differential(i)),
+                ],
+            )
+        )
     total = ChainComplex(ring, lo, modules, diffs)
     dims = []
     for i in total.degrees():
@@ -1262,22 +1290,13 @@ def _free_resolution(s_cx, cutoff, gens_bound):
         r_upup = rank.get(i + 2, 0)
         # kernel of (s, y) -> (d_S s - f y, d_P y) inside S^i ⊕ P^{i+1}
         up_gens = s_cx.module(i + 1).ngens
-        rows1 = up_gens
         amb = sg + r_up
-        m1 = zeros(rows1, amb)
-        for r, row in enumerate(s_cx.differential(i)):
-            for c, v in enumerate(row):
-                m1[r][c] = v
-        f_up = fmat.get(i + 1)
-        for r in range(up_gens):
-            for c in range(r_up):
-                m1[r][sg + c] -= f_up[r][c] if f_up else 0
-        m2 = zeros(r_upup, amb)
-        d_up = dmat.get(i + 1)
-        for r in range(r_upup):
-            for c in range(r_up):
-                m2[r][sg + c] = d_up[r][c] if d_up else 0
-        phi = m1 + m2
+        minus_f = [[-v for v in row] for row in fmat.get(i + 1, [])]
+        phi = block_matrix(
+            up_gens + r_upup,
+            amb,
+            [(0, 0, s_cx.differential(i)), (0, sg, minus_f), (up_gens, sg, dmat.get(i + 1, []))],
+        )
         # module-level kernel: image must land in rel(S^{i+1}) ⊕ 0 (P free,
         # so its only relation lattice is n * I)
         tgt_rel_cols = s_cx.module(i + 1).relation_columns()

@@ -59,19 +59,25 @@ def hstack(a, b):
     return [ra + rb for ra, rb in zip(a, b)]
 
 
-def block_diag(blocks):
-    rows = sum(len(b) for b in blocks)
-    cols = sum((len(b[0]) if b else 0) for b in blocks)
+def block_matrix(rows, cols, blocks):
+    """rows x cols matrix, zero except for each (r, c, mat) of blocks, whose
+    top-left entry lands at (r, c).  Blocks must fit and must not overlap."""
     out = zeros(rows, cols)
+    for r0, c0, mat in blocks:
+        for r, row in enumerate(mat):
+            assert c0 + len(row) <= cols, "block runs past the last column"
+            out[r0 + r][c0 : c0 + len(row)] = row
+    return out
+
+
+def block_diag(blocks):
+    placed = []
     r = c = 0
     for b in blocks:
-        bc = len(b[0]) if b else 0
-        for i, row in enumerate(b):
-            for j, v in enumerate(row):
-                out[r + i][c + j] = v
+        placed.append((r, c, b))
         r += len(b)
-        c += bc
-    return out
+        c += len(b[0]) if b else 0
+    return block_matrix(r, c, placed)
 
 
 def mat_eq(a, b):

@@ -6,6 +6,12 @@ generators x of the prime, and ask whether any cohomology survives.  Over
 the integers the support of a complex with free cohomology ranks is
 cofinite, so descriptors carry generic/cofinite flags instead of trying to
 list infinitely many points.
+
+Every support here is one code path over the ring interface of ``homalg``:
+the ring lists its candidate closed primes (``closed_primes``), says whether
+it has a generic point (``has_generic``), localizes (``localized_at``),
+names the Koszul generators of a prime (``koszul_elements``) and tests
+residue fields (``residue_nonzero``).
 """
 
 from dataclasses import dataclass
@@ -14,17 +20,15 @@ from .errors import InputError
 from .homalg import (
     ChainComplex,
     IntegersLocalized,
-    LnaModule,
-    LocalNilpotentAlgebra,
     ModularIntegers,
     PresentedModule,
-    derived_tensor_residue,
+    cone,
     hom_complex_h0,
     koszul_stable,
     localize,
     localize_by_element,
-    cone,
-    zero_complex,
+    restrict_modulus,
+    restrict_to_integers,
 )
 from .poset import FinitePoset
 from .smith import factorize
@@ -54,25 +58,14 @@ def prime_label(p):
 
 
 def spec(ring):
-    if isinstance(ring, ModularIntegers):
-        points = tuple(prime_label(p) for p in ring.prime_divisors())
-        order = FinitePoset(points, {(a, a) for a in points})
-        return SpecOf(ring, SpectralSpace(order), points, False, "finite discrete")
-    if isinstance(ring, LocalNilpotentAlgebra):
-        order = FinitePoset(("m",), {("m", "m")})
-        return SpecOf(ring, SpectralSpace(order), ("m",), False, "one-point local")
-    if isinstance(ring, IntegersLocalized):
-        if ring.at_prime is not None:
-            points = (prime_label(ring.at_prime),)
-            order = FinitePoset(
-                ("(0)", points[0]),
-                {("(0)", "(0)"), (points[0], points[0]), ("(0)", points[0])},
-            )
-            return SpecOf(ring, SpectralSpace(order), points, True, "local, one closed point")
-        return SpecOf(
-            ring, None, (), True, "generic point plus all primes outside the inverted set"
-        )
-    raise InputError("unknown ring")
+    closed, description = ring.spectrum()
+    if closed is None:
+        return SpecOf(ring, None, (), ring.has_generic, description)
+    labels = tuple(prime_label(p) for p in closed)
+    generic = ("(0)",) if ring.has_generic else ()
+    leq = {(a, a) for a in generic + labels} | {(g, b) for g in generic for b in labels}
+    space = SpectralSpace(FinitePoset(generic + labels, leq))
+    return SpecOf(ring, space, labels, ring.has_generic, description)
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +106,6 @@ class SupportDescriptor:
         assert not self.cofinite, "cofinite support has no finite closed list"
         return self.explicit
 
-    def agrees_on(self, other, sample):
-        return self.generic == other.generic and all(
-            self.contains(p) == other.contains(p) for p in sample
-        )
-
     def __str__(self):
         if self.cofinite:
             body = "all closed points" + (
@@ -141,31 +129,19 @@ def descriptor_from_set(primes):
 
 
 def candidate_primes(cx):
-    """Closed-point candidates: non-unit primes dividing any matrix entry of
-    the complex or any invariant factor of its cohomology.  Outside this set
-    localization kills every presentation entry's torsion, so membership is
-    decided by the free ranks alone."""
-    ring = cx.ring
-    assert isinstance(ring, IntegersLocalized)
-    seen = set()
-    for m in cx.modules:
-        for row in m.rel:
-            for v in row:
-                if v:
-                    seen.update(factorize(v))
-    for d in cx.differentials:
-        for row in d:
-            for v in row:
-                if v:
-                    seen.update(factorize(v))
-    for i in cx.degrees():
-        for f in cx.cohomology(i).factors:
-            seen.update(factorize(f))
-    return tuple(sorted(q for q in seen if not ring.is_unit_prime(q)))
+    """Closed points where the complex can have support; see the ring's
+    closed_primes."""
+    return cx.ring.closed_primes(cx)
 
 
 def _total_rank(cx):
     return sum(cx.cohomology(i).rank for i in cx.degrees())
+
+
+def _generic(cx):
+    """Whether the generic point (0) lies in the support: the ring has one
+    and C ⊗ Q, i.e. the free cohomology rank, is nonzero."""
+    return cx.ring.has_generic and _total_rank(cx) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -179,121 +155,51 @@ def small_support(cx, sequence_length=1):
     with R -> R[1/x] for every sequence of generators x of length up to
     sequence_length (a maximal ideal here is principal, so checking the
     generator once decides it; longer sequences are for cross-checks)."""
-    ring = cx.ring
-    if isinstance(ring, LocalNilpotentAlgebra):
-        hit = _lna_in_support(cx, sequence_length)
-        return SupportDescriptor(explicit=frozenset({"m"} if hit else set()))
-    if isinstance(ring, ModularIntegers):
-        found = set()
-        for q in ring.prime_divisors():
-            if _modular_in_support(cx, q, sequence_length):
-                found.add(q)
-        return SupportDescriptor(explicit=frozenset(found))
-    if isinstance(ring, IntegersLocalized):
-        rank = _total_rank(cx)
-        generic = rank > 0  # sequences inside (0) are zero; K(0) ⊗ C_0 = C ⊗ Q
-        if generic:
-            # every closed point survives: torsion candidates pass the Koszul
-            # test and at torsion-free primes the free rank alone keeps the
-            # localized complex alive
-            for q in candidate_primes(cx):
-                assert _integer_in_support(cx, q, sequence_length)
-            return SupportDescriptor(generic=True, cofinite=True)
-        found = set()
-        for q in candidate_primes(cx):
-            if _integer_in_support(cx, q, sequence_length):
-                found.add(q)
-        return SupportDescriptor(explicit=frozenset(found))
-    raise InputError("unknown ring")
+    candidates = candidate_primes(cx)
+    if _generic(cx):
+        # sequences inside (0) are zero; K(0) ⊗ C_0 = C ⊗ Q.  Every closed
+        # point survives: torsion candidates pass the Koszul test and at
+        # torsion-free primes the free rank alone keeps the localized
+        # complex alive
+        assert all(_in_support(cx, q, sequence_length) for q in candidates)
+        return SupportDescriptor(generic=True, cofinite=True)
+    return SupportDescriptor(
+        explicit=frozenset(q for q in candidates if _in_support(cx, q, sequence_length))
+    )
 
 
-def _integer_in_support(cx, q, sequence_length):
+def _in_support(cx, q, sequence_length):
     local = localize(cx, q)
-    current = local
     verdicts = []
-    for _ in range(max(1, sequence_length)):
-        current = koszul_stable(q, current)
-        verdicts.append(not current.is_acyclic())
-    assert len(set(verdicts)) == 1, "iterated Koszul rounds disagree"
-    return verdicts[0]
-
-
-def _modular_in_support(cx, q, sequence_length):
-    local = localize(cx, q)
-    current = local
-    verdicts = []
-    for _ in range(max(1, sequence_length)):
-        current = koszul_stable(q, current)
-        verdicts.append(not current.is_acyclic())
-    assert len(set(verdicts)) == 1, "iterated Koszul rounds disagree"
-    return verdicts[0]
-
-
-def _lna_in_support(cx, sequence_length):
-    verdicts = []
-    for name, _e in cx.ring.generators:
-        current = cx
+    for x in cx.ring.koszul_elements(q):
+        current = local
         for _ in range(max(1, sequence_length)):
-            current = koszul_stable(name, current)
-        verdicts.append(not current.is_acyclic())
-    assert len(set(verdicts)) == 1, "generators disagree on the support test"
+            current = koszul_stable(x, current)
+            verdicts.append(not current.is_acyclic())
+    assert len(set(verdicts)) == 1, "Koszul rounds or generators disagree"
     return verdicts[0]
 
 
 def big_support(cx):
     """Localization support: primes where the localized complex is not
     acyclic.  No Koszul tensor involved."""
-    ring = cx.ring
-    if isinstance(ring, LocalNilpotentAlgebra):
-        return SupportDescriptor(
-            explicit=frozenset({"m"} if not cx.is_acyclic() else set())
-        )
-    if isinstance(ring, ModularIntegers):
-        found = {
-            q for q in ring.prime_divisors() if not localize(cx, q).is_acyclic()
-        }
-        return SupportDescriptor(explicit=frozenset(found))
-    if isinstance(ring, IntegersLocalized):
-        rank = _total_rank(cx)
-        if rank > 0:
-            return SupportDescriptor(generic=True, cofinite=True)
-        found = {
-            q for q in candidate_primes(cx) if not localize(cx, q).is_acyclic()
-        }
-        return SupportDescriptor(explicit=frozenset(found))
-    raise InputError("unknown ring")
+    if _generic(cx):
+        return SupportDescriptor(generic=True, cofinite=True)
+    return SupportDescriptor(
+        explicit=frozenset(q for q in candidate_primes(cx) if not localize(cx, q).is_acyclic())
+    )
 
 
 def foxby_support(cx):
     """Residue-field support: primes p with C ⊗^L k(p) not acyclic."""
     ring = cx.ring
-    if isinstance(ring, ModularIntegers):
-        as_z = restrict_to_integers(cx)
-        inner = foxby_support(as_z)
-        assert not inner.cofinite
-        return inner
-    if isinstance(ring, LocalNilpotentAlgebra):
-        # the residue field is the base field; C ⊗^L k is computed from an
-        # honest two-step free approximation degreewise -- but over a local
-        # ring a bounded complex is residue-acyclic iff it is acyclic, and
-        # cohomology here is plain linear algebra, so that is the test
-        return SupportDescriptor(
-            explicit=frozenset({"m"} if not cx.is_acyclic() else set())
-        )
-    if isinstance(ring, IntegersLocalized):
-        rank = _total_rank(cx)
-        if derived_tensor_residue(cx, 0).is_nonzero:
-            for q in candidate_primes(cx):
-                assert derived_tensor_residue(cx, q).is_nonzero
-            return SupportDescriptor(generic=True, cofinite=True)
-        assert rank == 0
-        found = {
-            q
-            for q in candidate_primes(cx)
-            if derived_tensor_residue(cx, q).is_nonzero
-        }
-        return SupportDescriptor(explicit=frozenset(found))
-    raise InputError("unknown ring")
+    candidates = candidate_primes(cx)
+    if ring.has_generic and ring.residue_nonzero(cx, 0):
+        assert all(ring.residue_nonzero(cx, q) for q in candidates)
+        return SupportDescriptor(generic=True, cofinite=True)
+    return SupportDescriptor(
+        explicit=frozenset(q for q in candidates if ring.residue_nonzero(cx, q))
+    )
 
 
 def detect_vanishing(cx):
@@ -307,64 +213,21 @@ def detect_vanishing(cx):
 
 def weakly_associated(module):
     """Primes attached to a module through its canonical decomposition: the
-    generic point when there is free rank, and every non-unit prime dividing
-    an invariant factor (each such prime is minimal over the annihilator of
-    the corresponding cyclic summand's generator)."""
-    if isinstance(module, LnaModule):
-        return frozenset({"m"} if module.dim else set())
-    if isinstance(module, PresentedModule):
-        canon = module.canonical()
-        ring = module.ring
-    else:  # CanonicalModule straight from cohomology
-        canon = module
-        ring = None
-    out = set()
-    if canon.rank:
-        out.add(0)
+    prime carrying its free rank (the generic point, or the maximal ideal
+    over the local nilpotent algebra), and every prime dividing an
+    invariant factor (each such prime is minimal over the annihilator of
+    the corresponding cyclic summand's generator).  Canonical forms have
+    unit primes stripped already."""
+    canon = module.canonical()
+    out = {module.rank_prime} if canon.rank else set()
     for d in canon.factors:
-        for q in factorize(d):
-            if ring is None or not getattr(ring, "is_unit_prime", lambda _q: False)(q):
-                out.add(q)
-    for q, _m in canon.divisible:
-        out.add(q)
+        out.update(factorize(d))
+    out.update(q for q, _m in canon.divisible)
     return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
 # compatibility checks
-
-
-def restrict_to_integers(cx):
-    """Restriction of scalars along Z -> Z/n: same generators, relations
-    extended by n times each generator."""
-    ring = cx.ring
-    if not isinstance(ring, ModularIntegers):
-        raise InputError("integer restriction starts from Z/n")
-    z = IntegersLocalized()
-    mods = []
-    for m in cx.modules:
-        rel = [row[:] for row in m.rel]
-        for i in range(m.ngens):
-            for r in range(m.ngens):
-                rel[r].append(ring.n if r == i else 0)
-        mods.append(PresentedModule(z, m.ngens, rel))
-    return ChainComplex(z, cx.min_deg, mods, cx.differentials)
-
-
-def restrict_modulus(cx, n):
-    """Restriction of scalars along Z/n -> Z/m for m | n."""
-    ring = cx.ring
-    if not isinstance(ring, ModularIntegers) or n % ring.n:
-        raise InputError("restriction needs the old modulus to divide the new one")
-    big = ModularIntegers(n)
-    mods = []
-    for m in cx.modules:
-        rel = [row[:] for row in m.rel]
-        for i in range(m.ngens):
-            for r in range(m.ngens):
-                rel[r].append(ring.n if r == i else 0)
-        mods.append(PresentedModule(big, m.ngens, rel))
-    return ChainComplex(big, cx.min_deg, mods, cx.differentials)
 
 
 def localize_support_check(cx, invert):
@@ -457,8 +320,9 @@ def main1_property_suite(cx, v_primes, other=None, scalar=0):
     out["localized_support"] = small_support(ell).closed_set() == supp - v_primes
     out["supp_in_v_iff_localization_dies"] = (supp <= v_primes) == ell.is_acyclic()
     out["supp_misses_v_iff_torsion_dies"] = (not supp & v_primes) == gamma.is_acyclic()
-    out["small_inside_big"] = supp <= big_support(cx).closed_set()
-    out["big_inside_small"] = big_support(cx).closed_set() <= supp
+    big = big_support(cx).closed_set()
+    out["small_inside_big"] = supp <= big
+    out["big_inside_small"] = big <= supp
     if other is not None:
         supp2 = small_support(other).closed_set()
         zero_blocks = {}

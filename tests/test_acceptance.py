@@ -1,5 +1,6 @@
 """Acceptance battery: every criterion at its stated scale and tolerance."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from ttsupport import battery
 
 SEED = battery.DEFAULT_SEED
 SAMPLES = battery.DEFAULT_SAMPLES
+SUITE_SEED_42_SHA256 = "c194bd79b7a909c1acc72c69aa2f0c1d52d56b942b23db8185e17d345f5beb8d"
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,9 @@ def test_12_suite_output_is_byte_identical_for_a_fixed_seed():
 
     first, second = run(), run()
     assert first.stdout == second.stdout and first.stdout
+    # the stdout that the seed-42 suite has printed since the battery's
+    # instance stream and criteria were fixed
+    assert hashlib.sha256(first.stdout).hexdigest() == SUITE_SEED_42_SHA256
     assert first.returncode == second.returncode == 0
     report = json.loads(first.stdout)
     assert report["all_passed"]

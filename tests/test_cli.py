@@ -102,6 +102,34 @@ def test_hostile_complex_json_gives_one_error_document_and_exit_one(change, key)
     assert key in json.loads(proc.stdout)["error"]
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # a 2 x 2 matrix where 1 x 0 is needed
+        {
+            "ring": {"type": "Z/n", "n": 6},
+            "degrees": [0, 1],
+            "modules": [[], [[]]],
+            "differentials": [[[5, 7], [1, 2]]],
+        },
+        # a 3 x 2 matrix where 2 x 0 is needed
+        {
+            "ring": {"type": "local_nilpotent", "p": 2, "generators": [["x", 2]]},
+            "degrees": [0, 1],
+            "modules": [
+                {"dim": 0, "actions": {"x": []}},
+                {"dim": 2, "actions": {"x": [[0, 0], [1, 0]]}},
+            ],
+            "differentials": [[[1, 1], [1, 1], [1, 1]]],
+        },
+    ],
+)
+def test_misshapen_differential_next_to_a_zero_module_exits_one(doc):
+    code, out = _run("support", "small", json.dumps(doc))
+    assert code == 1
+    assert json.loads(out) == {"error": "differential shape mismatch at slot 0"}
+
+
 def test_oversized_poset_gives_exit_two_naming_the_bound():
     big = json.dumps({"elements": list("abcdefg"), "leq": []})
     code, out = _run("spectral", "cbrank", big)

@@ -222,6 +222,37 @@ def test_complex_json_rejects_malformed_fields(ring, modules, differentials):
         ChainComplex.from_json(dict(obj, differentials=differentials))
 
 
+Z2_ONE = PresentedModule.free(Z, 1)
+LNA_X = LocalNilpotentAlgebra(2, (("x", 2),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PresentedModule(Z6, 1, [[2.7]]),
+        lambda: ChainComplex(Z, 0, [Z2_ONE, Z2_ONE], [[[1.9]]]),
+        lambda: ChainComplex(Z, 0, [Z2_ONE, Z2_ONE], [[[True]]]),
+        lambda: LnaModule(LNA_X, 1, {"x": [[2.7]]}),
+        lambda: LnaModule(LNA_X, 1, {"x": [[True]]}),
+    ],
+    ids=["module-2.7", "differential-1.9", "differential-True", "action-2.7", "action-True"],
+)
+def test_constructors_refuse_entries_that_are_not_integers(build):
+    with pytest.raises(InputError, match="must be a list of integers"):
+        build()
+
+
+def test_empty_differential_stands_for_zero_only_next_to_a_zero_module():
+    zero = PresentedModule(Z6, 0, [])
+    one = PresentedModule.free(Z6, 1)
+    assert ChainComplex(Z6, 0, [zero, one], [[]]).differentials == [[[]]]
+    assert ChainComplex(Z6, 0, [one, zero], [[]]).differentials == [[]]
+    with pytest.raises(InputError, match="^differential shape mismatch at slot 0$"):
+        ChainComplex(Z6, 0, [one, one], [[]])
+    with pytest.raises(InputError, match="^differential shape mismatch at slot 0$"):
+        ChainComplex(Z6, 0, [zero, one], [[[1]]])
+
+
 def test_lna_cohomology_is_dimension_counting():
     x = LNA.multiplication_matrix("x")
     cx = ChainComplex(LNA, 0, [LnaModule.free(LNA, 1), LnaModule.free(LNA, 1)], [x])

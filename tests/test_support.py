@@ -2,6 +2,7 @@
 
 import pytest
 
+from ttsupport import battery
 from ttsupport.errors import InputError
 from ttsupport.homalg import (
     ChainComplex,
@@ -194,3 +195,19 @@ def test_property_suite_rejects_integer_complexes():
 def test_descriptor_from_set_round_trip():
     d = descriptor_from_set({2, 7})
     assert d.closed_set() == {2, 7} and not d.generic
+
+
+# -- metamorphic checks over every ring class -------------------------------------
+
+
+@pytest.mark.parametrize("ring", battery.ring_classes(), ids=lambda r: r.label())
+def test_supports_ignore_shifts_and_zero_summands(ring):
+    supports = [small_support, big_support]
+    if not isinstance(ring, ModularIntegers):
+        # residue Smith forms over Z/n blow up on rare instances
+        supports.append(foxby_support)
+    for cx in battery.instances(ring, 4, battery.DEFAULT_SEED):
+        for support in supports:
+            expected = support(cx)
+            assert all(support(cx.shift(s)) == expected for s in (-1, 2)), support
+        assert small_support(cx.direct_sum(zero_complex(ring))) == small_support(cx)
