@@ -19,16 +19,18 @@ from .spectral import SpectralSpace
 
 def thomason_frame(space):
     """Frame of Thomason (= up-) sets of a finite spectral space."""
-    frame, labels = FiniteFrame.from_sets(space.thomason_sets())
-    return frame, labels
+    return FiniteFrame.from_sets(space.thomason_sets())
 
 
 def localizing_frame(space):
     """Frame of opens for the localizing topology: the Skula opens of the
     Hochster dual, computed from the generated topology (and checked to be
     the full powerset elsewhere, not assumed)."""
-    frame, labels = FiniteFrame.from_sets(space.hochster_dual().skula_opens())
-    return frame, labels
+    return FiniteFrame.from_sets(space.hochster_dual().skula_opens())
+
+
+def _strings(raw):
+    return isinstance(raw, list) and all(isinstance(x, str) for x in raw)
 
 
 class SupportDatum:
@@ -58,9 +60,6 @@ class SupportDatum:
     def gamma_of_set(self, s):
         return self.gamma(set_label(frozenset(s)))
 
-    def complement_of_set(self, s):
-        return self.complements.get(set_label(frozenset(s)))
-
     @classmethod
     def from_json(cls, obj):
         """gamma is a list of [sorted point list, element] pairs; complements
@@ -70,16 +69,23 @@ class SupportDatum:
             raise InputError("datum JSON needs space/bousfield/gamma/complements")
         space = SpectralSpace.from_json(obj["space"])
         bous = FiniteFrame(FinitePoset.from_json(obj["bousfield"]))
-        gamma = {}
-        for entry in obj["gamma"]:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise InputError("gamma entries must be [thomason-set, element] pairs")
-            gamma[set_label(frozenset(entry[0]))] = entry[1]
-        comp_by_element = {}
-        for entry in obj["complements"]:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise InputError("complement entries must be [element, element] pairs")
-            comp_by_element[entry[0]] = entry[1]
+        gamma, comps = obj["gamma"], obj["complements"]
+        if not isinstance(gamma, list) or not all(
+            isinstance(e, list) and len(e) == 2 and _strings(e[0]) and isinstance(e[1], str)
+            for e in gamma
+        ):
+            raise InputError(
+                "gamma must be a list of [thomason-set, element] pairs, "
+                "each set a list of point strings"
+            )
+        if not isinstance(comps, list) or not all(_strings(e) and len(e) == 2 for e in comps):
+            raise InputError("complements must be a list of [element, element] string pairs")
+        thomason = set(space.thomason_sets())
+        for points, _element in gamma:
+            if frozenset(points) not in thomason:
+                raise InputError("gamma set %s is not a Thomason set" % set_label(points))
+        gamma = {set_label(frozenset(points)): element for points, element in gamma}
+        comp_by_element = dict(comps)
         complements = {v: comp_by_element.get(g) for v, g in gamma.items()}
         return cls(space, bous, gamma, complements)
 

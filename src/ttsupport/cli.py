@@ -13,7 +13,7 @@ import sys
 from .errors import InputError, ResourceLimitError
 from .poset import FinitePoset
 from .spectral import SpectralSpace
-from .frames import FiniteFrame, assembly, frame_of, sigma
+from .frames import ASSEMBLY_MAX, FiniteFrame, assembly, frame_of, sigma
 from .homalg import ChainComplex, ModularIntegers
 from .support import (
     big_support,
@@ -28,7 +28,6 @@ from .axioms import SupportDatum, canonical_datum, check_complements, construct_
 from .battery import DEFAULT_SAMPLES, DEFAULT_SEED, run_battery
 
 DEFAULT_MAX_POSET = 6
-DEFAULT_MAX_FRAME = 16
 
 
 def _load(arg):
@@ -126,12 +125,10 @@ def _cmd_frames(args):
         frame, _labels = frame_of(_space(obj, args.max_poset))
         return frame.order.to_json()
     if op == "sigma":
-        _psi, is_iso, asm = sigma(_space(obj, args.max_poset))
+        _psi, is_iso, asm = sigma(_space(obj, args.max_poset), max_size=args.max_frame)
         return {"is_isomorphism": is_iso, "nuclei": len(asm.nuclei)}
     if op == "assembly":
         frame, _labels = frame_of(_space(obj, args.max_poset))
-        if len(frame) > args.max_frame:
-            raise ResourceLimitError("frame exceeds the size bound", "max-frame", args.max_frame)
         asm = assembly(frame, max_size=args.max_frame)
         return {
             "count": len(asm.nuclei),
@@ -266,8 +263,8 @@ def _build_parser():
         help="largest accepted poset (default %d)" % DEFAULT_MAX_POSET,
     )
     parser.add_argument(
-        "--max-frame", type=int, default=DEFAULT_MAX_FRAME,
-        help="largest frame for assembly operations (default %d)" % DEFAULT_MAX_FRAME,
+        "--max-frame", type=int, default=ASSEMBLY_MAX,
+        help="largest frame for assembly operations (default %d)" % ASSEMBLY_MAX,
     )
     parser.add_argument(
         "--samples", type=int, default=DEFAULT_SAMPLES,

@@ -1,16 +1,16 @@
 """Finite frames, frame homomorphisms, nuclei and the assembly.
 
-A finite frame is a finite distributive lattice; the constructor validates
-boundedness, existence/uniqueness of binary meets and joins, and
-distributivity.  Heyting implication exists automatically and is computed by
-its defining join.
+A finite frame is a finite distributive lattice; the constructor reads
+bottom, top, binary meets and joins off the down- and up-sets of the order
+and validates distributivity.  Heyting implication exists automatically and
+is computed by its defining join.
 """
 
 from .errors import InputError, ResourceLimitError
 from .poset import FinitePoset
 from .spectral import SpectralSpace
 
-ASSEMBLY_MAX = 20
+ASSEMBLY_MAX = 16
 HOM_SEARCH_MAX = 200000
 
 
@@ -28,24 +28,28 @@ class FiniteFrame:
         els = order.elements
         if not els:
             raise InputError("a frame is nonempty")
-        bottoms = [e for e in els if all(order.leq(e, x) for x in els)]
-        tops = [e for e in els if all(order.leq(x, e) for x in els)]
+        down = {e: order.down_set(e) for e in els}
+        up = {e: order.up_set(e) for e in els}
+        everything = frozenset(els)
+        bottoms = [e for e in els if up[e] == everything]
+        tops = [e for e in els if down[e] == everything]
         if len(bottoms) != 1 or len(tops) != 1:
             raise InputError("lattice is not bounded")
         self.bottom = bottoms[0]
         self.top = tops[0]
+        # x ∧ y is the z whose down-set is down(x) ∩ down(y); joins dually
+        by_down = {d: e for e, d in down.items()}
+        by_up = {u: e for e, u in up.items()}
         self._meet = {}
         self._join = {}
         for x in els:
             for y in els:
-                lb = [z for z in els if order.leq(z, x) and order.leq(z, y)]
-                glb = [z for z in lb if all(order.leq(w, z) for w in lb)]
-                ub = [z for z in els if order.leq(x, z) and order.leq(y, z)]
-                lub = [z for z in ub if all(order.leq(z, w) for w in ub)]
-                if len(glb) != 1 or len(lub) != 1:
+                m = by_down.get(down[x] & down[y])
+                j = by_up.get(up[x] & up[y])
+                if m is None or j is None:
                     raise InputError("not a lattice: meet/join fails on (%r, %r)" % (x, y))
-                self._meet[(x, y)] = glb[0]
-                self._join[(x, y)] = lub[0]
+                self._meet[(x, y)] = m
+                self._join[(x, y)] = j
         for x in els:
             for y in els:
                 for z in els:
@@ -58,11 +62,12 @@ class FiniteFrame:
     @classmethod
     def from_sets(cls, sets):
         """Frame of a family of sets ordered by inclusion (the family must be
-        closed under the induced meets/joins, which the validator enforces)."""
-        sets = [frozenset(s) for s in sets]
+        closed under the induced meets/joins, which the validator enforces).
+        Two different sets with one label are refused."""
         labels = {}
-        for s in sets:
-            labels[set_label(s)] = s
+        for s in map(frozenset, sets):
+            if labels.setdefault(set_label(s), s) != s:
+                raise InputError("two sets share the label %s" % set_label(s))
         rel = {
             (a, b)
             for a in labels
@@ -198,15 +203,6 @@ class FrameHom:
     def is_isomorphism(self):
         return self.is_injective() and self.is_surjective()
 
-    def compose(self, earlier):
-        """self ∘ earlier."""
-        return FrameHom(
-            earlier.source, self.target, {x: self(earlier(x)) for x in earlier.source.elements}
-        )
-
-    def is_complemented(self):
-        return all(self.target.complement(self(x)) is not None for x in self.source.elements)
-
 
 class Nucleus:
     """An inflationary, monotone, idempotent, meet-preserving self-map."""
@@ -263,40 +259,44 @@ def open_nucleus(frame, x):
     return Nucleus(frame, {y: frame.heyting(x, y) for y in frame.elements})
 
 
-def _meet_closed_subsets(frame):
-    """All subsets containing top and closed under binary meets.
+def _sublocales(frame):
+    """Fixed-point sets of all nuclei, as the closed sets of "contains top,
+    closed under meets, contains x -> s for every x" (Picado-Pultr, Frames
+    and Locales, III), enumerated by Ganter's NextClosure over the sorted
+    elements."""
+    els = sorted(frame.elements)
+    index = {x: i for i, x in enumerate(els)}
+    meet = [[index[frame.meet(x, y)] for y in els] for x in els]
+    implies = [[index[frame.heyting(x, y)] for x in els] for y in els]
+    top = 1 << index[frame.top]
 
-    Elements are processed in an order where y < x implies y comes after x,
-    so closing up under meets only ever adds not-yet-decided elements."""
-    els = sorted(frame.elements, key=lambda e: (-len(frame.order.down_set(e)), e))
-    assert els[0] == frame.top
-    results = []
+    def close(mask):
+        mask |= top
+        members = [i for i in range(len(els)) if mask >> i & 1]
+        todo = list(members)
+        while todo:
+            s = todo.pop()
+            for t in implies[s] + [meet[s][u] for u in members]:
+                if not mask >> t & 1:
+                    mask |= 1 << t
+                    members.append(t)
+                    todo.append(t)
+        return mask
 
-    def close(s, new):
-        s = set(s)
-        frontier = set(new)
-        while frontier:
-            nxt = set()
-            for a in frontier:
-                for b in list(s):
-                    m = frame.meet(a, b)
-                    if m not in s and m not in nxt and m not in frontier:
-                        nxt.add(m)
-                s.add(a)
-            frontier = nxt
-        return frozenset(s)
-
-    def rec(i, s):
-        while i < len(els) and els[i] in s:
-            i += 1
-        if i == len(els):
-            results.append(s)
-            return
-        rec(i + 1, s)
-        rec(i + 1, close(s, {els[i]}))
-
-    rec(1, frozenset({frame.top}))
-    return results
+    full = (1 << len(els)) - 1
+    closed = close(0)
+    found = [closed]
+    while closed != full:
+        for i in reversed(range(len(els))):
+            bit = 1 << i
+            if closed & bit:
+                continue
+            candidate = close(closed & (bit - 1) | bit)
+            if candidate & (bit - 1) == closed & (bit - 1):
+                closed = candidate
+                found.append(closed)
+                break
+    return [frozenset(x for i, x in enumerate(els) if s >> i & 1) for s in found]
 
 
 class AssemblyResult:
@@ -313,30 +313,23 @@ class AssemblyResult:
 def assembly(frame, max_size=ASSEMBLY_MAX):
     """The frame of all nuclei, ordered pointwise.
 
-    Every nucleus is a closure operator and is determined by its fixed-point
-    set, which is meet-closed and contains top; so the enumeration walks the
-    meet-closed subsets and keeps those whose induced closure preserves
-    binary meets.
+    Every nucleus is the closure x |-> meet{s in S : x <= s} onto its
+    fixed-point set S, and the fixed-point sets are exactly the sublocales.
     """
     if len(frame) > max_size:
         raise ResourceLimitError(
             "assembly bound exceeded: %d > %d" % (len(frame), max_size),
-            bound_name="max_frame",
+            bound_name="max-frame",
             bound_value=max_size,
         )
-    nuclei = []
-    for s in _meet_closed_subsets(frame):
-        table = {
-            x: frame.meet_many(t for t in s if frame.leq(x, t)) for x in frame.elements
-        }
-        ok = all(
-            table[frame.meet(x, y)] == frame.meet(table[x], table[y])
-            for x in frame.elements
-            for y in frame.elements
+    by_label = {}
+    for s in _sublocales(frame):
+        nu = Nucleus(
+            frame, {x: frame.meet_many(t for t in s if frame.leq(x, t)) for x in frame.elements}
         )
-        if ok:
-            nuclei.append(Nucleus(frame, table))
-    by_label = {nu.label: nu for nu in nuclei}
+        if nu.label in by_label:
+            raise InputError("two nuclei share the label %s" % nu.label)
+        by_label[nu.label] = nu
     rel = {
         (a, b)
         for a in by_label
@@ -373,8 +366,7 @@ def nucleus_join(frame, nu, mu):
 def frame_of(space):
     """Frame of opens (= down-sets) of a finite spectral space, with set
     labels."""
-    frame, labels = FiniteFrame.from_sets(space.opens())
-    return frame, labels
+    return FiniteFrame.from_sets(space.opens())
 
 
 def spc(frame):
@@ -394,16 +386,12 @@ def spc(frame):
 
 def frame_homs(source, target, bound=HOM_SEARCH_MAX):
     """All frame homs source -> target by exhaustive search over images of
-    join-irreducibles.  Intended for desk-scale uniqueness checks only."""
+    join-irreducibles, each hom listed once.  Intended for desk-scale
+    uniqueness checks only."""
     joinirr = [
         x
         for x in source.elements
-        if x != source.bottom
-        and len(
-            [y for y in source.elements if source.leq(y, x) and y != x
-             and not any(z != y and z != x and source.leq(y, z) and source.leq(z, x)
-                         for z in source.elements)]
-        ) == 1
+        if x != source.join_many(y for y in source.order.down_set(x) if y != x)
     ]
     total = len(target.elements) ** len(joinirr)
     if total > bound:
@@ -421,6 +409,8 @@ def frame_homs(source, target, bound=HOM_SEARCH_MAX):
                 x: target.join_many(assignment[j] for j in joinirr if source.leq(j, x))
                 for x in source.elements
             }
+            if any(mapping[j] != assignment[j] for j in joinirr):
+                return  # the same map arises from its own restriction
             try:
                 out.append(FrameHom(source, target, mapping))
             except InputError:
@@ -473,12 +463,12 @@ def universal_factorization(asm, phi, check_unique=False):
     return psi
 
 
-def sigma(space, check_unique=False):
+def sigma(space, check_unique=False, max_size=ASSEMBLY_MAX):
     """The comparison hom from the assembly of the open-set frame to the
     frame of opens of the same point set with every singleton isolated.
     Returns (hom, is_isomorphism, assembly_result)."""
     frame, labels = frame_of(space)
-    asm = assembly(frame)
+    asm = assembly(frame, max_size=max_size)
     skula_frame, _slabels = FiniteFrame.from_sets(space.skula_opens())
     phi = FrameHom(
         frame, skula_frame, {x: set_label(labels[x]) for x in frame.elements}

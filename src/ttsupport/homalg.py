@@ -207,8 +207,8 @@ class ModularIntegers(_IntegerFlavour):
     def residue_modulus(self, p):
         """p-part p^k of n."""
         f = factorize(self.n)
-        if p not in f:
-            raise InputError("%d does not divide the modulus" % p)
+        if type(p) is not int or p not in f:
+            raise InputError("%r does not divide the modulus" % (p,))
         return p ** f[p]
 
     def coprime_part(self, x):
@@ -451,6 +451,8 @@ class PresentedModule:
     def __init__(self, ring, ngens, rel):
         if isinstance(ring, LocalNilpotentAlgebra):
             raise InputError("use LnaModule over a local nilpotent algebra")
+        if type(ngens) is not int or ngens < 0:
+            raise InputError("the generator count must be a nonnegative integer")
         rel = [row[:] for row in _json_int_matrix(rel, "complex key 'modules'")]
         if rel and len(rel) != ngens:
             raise InputError("presentation must have one row per generator")
@@ -729,8 +731,10 @@ class ChainComplex:
         differentials = [_json_int_matrix(d, "complex key 'differentials'") for d in differentials]
         if len(differentials) != max(len(modules) - 1, 0):
             raise InputError("need exactly len(modules) - 1 differentials")
+        if type(min_deg) is not int:
+            raise InputError("the lowest degree must be an integer")
         self.ring = ring
-        self.min_deg = int(min_deg)
+        self.min_deg = min_deg
         self.modules = list(modules)
         for m in self.modules:
             if not isinstance(m, (PresentedModule, LnaModule)) or m.ring != ring:

@@ -70,12 +70,14 @@ class FinitePoset:
         leq = obj["leq"]
         if not isinstance(elements, list) or not isinstance(leq, list):
             raise InputError("malformed poset JSON")
-        pairs = []
+        if not all(isinstance(e, str) for e in elements):
+            raise InputError('"elements" must be strings')
         for entry in leq:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise InputError('"leq" entries must be [a, b] pairs')
-            pairs.append((entry[0], entry[1]))
-        return cls.from_pairs(elements, pairs)
+            if not (isinstance(entry, list) and len(entry) == 2) or not all(
+                isinstance(e, str) for e in entry
+            ):
+                raise InputError('"leq" entries must be [a, b] pairs of strings')
+        return cls.from_pairs(elements, leq)
 
     def to_json(self):
         return {
@@ -95,12 +97,6 @@ class FinitePoset:
         if p not in self._up:
             raise InputError("unknown element %r" % p)
         return self._up[p]
-
-    def minimal_elements(self):
-        return frozenset(e for e in self.elements if self._down[e] == frozenset({e}))
-
-    def maximal_elements(self):
-        return frozenset(e for e in self.elements if self._up[e] == frozenset({e}))
 
     def opposite(self):
         return FinitePoset(self.elements, frozenset((b, a) for a, b in self.relation))

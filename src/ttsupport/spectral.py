@@ -75,9 +75,6 @@ class SpectralSpace:
                 out.append((v, u, v - u))
         return out
 
-    def localising_opens(self):
-        return generate_topology([t[2] for t in self.localising_basic_opens()], self.points)
-
     def visible_points(self):
         """Points p with {p} = V \\ U for Thomason V, U."""
         singletons = {t[2] for t in self.localising_basic_opens() if len(t[2]) == 1}
@@ -141,9 +138,6 @@ class SpectralSpace:
         return all(
             bool(self.weakly_isolated_points(c)) for c in self.closeds() if c
         )
-
-    def is_hochster_scattered(self):
-        return self.hochster_dual().is_scattered()
 
     def is_hochster_weakly_scattered(self):
         return self.hochster_dual().is_weakly_scattered()

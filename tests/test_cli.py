@@ -161,3 +161,90 @@ def test_suite_tsv_table_lists_every_criterion():
     assert lines[0] == "id\tname\tpassed\tdetail"
     assert len(lines) == 13
     assert all(line.split("\t")[2] == "pass" for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "op, poset",
+    [
+        ("of", {"elements": ["a", "b", "a,b"], "leq": [["a", "b"]]}),
+        ("sigma", {"elements": ["a,b", "a", "b"], "leq": []}),
+    ],
+)
+def test_point_names_whose_set_labels_collide_exit_one(op, poset):
+    code, out = _run("frames", op, json.dumps(poset))
+    assert code == 1
+    assert json.loads(out) == {"error": "two sets share the label {a,b}"}
+
+
+DATUM = {
+    "space": {"elements": ["a"], "leq": []},
+    "bousfield": {"elements": ["0", "1"], "leq": [["0", "1"]]},
+    "gamma": [[[], "0"], [["a"], "1"]],
+    "complements": [["0", "1"], ["1", "0"]],
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spectral", "thomason", {"elements": [["a"]], "leq": []}),
+        ("spectral", "thomason", {"elements": ["a", "b"], "leq": [[["a"], "b"]]}),
+        ("frames", "primes", {"elements": ["0", "1"], "leq": [["0", ["1"]]]}),
+        ("axioms", "check", dict(DATUM, gamma=[[[1], "1"]])),
+        ("axioms", "check", dict(DATUM, gamma=[[["a"], ["1"]]])),
+        ("axioms", "check", dict(DATUM, complements=[[["x"], "0"]])),
+        ("axioms", "check", dict(DATUM, gamma=5)),
+        ("axioms", "check", dict(DATUM, complements=5)),
+        ("axioms", "check", dict(DATUM, gamma=[[[], "0"], ["ab", "1"]])),
+        # {a,b} is not a Thomason set here, but its label is that of {"a,b"}
+        (
+            "axioms",
+            "check",
+            {
+                "space": {"elements": ["a", "b", "a,b"], "leq": [["a", "a,b"]]},
+                "bousfield": DATUM["bousfield"],
+                "gamma": [
+                    [[], "0"],
+                    [["a", "b"], "0"],
+                    [["b"], "1"],
+                    [["a,b", "b"], "1"],
+                    [["a", "a,b"], "0"],
+                    [["a", "a,b", "b"], "1"],
+                ],
+                "complements": DATUM["complements"],
+            },
+        ),
+    ],
+)
+def test_hostile_poset_and_datum_json_exit_one(args):
+    group, op, doc = args
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttsupport.cli", group, op, json.dumps(doc)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "" and "error" in json.loads(proc.stdout)
+
+
+def test_well_formed_datum_is_checked():
+    code, out = _run("axioms", "check", json.dumps(DATUM))
+    assert code == 0
+    assert json.loads(out) == {"complemented": True, "witnesses": []}
+
+
+ANTICHAIN5 = json.dumps({"elements": list("abcde"), "leq": []})
+
+
+@pytest.mark.parametrize("op", ["assembly", "sigma"])
+def test_assembly_and_sigma_obey_max_frame(op):
+    code, out = _run("frames", op, ANTICHAIN5)
+    assert code == 2
+    assert json.loads(out)["bound"] == "max-frame"
+    code, out = _run("--max-frame", "32", "frames", op, ANTICHAIN5)
+    assert code == 0
+    report = json.loads(out)
+    if op == "assembly":
+        assert report["count"] == 32 and len(report["nuclei"]) == 32
+    else:
+        assert report == {"is_isomorphism": True, "nuclei": 32}

@@ -1,13 +1,16 @@
 """Finite frames, nuclei, the assembly, and the Skula comparison map."""
 
+from itertools import combinations
+
 import pytest
 
-from ttsupport.errors import InputError
+from ttsupport.errors import InputError, ResourceLimitError
 from ttsupport.frames import (
     FiniteFrame,
     FrameHom,
     assembly,
     closed_nucleus,
+    frame_homs,
     frame_of,
     nucleus_join,
     open_nucleus,
@@ -168,3 +171,86 @@ def test_essential_primes_examples():
     assert BOOL4.min_primes("0") == ["x", "y"]
     assert BOOL4.essential_primes("0") == ["x", "y"]
     assert CHAIN3.essential_primes("1") == []
+
+
+def _small_spaces(max_points):
+    for n in range(1, max_points + 1):
+        for order in enumerate_posets(n):
+            yield SpectralSpace(order)
+
+
+def _brute_force_nucleus_tables(frame):
+    """Every subset containing top and closed under meets whose induced
+    closure x |-> meet{s in S : x <= s} preserves meets, found by walking all
+    subsets."""
+    assert len(frame) <= 8
+    rest = [x for x in frame.elements if x != frame.top]
+    tables = set()
+    for k in range(len(rest) + 1):
+        for chosen in combinations(rest, k):
+            s = set(chosen) | {frame.top}
+            if any(frame.meet(a, b) not in s for a in s for b in s):
+                continue
+            table = {
+                x: frame.meet_many(t for t in s if frame.leq(x, t)) for x in frame.elements
+            }
+            if all(
+                table[frame.meet(x, y)] == frame.meet(table[x], table[y])
+                for x in frame.elements
+                for y in frame.elements
+            ):
+                tables.add(frozenset(table.items()))
+    return tables
+
+
+def test_assembly_nuclei_match_the_brute_force_reference():
+    frames = [frame_of(space)[0] for space in _small_spaces(3)] + [CHAIN3, BOOL4]
+    for frame in frames:
+        found = {frozenset(nu.table.items()) for nu in assembly(frame).nuclei.values()}
+        assert found == _brute_force_nucleus_tables(frame)
+
+
+def test_meets_and_joins_of_open_set_frames_are_intersections_and_unions():
+    for space in _small_spaces(4):
+        frame, labels = frame_of(space)
+        assert labels[frame.bottom] == frozenset()
+        assert labels[frame.top] == frozenset(space.points)
+        for x in frame.elements:
+            for y in frame.elements:
+                assert labels[frame.meet(x, y)] == labels[x] & labels[y]
+                assert labels[frame.join(x, y)] == labels[x] | labels[y]
+
+
+def test_five_point_antichain_assembles_within_a_raised_bound():
+    space = _space(list("abcde"), [])
+    frame, _ = frame_of(space)
+    with pytest.raises(ResourceLimitError) as exc:
+        assembly(frame)
+    assert exc.value.bound_name == "max-frame"
+    asm = assembly(frame, max_size=32)
+    assert len(asm.nuclei) == 32
+    assert asm.frame.is_boolean()
+    _psi, is_iso, _asm = sigma(space, max_size=32)
+    assert is_iso
+
+
+def test_frame_homs_counts_on_small_frames():
+    # the join-irreducibles of BOOL4 are its atoms, of CHAIN3 "a" and "1"
+    assert len(frame_homs(BOOL4, BOOL4)) == 4
+    assert len(frame_homs(CHAIN3, CHAIN3)) == 3
+    assert len(frame_homs(CHAIN3, BOOL4)) == 4
+
+
+def test_sets_with_colliding_labels_are_refused():
+    with pytest.raises(InputError, match=r"share the label \{a,b\}"):
+        FiniteFrame.from_sets([set(), {"a,b"}, {"a", "b"}])
+
+
+def test_nuclei_with_colliding_labels_are_refused():
+    # in a chain every subset containing top is a sublocale, and the fixed
+    # point sets {"a|b", "c"} and {"a", "b", "c"} get the same label
+    chain = FiniteFrame(
+        FinitePoset.from_pairs(["a", "b", "a|b", "c"], [("a", "b"), ("b", "a|b"), ("a|b", "c")])
+    )
+    with pytest.raises(InputError, match=r"share the label nu\(a\|b\|c\)"):
+        assembly(chain)

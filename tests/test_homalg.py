@@ -353,3 +353,23 @@ def test_derived_hom_sees_shifts():
 def test_zero_complex_is_acyclic():
     assert zero_complex(Z).is_acyclic()
     assert zero_complex(LNA).is_acyclic()
+
+
+def test_localizing_z_mod_n_at_a_non_integer_prime_is_an_input_error():
+    cx = _free_complex(Z6, [[[2]]])
+    with pytest.raises(InputError, match="'m' does not divide the modulus"):
+        localize(cx, "m")
+    with pytest.raises(InputError, match="5 does not divide the modulus"):
+        localize(cx, 5)
+
+
+@pytest.mark.parametrize("min_deg", [1.9, True, "0", None])
+def test_complex_refuses_a_non_integer_lowest_degree(min_deg):
+    with pytest.raises(InputError, match="lowest degree"):
+        ChainComplex(Z, min_deg, [PresentedModule.free(Z, 1)], [])
+
+
+@pytest.mark.parametrize("ngens", [-1, 1.0, True, "1"])
+def test_presented_module_refuses_a_bad_generator_count(ngens):
+    with pytest.raises(InputError, match="generator count"):
+        PresentedModule(Z, ngens, [])
