@@ -45,11 +45,17 @@ def _load(arg):
         raise InputError("malformed JSON at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg))
 
 
+def _check_size(obj, bound, name, what):
+    """Refuse poset JSON listing more than bound elements, before the costly
+    closure of the relation in FinitePoset.from_pairs."""
+    elements = obj.get("elements") if isinstance(obj, dict) else None
+    if isinstance(elements, list) and len(elements) > bound:
+        raise ResourceLimitError("%s exceeds the size bound" % what, name, bound)
+
+
 def _space(obj, bound):
-    order = FinitePoset.from_json(obj)
-    if len(order.elements) > bound:
-        raise ResourceLimitError("poset exceeds the size bound", "max-poset", bound)
-    return SpectralSpace(order)
+    _check_size(obj, bound, "max-poset", "poset")
+    return SpectralSpace.from_json(obj)
 
 
 def _sorted_sets(sets):
@@ -109,10 +115,8 @@ def _cmd_spectral(args):
 
 
 def _frame_input(obj, args):
-    order = FinitePoset.from_json(obj)
-    if len(order.elements) > args.max_frame:
-        raise ResourceLimitError("frame exceeds the size bound", "max-frame", args.max_frame)
-    return FiniteFrame(order)
+    _check_size(obj, args.max_frame, "max-frame", "frame")
+    return FiniteFrame(FinitePoset.from_json(obj))
 
 
 def _cmd_frames(args):
@@ -205,11 +209,10 @@ def _cmd_axioms(args):
     if op == "canonical":
         space = _space(obj, args.max_poset)
         return canonical_datum(space).to_json()
+    if isinstance(obj, dict):
+        _check_size(obj.get("space"), args.max_poset, "max-poset", "poset")
+        _check_size(obj.get("bousfield"), args.max_frame, "max-frame", "frame")
     datum = SupportDatum.from_json(obj)
-    if len(datum.space.points) > args.max_poset:
-        raise ResourceLimitError("poset exceeds the size bound", "max-poset", args.max_poset)
-    if len(datum.bousfield) > args.max_frame:
-        raise ResourceLimitError("frame exceeds the size bound", "max-frame", args.max_frame)
     if op == "check":
         ok, bad = check_complements(datum)
         return {"complemented": ok, "witnesses": sorted(map(str, bad))}

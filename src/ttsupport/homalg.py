@@ -45,7 +45,7 @@ from .smith import (
     hstack,
     identity,
     kernel_basis,
-    lattice_basis,
+    lattice_basis,  # unused here, but bench/test_bench.py traces it as a homalg binding
     mat_mul,
     mat_vec,
     quotient_invariants,
@@ -517,15 +517,8 @@ class PresentedModule:
         g = self.ngens
         if g == 0:
             return canonical_module(self.ring, (), 0)
-        if nxt.ngens == 0:
-            k_gens = identity(g)
-        else:
-            tgt_cols = nxt.relation_columns()
-            big = hstack(d_out, [[-c[r] for c in tgt_cols] for r in range(nxt.ngens)])
-            kern = kernel_basis(big, ncols=g + len(tgt_cols))
-            k_gens = [v[:g] for v in kern]
-        k_basis = lattice_basis(k_gens, g)
-        factors, rank = quotient_invariants(k_basis, transpose(d_in) + self.relation_columns())
+        k_gens = _module_kernel(d_out, nxt.relation_columns(), g)
+        factors, rank = quotient_invariants(k_gens, transpose(d_in) + self.relation_columns())
         return canonical_module(self.ring, factors, rank)
 
     def to_json(self):
@@ -856,6 +849,13 @@ class ChainComplex:
         )
 
 
+def _module_kernel(phi, tgt_cols, amb):
+    """Generators of {x in Z^amb : phi x in span(tgt_cols)}: the first amb
+    coordinates of the kernel of [phi | -T], T the matrix of tgt_cols."""
+    big = hstack(phi, [[-c[r] for c in tgt_cols] for r in range(len(phi))])
+    return [v[:amb] for v in kernel_basis(big, ncols=amb + len(tgt_cols))]
+
+
 def _all_in_lattice(vecs, cols):
     """Whether every vector lies in the lattice spanned by cols.
 
@@ -1180,8 +1180,9 @@ def hom_complex_h0(s_cx, t_cx, window=(0, 0), gens_bound=HOM_GENS_MAX):
     if lo_k > hi_k:
         raise InputError("empty window")
     totals = {k: CanonicalModule() for k in range(lo_k, hi_k + 1)}
+    primes = ring.prime_divisors()  # a modulus too large to factor is no window problem
     try:
-        for p in ring.prime_divisors():
+        for p in primes:
             sp = localize(s_cx, p)
             tp = localize(t_cx, p)
             block = _hom_block(sp, tp, lo_k, hi_k, gens_bound)
@@ -1308,16 +1309,13 @@ def _free_resolution(s_cx, cutoff, gens_bound):
         if n:
             for j in range(r_upup):
                 tcols.append([0] * up_gens + [n if t == j else 0 for t in range(r_upup)])
-        big = hstack(phi, [[-c[r] for c in tcols] for r in range(up_gens + r_upup)]) if tcols else phi
-        kern = kernel_basis(big, ncols=amb + len(tcols))
-        k_gens = [v[:amb] for v in kern]
-        k_basis = lattice_basis(k_gens, amb)
+        k_gens = _module_kernel(phi, tcols, amb)
         # relations of the ambient module: rel(S^i) ⊕ n*I on the P part
         src_rel = [c + [0] * r_up for c in s_cx.module(i).relation_columns()]
         if n:
             for j in range(r_up):
                 src_rel.append([0] * sg + [n if t == j else 0 for t in range(r_up)])
-        gens_mat, invs = _minimal_generators(k_basis, src_rel, amb)
+        gens_mat, invs = _minimal_generators(k_gens, src_rel, amb)
         r_i = len(invs)
         if r_i > gens_bound:
             raise ResourceLimitError("resolution rank too large", "hom_gens", gens_bound)
@@ -1331,20 +1329,17 @@ def _free_resolution(s_cx, cutoff, gens_bound):
     return final
 
 
-def _minimal_generators(k_basis, l_cols, amb):
+def _minimal_generators(k_gens, l_cols, amb):
     """Minimal generators of the quotient lattice K/L as columns in the
     ambient coordinates, dropping unit invariant factors."""
-    if not k_basis:
-        return [[ ] for _ in range(amb)], []
-    kb = transpose(k_basis)  # amb x k
-    coords = solve_int(kb, l_cols) if l_cols else []
-    assert coords is not None, "relations escaped the kernel lattice"
-    k = len(k_basis)
-    x = [[coords[j][i] for j in range(len(coords))] for i in range(k)] if coords else zeros(k, 0)
+    basis, coords = smith._span_coordinates(k_gens, l_cols)
+    k = len(basis)
+    if not k:
+        return [[] for _ in range(amb)], []
+    kb = transpose(basis)  # amb x k
     if not coords:
-        gens = kb
-        return gens, [0] * k
-    d, u, _v = smith_normal_form(x)
+        return kb, [0] * k
+    d, u, _v = smith_normal_form(transpose(coords))
     uinv = smith.inverse_unimodular(u)
     diag = diagonal(d)
     keep = [j for j in range(k) if j >= len(diag) or diag[j] != 1]

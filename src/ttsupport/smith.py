@@ -4,12 +4,16 @@ Matrices are lists of rows of Python ints (arbitrary precision).  Everything
 here is exact; there is no floating point anywhere in the package.
 """
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 # Every call to smith_normal_form re-verifies U*A*V == D, the divisibility
 # chain and unimodularity paperwork.  The inputs this package sees are tiny,
 # so the self-check is kept on unconditionally.
 SELF_CHECK = True
+
+# Largest trial divisor in factorize: a larger remaining part may not be
+# prime, so it is refused instead of trial-dividing without end.
+FACTOR_TRIAL_MAX = 10**6
 
 
 def zeros(m, n):
@@ -241,37 +245,28 @@ def kernel_basis(a, ncols=None):
     return basis
 
 
+def _divide(diag, ub):
+    """y with diag[i] * y[i] == ub[i] for every i, when ub is zero past the
+    nonzero invariant factors diag and each of them divides; else None."""
+    if any(ub[len(diag):]) or any(x % e for x, e in zip(ub, diag)):
+        return None
+    return [x // e for x, e in zip(ub, diag)]
+
+
 def solve_int(a, b_cols):
     """Solve a X = B over the integers; B given as list of column vectors.
 
     Returns the columns of one solution X, or None when no integer solution
     exists.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return [[0] * n for _ in b_cols]
-    if n == 0:
-        return [[] for _ in b_cols] if all(all(x == 0 for x in b) for b in b_cols) else None
     d, u, v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
+    diag = [e for e in diagonal(d) if e != 0]
     xs = []
     for b in b_cols:
-        ub = mat_vec(u, b)
-        y = [0] * n
-        ok = True
-        for i in range(m):
-            if i < rank:
-                if ub[i] % d[i][i] != 0:
-                    ok = False
-                    break
-                y[i] = ub[i] // d[i][i]
-            elif ub[i] != 0:
-                ok = False
-                break
-        if not ok:
+        y = _divide(diag, mat_vec(u, b))
+        if y is None:
             return None
-        xs.append(mat_vec(v, y))
+        xs.append(mat_vec(v, y + [0] * (len(v) - len(y))))
     return xs
 
 
@@ -282,43 +277,44 @@ def inverse_unimodular(a):
     return transpose(cols)
 
 
+def _span_coordinates(gens, l_cols):
+    """One Smith form U*A*V = D of the matrix A whose columns are gens.
+
+    Returns (basis, coords): the first r = rank(A) columns of A*V = U^-1*D,
+    a basis of the lattice K that gens span, and the coordinates in it of
+    each column l of l_cols, read off U*l = D*c.  Asserts that L lies in K.
+    """
+    if not gens:
+        assert not any(any(l) for l in l_cols), "L not inside K"
+        return [], [[] for _ in l_cols]
+    a = transpose(gens)
+    d, u, v = smith_normal_form(a)
+    diag = [e for e in diagonal(d) if e != 0]
+    coords = [_divide(diag, mat_vec(u, l)) for l in l_cols]
+    assert None not in coords, "L not inside K"
+    return transpose(mat_mul(a, [row[: len(diag)] for row in v])), coords
+
+
 def lattice_basis(gens, ambient_dim):
     """Basis (list of column vectors) of the lattice spanned by the given
     column vectors inside Z^ambient_dim."""
-    if not gens:
-        return []
-    a = transpose(gens)  # columns of a are the generators
-    d, u, _v = smith_normal_form(a)
-    uinv = inverse_unimodular(u)
-    basis = []
-    for i in range(min(len(a), len(a[0]) if a else 0)):
-        if d[i][i] != 0:
-            basis.append([uinv[r][i] * d[i][i] for r in range(ambient_dim)])
-    return basis
+    return _span_coordinates(gens, [])[0]
 
 
-def quotient_invariants(k_basis, l_gens):
+def quotient_invariants(k_gens, l_gens):
     """Invariant factors and free rank of K/L for lattices L <= K <= Z^n.
 
-    k_basis: basis columns of K.  l_gens: generating columns of L (must lie
-    in K).  Returns (factors, rank) with factors the invariant factors > 1
-    in increasing order.
+    k_gens: generating columns of K (a basis will do).  l_gens: generating
+    columns of L (must lie in K).  Returns (factors, rank) with factors the
+    invariant factors > 1 in increasing order.
     """
-    if not k_basis:
-        assert all(all(x == 0 for x in g) for g in l_gens), "L not inside K"
-        return (), 0
-    kb = transpose(k_basis)
-    coords = solve_int(kb, l_gens)
-    assert coords is not None, "L not inside K"
-    k = len(k_basis)
-    if not coords:
-        return (), k
-    x = transpose(coords)  # k x |l_gens|, columns are L-generators in K-coords
-    d, _u, _v = smith_normal_form(x)
-    diag = diagonal(d)
-    nonzero = [e for e in diag if e != 0]
+    basis, coords = _span_coordinates(k_gens, l_gens)
+    if not basis or not coords:
+        return (), len(basis)
+    d, _u, _v = smith_normal_form(transpose(coords))
+    nonzero = [e for e in diagonal(d) if e != 0]
     factors = tuple(sorted(e for e in nonzero if e != 1))
-    return factors, k - len(nonzero)
+    return factors, len(basis) - len(nonzero)
 
 
 def factorize(n):
@@ -328,6 +324,8 @@ def factorize(n):
     out = {}
     d = 2
     while d * d <= n:
+        if d > FACTOR_TRIAL_MAX:
+            raise ResourceLimitError("integer too large to factor", "factor_trial", FACTOR_TRIAL_MAX)
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d

@@ -1,8 +1,11 @@
 """Command-line interface: contracts, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -248,3 +251,56 @@ def test_assembly_and_sigma_obey_max_frame(op):
         assert report["count"] == 32 and len(report["nuclei"]) == 32
     else:
         assert report == {"is_isomorphism": True, "nuclei": 32}
+
+
+def _timed_main(argv):
+    from ttsupport import cli
+
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue()), time.perf_counter() - start
+
+
+CHAIN120 = json.dumps(
+    {
+        "elements": ["e%03d" % i for i in range(120)],
+        "leq": [["e%03d" % i, "e%03d" % (i + 1)] for i in range(119)],
+    }
+)
+
+
+def _datum(space, bousfield):
+    return json.dumps({"space": space, "bousfield": bousfield, "gamma": [], "complements": []})
+
+
+ANTICHAIN8_DATUM = _datum({"elements": ["p%d" % i for i in range(8)], "leq": []}, json.loads(CHAIN2))
+BIG_BOUSFIELD_DATUM = _datum(json.loads(CHAIN2), json.loads(CHAIN120))
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["spectral", "cbrank", CHAIN120], "max-poset"),
+        (["frames", "assembly", CHAIN120], "max-poset"),
+        (["frames", "primes", CHAIN120], "max-frame"),
+        (["axioms", "check", ANTICHAIN8_DATUM], "max-poset"),
+        (["axioms", "eta", ANTICHAIN8_DATUM], "max-poset"),
+        (["axioms", "supportive", ANTICHAIN8_DATUM], "max-poset"),
+        (["axioms", "check", BIG_BOUSFIELD_DATUM], "max-frame"),
+    ],
+)
+def test_size_bounds_are_checked_before_the_relation_is_closed(argv, bound):
+    code, report, elapsed = _timed_main(argv)
+    assert code == 2 and report["bound"] == bound
+    assert elapsed < 1.0
+
+
+def test_a_modulus_with_two_large_prime_factors_exits_two():
+    # n = 1000000007 * 1000000009: both factors lie past the trial-division bound
+    doc = json.loads(Z6_COMPLEX)
+    doc["ring"]["n"] = 1000000007 * 1000000009
+    code, report, elapsed = _timed_main(["support", "small", json.dumps(doc)])
+    assert code == 2 and report["bound"] == "factor_trial"
+    assert elapsed < 10.0

@@ -2,8 +2,8 @@
 
 import pytest
 
-from ttsupport import homalg
-from ttsupport.errors import InputError
+from ttsupport import homalg, smith
+from ttsupport.errors import InputError, ResourceLimitError
 from ttsupport.homalg import (
     ChainComplex,
     IntegersLocalized,
@@ -125,6 +125,24 @@ def test_nonzero_square_is_caught_past_the_first_column():
     with pytest.raises(InputError, match="^d\\^2 != 0 between slots 1 and 3$"):
         _z6_two_slot_complex([[3, 1]])
     _z6_two_slot_complex([[3, 3]])
+
+
+def test_integer_cohomology_takes_three_smith_forms(monkeypatch):
+    # Z --(3,-3)--> Z^2 --(2 2)--> Z: H^1 = ker / im = Z(1,-1) / 3Z(1,-1)
+    cx = _free_complex(Z, [[[3], [-3]], [[2, 2]]])
+    calls = []
+    smith_normal_form = smith.smith_normal_form
+
+    def counting(a):
+        calls.append(a)
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(smith, "smith_normal_form", counting)
+    monkeypatch.setattr(homalg, "smith_normal_form", counting)
+    h = cx.cohomology(1)
+    assert (h.factors, h.rank) == ((3,), 0)
+    # the kernel, the kernel lattice with the image coordinates, and K/L
+    assert len(calls) <= 3
 
 
 def test_validation_solves_once_per_slot(monkeypatch):
@@ -348,6 +366,14 @@ def test_derived_hom_sees_shifts():
     res = hom_complex_h0(s, t, window=(0, 1))
     groups = dict(res.groups)
     assert not groups[1].is_zero
+
+
+def test_derived_hom_refuses_a_modulus_it_cannot_factor():
+    # both prime factors lie past smith.FACTOR_TRIAL_MAX; this is no window problem
+    s = module_complex(PresentedModule.free(ModularIntegers(1000000007 * 1000000009), 1), 0)
+    with pytest.raises(ResourceLimitError) as info:
+        hom_complex_h0(s, s)
+    assert info.value.bound_name == "factor_trial"
 
 
 def test_zero_complex_is_acyclic():

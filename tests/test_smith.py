@@ -2,8 +2,11 @@
 
 import random
 
+import pytest
+
 from ttsupport.smith import (
     identity,
+    inverse_unimodular,
     kernel_basis,
     lattice_basis,
     mat_mul,
@@ -11,6 +14,7 @@ from ttsupport.smith import (
     quotient_invariants,
     smith_normal_form,
     solve_int,
+    transpose,
 )
 
 
@@ -96,3 +100,70 @@ def test_mat_mul_and_mat_vec_match_the_plain_product():
         for j in range(len(b[0]) if b else 0):
             col = [row[j] for row in b]
             assert mat_vec(a, col) == [r[0] for r in _reference_mul(a, [[x] for x in col])]
+
+
+def _generator_sets(rng, count):
+    """Seeded generator lists: zero, rank-deficient (a product through a
+    thin middle), full-rank and empty shapes, as (gens, ambient_dim)."""
+    cases = [([], 0), ([], 3), ([[]], 0), ([[], []], 0), ([[0, 0]], 2), ([[0], [0], [0]], 1)]
+    while len(cases) < count:
+        amb, n = rng.randint(0, 6), rng.randint(0, 6)
+        kind = rng.choice(("zero", "deficient", "random"))
+        if kind == "zero":
+            a = [[0] * n for _ in range(amb)]
+        elif kind == "deficient" and min(amb, n) > 1:
+            mid = rng.randint(1, min(amb, n) - 1)
+            a = _reference_mul(_random_matrix(rng, amb, mid, 6), _random_matrix(rng, mid, n, 6))
+        else:
+            a = _random_matrix(rng, amb, n)
+        gens = [[row[j] for row in a] for j in range(n)]  # the columns of a
+        cases.append((gens, amb))
+    return cases
+
+
+def _lattice_basis_through_the_inverse(gens, ambient_dim):
+    """The columns of U^-1 * D for the nonzero invariant factors."""
+    if not gens:
+        return []
+    a = transpose(gens)
+    d, u, _v = smith_normal_form(a)
+    uinv = inverse_unimodular(u)
+    n = len(a[0]) if a else 0
+    return [
+        [uinv[r][i] * d[i][i] for r in range(ambient_dim)]
+        for i in range(min(len(a), n))
+        if d[i][i] != 0
+    ]
+
+
+def test_lattice_basis_equals_u_inverse_times_d():
+    for gens, amb in _generator_sets(random.Random(5), 240):
+        assert lattice_basis(gens, amb) == _lattice_basis_through_the_inverse(gens, amb)
+
+
+def test_quotient_invariants_accepts_dependent_generators():
+    rng = random.Random(13)
+    for gens, amb in _generator_sets(rng, 200):
+        # L: integer combinations of the generators, so L lies in K
+        l_gens = [
+            [sum(c * g[r] for c, g in zip(coef, gens)) for r in range(amb)]
+            for coef in (_random_matrix(rng, rng.randint(0, 4), len(gens), 4))
+        ]
+        dependent = gens + [[2 * x - y for x, y in zip(g, gens[0])] for g in gens]
+        expected = quotient_invariants(lattice_basis(gens, amb), l_gens)
+        assert quotient_invariants(gens, l_gens) == expected
+        assert quotient_invariants(dependent, l_gens) == expected
+
+
+@pytest.mark.parametrize(
+    "k_gens, l_gens",
+    [
+        ([[2, 0]], [[1, 0]]),  # not divisible by the invariant factor
+        ([[1, 0]], [[0, 1]]),  # a nonzero coordinate beyond the rank
+        ([[1, 1], [2, 2]], [[1, 0]]),  # dependent generators of a rank-one K
+        ([], [[1]]),  # K = 0
+    ],
+)
+def test_quotient_invariants_refuses_l_outside_k(k_gens, l_gens):
+    with pytest.raises(AssertionError, match="L not inside K"):
+        quotient_invariants(k_gens, l_gens)
