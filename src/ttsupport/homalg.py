@@ -33,7 +33,7 @@ Differentials raise degree by one.  d(a ⊗ b) = da ⊗ b + (-1)^|a| a ⊗ db is
 the sign rule used for the two-term tensor constructions below.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import smith
 from .errors import InputError, ResourceLimitError
@@ -258,7 +258,9 @@ class LocalNilpotentAlgebra:
     def __post_init__(self):
         if not _is_prime(self.p):
             raise InputError("characteristic must be prime")
-        gens = tuple((str(n), int(e)) for n, e in self.generators)
+        gens = tuple((n, e) for n, e in self.generators)
+        if not all(type(n) is str and type(e) is int for n, e in gens):
+            raise InputError("generator names must be strings and exponents integers")
         if any(e < 2 for _n, e in gens):
             raise InputError("nilpotency exponents must be >= 2")
         if len({n for n, _e in gens}) != len(gens):
@@ -394,7 +396,7 @@ def ring_from_json(obj):
         p = _json_key(obj, "p", "local_nilpotent ring")
         gens = _json_key(obj, "generators", "local_nilpotent ring")
         if not isinstance(gens, list) or not all(
-            isinstance(g, list) and len(g) == 2 and type(g[1]) is int for g in gens
+            isinstance(g, list) and len(g) == 2 for g in gens
         ):
             raise InputError("ring key 'generators' must be a list of [name, exponent] pairs")
         return LocalNilpotentAlgebra(p, tuple((n, e) for n, e in gens))
@@ -576,23 +578,6 @@ def fp_kernel(mat, ncols, p):
     return basis
 
 
-def fp_solve(mat, b, p):
-    """One solution x of mat x = b mod p, or None."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [mat[i][:] + [b[i]] for i in range(rows)]
-    rref, pivots = fp_reduce(aug, p)
-    for row in rref:
-        if all(v % p == 0 for v in row[:-1]) and row[-1] % p != 0:
-            return None
-    x = [0] * cols
-    for r, pc in enumerate(pivots):
-        if pc == cols:
-            return None
-        x[pc] = rref[r][cols] % p
-    return x
-
-
 class LnaModule:
     """Finite dimensional F_p vector space with commuting nilpotent actions
     of the algebra generators."""
@@ -671,28 +656,24 @@ class LnaModule:
         if g == 0:
             return self.ring.zero_module()
         ker = fp_kernel(d_out, g, p)
-        # basis of the image inside the kernel, extended to a kernel basis
-        img_basis = _fp_column_basis([[x % p for x in col] for col in transpose(d_in)], p)
-        full = list(img_basis)
-        coset = []
-        for v in ker:
-            if _fp_in_span(full, v, p):
-                continue
-            full.append(v)
-            coset.append(v)
-        hdim = len(coset)
-        if hdim == 0:
+        cols = [[x % p for x in col] for col in transpose(d_in)] + ker
+        # the pivot columns of [im d_in | ker]: a basis of the image, then the
+        # kernel vectors that extend it greedily to a basis of the kernel
+        _rref, pivots = fp_reduce(transpose(cols), p)
+        first_ker = len(cols) - len(ker)
+        coset = [cols[c] for c in pivots if c >= first_ker]
+        if not coset:
             return self.ring.zero_module()
+        # one reduction of [coset + image basis | act * coset] per generator:
+        # the basis columns are independent, so row r < len(coset) holds the
+        # coset coordinates of each act * v past the basis columns
+        basis = coset + [cols[c] for c in pivots if c < first_ker]
         actions = {}
         for name, act in self.actions.items():
-            mat = zeros(hdim, hdim)
-            for cidx, v in enumerate(coset):
-                w = [sum(act[r][k] * v[k] for k in range(g)) % p for r in range(g)]
-                coords = _fp_coords_in_quotient(img_basis, coset, w, p)
-                for ridx in range(hdim):
-                    mat[ridx][cidx] = coords[ridx]
-            actions[name] = mat
-        return LnaModule(self.ring, hdim, actions)
+            rref, pivots = fp_reduce(transpose(basis + [mat_vec(act, v) for v in coset]), p)
+            assert len(pivots) == len(basis), "vector left the kernel subquotient"
+            actions[name] = [row[len(basis) :] for row in rref[: len(coset)]]
+        return LnaModule(self.ring, len(coset), actions)
 
     def direct_sum(self, other):
         assert self.ring == other.ring
@@ -869,35 +850,6 @@ def _all_in_lattice(vecs, cols):
         return False
     mat = [[c[i] for c in cols] for i in range(len(vecs[0]))]
     return solve_int(mat, vecs) is not None
-
-
-def _fp_column_basis(cols, p):
-    basis = []
-    for c in cols:
-        if not _fp_in_span(basis, c, p):
-            basis.append([x % p for x in c])
-    return basis
-
-
-def _fp_in_span(basis, v, p):
-    if all(x % p == 0 for x in v):
-        return True
-    if not basis:
-        return False
-    mat = [[b[i] for b in basis] for i in range(len(v))]
-    return fp_solve(mat, v, p) is not None
-
-
-def _fp_coords_in_quotient(img_basis, coset, w, p):
-    """Coordinates of w on the coset basis modulo the image span."""
-    cols = coset + img_basis
-    if not cols:
-        assert all(x % p == 0 for x in w)
-        return []
-    mat = [[c[i] for c in cols] for i in range(len(w))]
-    sol = fp_solve(mat, w, p)
-    assert sol is not None, "vector left the kernel subquotient"
-    return sol[: len(coset)]
 
 
 # ---------------------------------------------------------------------------
@@ -1339,8 +1291,7 @@ def _minimal_generators(k_gens, l_cols, amb):
     kb = transpose(basis)  # amb x k
     if not coords:
         return kb, [0] * k
-    d, u, _v = smith_normal_form(transpose(coords))
-    uinv = smith.inverse_unimodular(u)
+    d, _u, _v, uinv = smith._smith(transpose(coords), inverse=True)
     diag = diagonal(d)
     keep = [j for j in range(k) if j >= len(diag) or diag[j] != 1]
     new_gens = mat_mul(kb, uinv)  # columns = new generators

@@ -6,9 +6,9 @@ here is exact; there is no floating point anywhere in the package.
 
 from .errors import InputError, ResourceLimitError
 
-# Every call to smith_normal_form re-verifies U*A*V == D, the divisibility
-# chain and unimodularity paperwork.  The inputs this package sees are tiny,
-# so the self-check is kept on unconditionally.
+# Every Smith form re-verifies U*A*V == D, the divisibility chain and
+# unimodularity paperwork, and U*U^-1 == I when U^-1 is tracked.  The inputs
+# this package sees are tiny, so the self-check is kept on unconditionally.
 SELF_CHECK = True
 
 # Largest trial divisor in factorize: a larger remaining part may not be
@@ -94,6 +94,34 @@ def smith_normal_form(a):
     d is diagonal with nonnegative entries satisfying d[0] | d[1] | ... ;
     u and v are unimodular.
     """
+    return _smith(a)[:3]
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b == g, g a gcd of a and b (possibly negative)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _clearing_step(a, b):
+    """(a11, a12, a21, a22) with a11*a22 - a12*a21 == 1 taking the pair
+    (a, b), a != 0, to (a11*a + a12*b, 0): a plain subtraction when a divides
+    b, else the extended-gcd step, whose new pivot gcd(a, b) is smaller than
+    |a|."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    g, s, t = _xgcd(a, b)
+    return s, t, -(b // g), a // g
+
+
+def _smith(a, inverse=False):
+    """smith_normal_form's (d, u, v), followed by the inverse of u when
+    inverse is set (else [])."""
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
@@ -101,28 +129,31 @@ def smith_normal_form(a):
     d = [row[:] for row in a]
     u = identity(m)
     v = identity(n)
+    uinv = identity(m) if inverse else []
 
-    def row_op(i, j, q):  # row_i -= q * row_j
-        for k in range(n):
-            d[i][k] -= q * d[j][k]
-        for k in range(m):
-            u[i][k] -= q * u[j][k]
+    def rows(i, j, a11, a12, a21, a22):
+        # rows i, j of d and u become a11*row_i + a12*row_j and
+        # a21*row_i + a22*row_j, a unimodular step; columns i, j of uinv take
+        # the inverse step.  For i == j the second write wins, which makes
+        # (-1, 0, 0, -1) a sign flip of row i.
+        for mat in (d, u):
+            ri, rj = mat[i], mat[j]
+            for k in range(len(ri)):
+                p, q = ri[k], rj[k]
+                ri[k] = a11 * p + a12 * q
+                rj[k] = a21 * p + a22 * q
+        det = a11 * a22 - a12 * a21
+        for row in uinv:
+            p, q = row[i], row[j]
+            row[i] = det * (a22 * p - a21 * q)
+            row[j] = det * (a11 * q - a12 * p)
 
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in d:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    def cols(i, j, a11, a12, a21, a22):  # the same step on columns i, j of d and v
+        for mat in (d, v):
+            for row in mat:
+                p, q = row[i], row[j]
+                row[i] = a11 * p + a12 * q
+                row[j] = a21 * p + a22 * q
 
     t = 0
     while True:
@@ -134,28 +165,21 @@ def smith_normal_form(a):
                     pivot = (i, j)
         if pivot is None:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        if pivot[0] != t:
+            rows(t, pivot[0], 0, 1, 1, 0)
+        if pivot[1] != t:
+            cols(t, pivot[1], 0, 1, 1, 0)
         while True:
-            # clear column t below the pivot
-            dirty = False
+            # clear column t below the pivot, then row t to its right; only an
+            # extended-gcd column step can refill column t, and it shrinks
+            # the pivot
             for i in range(t + 1, m):
                 if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    row_op(i, t, q)
-                    if d[i][t] != 0:  # remainder becomes the smaller pivot
-                        row_swap(i, t)
-                        dirty = True
-            if dirty:
-                continue
+                    rows(t, i, *_clearing_step(d[t][t], d[i][t]))
             for j in range(t + 1, n):
                 if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    col_op(j, t, q)
-                    if d[t][j] != 0:
-                        col_swap(j, t)
-                        dirty = True
-            if dirty:
+                    cols(t, j, *_clearing_step(d[t][t], d[t][j]))
+            if any(d[i][t] for i in range(t + 1, m)):
                 continue
             # pivot must divide the rest of the submatrix for the
             # divisibility chain d[t] | d[t+1] | ...
@@ -169,17 +193,15 @@ def smith_normal_form(a):
                     break
             if offender is None:
                 break
-            row_op(t, offender, -1)  # fold the offending row into row t
+            rows(t, offender, 1, 1, 0, 1)  # fold the offending row into row t
         if d[t][t] < 0:
-            for k in range(n):
-                d[t][k] = -d[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
+            rows(t, t, -1, 0, 0, -1)
         t += 1
 
     if SELF_CHECK:
         _verify_snf(a, d, u, v)
-    return d, u, v
+        assert not uinv or mat_mul(u, uinv) == identity(m), "U*U^-1 != I"
+    return d, u, v, uinv
 
 
 def _verify_snf(a, d, u, v):
@@ -268,13 +290,6 @@ def solve_int(a, b_cols):
             return None
         xs.append(mat_vec(v, y + [0] * (len(v) - len(y))))
     return xs
-
-
-def inverse_unimodular(a):
-    n = len(a)
-    cols = solve_int(a, [[1 if i == j else 0 for i in range(n)] for j in range(n)])
-    assert cols is not None, "matrix is not invertible over the integers"
-    return transpose(cols)
 
 
 def _span_coordinates(gens, l_cols):

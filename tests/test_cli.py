@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -304,3 +305,41 @@ def test_a_modulus_with_two_large_prime_factors_exits_two():
     code, report, elapsed = _timed_main(["support", "small", json.dumps(doc)])
     assert code == 2 and report["bound"] == "factor_trial"
     assert elapsed < 10.0
+
+
+def _dense_integer_differential(seed):
+    """Z^12 -> Z^12 in degrees 0 and 1, entries in [-50, 50], the last row
+    the sum of the first two: rank 11, so the cohomology is one free rank in
+    each degree plus small torsion."""
+    rng = random.Random(seed)
+    d = [[rng.randint(-50, 50) for _ in range(12)] for _ in range(11)]
+    d.append([x + y for x, y in zip(d[0], d[1])])
+    return json.dumps(
+        {"ring": {"type": "Z"}, "degrees": [0, 1], "modules": [[[]] * 12] * 2, "differentials": [d]}
+    )
+
+
+@pytest.mark.parametrize("op", ["small", "big", "vanish", "ass"])
+def test_a_dense_twelve_by_twelve_integer_differential_answers(op):
+    # the Smith forms here are 12 x 12 with entries up to 50: transforms that
+    # grow without bound would take minutes
+    code, report, elapsed = _timed_main(["support", op, _dense_integer_differential(1)])
+    assert code == 0 and "error" not in report
+    assert elapsed < 10.0
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [[["x", 2.7]], [["x", True]], [[5, 2]], [[["x"], 2]]],
+    ids=["float", "bool", "int-name", "list-name"],
+)
+def test_local_nilpotent_generators_must_be_named_by_strings_with_integer_exponents(generators):
+    doc = {
+        "ring": {"type": "local_nilpotent", "p": 2, "generators": generators},
+        "degrees": [0, 0],
+        "modules": [{"dim": 0, "actions": {}}],
+        "differentials": [],
+    }
+    code, report, _elapsed = _timed_main(["support", "small", json.dumps(doc)])
+    assert code == 1
+    assert report == {"error": "generator names must be strings and exponents integers"}

@@ -115,7 +115,7 @@ def complexes(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["small", "big", "vanish", "ass"]), complexes())
+@given(st.sampled_from(["small", "big", "foxby", "vanish", "ass"]), complexes())
 def test_generated_complex_json_gives_one_document_and_a_known_exit(op, doc):
     _one_json_document(["support", op, json.dumps(doc)])
 

@@ -1,8 +1,11 @@
 """Rings, presented modules, complexes, and the homological operations."""
 
+import hashlib
+import json
+
 import pytest
 
-from ttsupport import homalg, smith
+from ttsupport import battery, homalg, smith
 from ttsupport.errors import InputError, ResourceLimitError
 from ttsupport.homalg import (
     ChainComplex,
@@ -279,6 +282,23 @@ def test_lna_cohomology_is_dimension_counting():
     assert h0.dim == 3 and h1.dim == 3
 
 
+# The seed-42 battery complexes over F2[x,y]/(x^2,y^3) and their Koszul
+# complexes: cohomology dimensions and the induced actions, which depend on
+# the choice and order of the coset representatives
+LNA_BATCH_SHA256 = "cab837ab540e8de2c1bd711efbd644682c52d8842cd303948f0f87dd8428c32a"
+
+
+def test_lna_cohomology_of_the_battery_batch_is_pinned():
+    rows = []
+    for cx in battery.instances(LNA, 200, battery.DEFAULT_SEED):
+        row = {"cohomology": {i: h.to_json() for i, h in cx.cohomology_all().items()}}
+        for x in LNA.koszul_elements("m"):
+            row[x] = {i: h.to_json() for i, h in koszul_stable(x, cx).cohomology_all().items()}
+        rows.append(row)
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == LNA_BATCH_SHA256
+
+
 # -- stable Koszul ------------------------------------------------------------
 
 
@@ -399,3 +419,12 @@ def test_complex_refuses_a_non_integer_lowest_degree(min_deg):
 def test_presented_module_refuses_a_bad_generator_count(ngens):
     with pytest.raises(InputError, match="generator count"):
         PresentedModule(Z, ngens, [])
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [(("x", 2.7),), (("x", True),), (("x", "2"),), ((5, 2),), ((None, 2),)],
+)
+def test_local_nilpotent_algebra_refuses_non_integer_exponents_and_non_string_names(generators):
+    with pytest.raises(InputError, match="names must be strings and exponents integers"):
+        LocalNilpotentAlgebra(2, generators)

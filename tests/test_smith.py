@@ -1,12 +1,13 @@
 """Integer matrix normal forms and lattice arithmetic."""
 
 import random
+import time
 
 import pytest
 
 from ttsupport.smith import (
+    _smith,
     identity,
-    inverse_unimodular,
     kernel_basis,
     lattice_basis,
     mat_mul,
@@ -127,7 +128,7 @@ def _lattice_basis_through_the_inverse(gens, ambient_dim):
         return []
     a = transpose(gens)
     d, u, _v = smith_normal_form(a)
-    uinv = inverse_unimodular(u)
+    uinv = transpose(solve_int(u, identity(len(u))))
     n = len(a[0]) if a else 0
     return [
         [uinv[r][i] * d[i][i] for r in range(ambient_dim)]
@@ -139,6 +140,25 @@ def _lattice_basis_through_the_inverse(gens, ambient_dim):
 def test_lattice_basis_equals_u_inverse_times_d():
     for gens, amb in _generator_sets(random.Random(5), 240):
         assert lattice_basis(gens, amb) == _lattice_basis_through_the_inverse(gens, amb)
+
+
+def test_smith_tracks_the_inverse_of_u():
+    for gens, amb in _generator_sets(random.Random(17), 240):
+        a = [[g[r] for g in gens] for r in range(amb)]  # amb x len(gens): 0 x 0 and 3 x 0 too
+        d, u, v, uinv = _smith(a, inverse=True)
+        assert (d, u, v) == smith_normal_form(a)
+        assert mat_mul(u, uinv) == identity(amb) == mat_mul(uinv, u)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_transforms_stay_small_on_dense_ten_by_ten_matrices(seed):
+    # clearing by Euclid with row swaps drives these transforms to tens of
+    # thousands of bits; 2x2 extended-gcd steps stay near a thousand
+    a = _random_matrix(random.Random(seed), 10, 10)
+    start = time.perf_counter()
+    _d, u, v, uinv = _smith(a, inverse=True)
+    assert time.perf_counter() - start < 1.0
+    assert max(abs(x).bit_length() for row in u + v + uinv for x in row) <= 4096
 
 
 def test_quotient_invariants_accepts_dependent_generators():
