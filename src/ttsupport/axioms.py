@@ -146,7 +146,6 @@ def construct_eta(datum, samples=50, seed=0):
     b = datum.bousfield
     lframe, llabels = localizing_frame(space)
     order = space.order
-    thomason = space.thomason_sets()
 
     def pair_value(v, u):
         return b.meet(datum.gamma_of_set(v), datum.complements[set_label(frozenset(u))])
@@ -163,7 +162,7 @@ def construct_eta(datum, samples=50, seed=0):
             raise InputError("eta does not extend gamma at %s" % v)
 
     rng = random.Random(seed)
-    pairs = [(v, u, v - u) for v in thomason for u in thomason]
+    pairs = space.localising_basic_opens()
     cover_checks = 0
     for label in sorted(lframe.elements):
         s = llabels[label]

@@ -890,8 +890,12 @@ def cone(f_blocks, src, tgt):
     return ChainComplex(src.ring, lo, modules, diffs)
 
 
-def identity_blocks(cx):
-    return {i: identity(cx.module(i).ngens) for i in cx.degrees()}
+def identity_blocks(cx, c=1):
+    """Blocks of c times the identity chain map on cx, for ``cone``."""
+    return {
+        i: [[c * v for v in row] for row in identity(cx.module(i).ngens)]
+        for i in cx.degrees()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +1062,8 @@ def derived_tensor_residue(cx, p):
 
     For p = 0 this is C ⊗ Q, so the dimensions are the free ranks of the
     cohomology.  For a prime it is the totalization of C with the two-term
-    flat resolution (R --p--> R) of R/p, computed as an honest complex.
+    flat resolution (R --p--> R) of R/p, computed as an honest complex: the
+    cone of p: C -> C, whose degree j is the totalization's degree j - 1.
     """
     ring = cx.ring
     if not isinstance(ring, IntegersLocalized):
@@ -1070,33 +1075,14 @@ def derived_tensor_residue(cx, p):
         raise InputError("p must be zero or a prime")
     if ring.is_unit_prime(p):
         return ResidueOutcome(p, tuple((i, 0) for i in cx.degrees()))
-    lo = cx.min_deg - 1
-    hi = cx.max_deg
-    modules = [cx.module(i + 1).direct_sum(cx.module(i)) for i in range(lo, hi + 1)]
-    diffs = []
-    for i in range(lo, hi):
-        up_src, low_src, up_tgt = (cx.module(j).ngens for j in (i + 1, i, i + 2))
-        sign = -1 if (i + 1) % 2 else 1
-        times_p = [[sign * p * v for v in row] for row in identity(up_src)]
-        diffs.append(
-            block_matrix(
-                up_tgt + up_src,
-                up_src + low_src,
-                [
-                    (0, 0, cx.differential(i + 1)),
-                    (up_tgt, 0, times_p),
-                    (up_tgt, up_src, cx.differential(i)),
-                ],
-            )
-        )
-    total = ChainComplex(ring, lo, modules, diffs)
+    total = cone(identity_blocks(cx, p), cx, cx)
     dims = []
-    for i in total.degrees():
-        h = total.cohomology(i)
+    for j in total.degrees():
+        h = total.cohomology(j)
         assert h.rank == 0, "residue cohomology must be torsion"
         for d in h.factors:
             assert set(factorize(d)) == {p}, "stray torsion in residue cohomology"
-        dims.append((i, len(h.factors)))
+        dims.append((j - 1, len(h.factors)))
     return ResidueOutcome(p, tuple(dims))
 
 

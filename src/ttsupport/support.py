@@ -24,6 +24,7 @@ from .homalg import (
     PresentedModule,
     cone,
     hom_complex_h0,
+    identity_blocks,
     koszul_stable,
     localize,
     localize_by_element,
@@ -329,14 +330,7 @@ def main1_property_suite(cx, v_primes, other=None, scalar=0):
         mapped = cone(zero_blocks, other, cx)  # triangle C -> cone -> other[1]
         out["triangle_union"] = small_support(mapped).closed_set() <= supp | supp2
     if scalar:
-        blocks = {
-            i: [
-                [scalar if r == c else 0 for c in range(cx.module(i).ngens)]
-                for r in range(cx.module(i).ngens)
-            ]
-            for i in cx.degrees()
-        }
-        mapped = cone(blocks, cx, cx)
+        mapped = cone(identity_blocks(cx, scalar), cx, cx)
         out["triangle_scalar"] = small_support(mapped).closed_set() <= supp
     return out
 

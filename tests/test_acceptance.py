@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from ttsupport import battery
+from ttsupport import battery, frames
 
 SEED = battery.DEFAULT_SEED
 SAMPLES = battery.DEFAULT_SAMPLES
@@ -20,9 +20,15 @@ def pool():
     return battery._all_instances(SEED, SAMPLES)
 
 
+@pytest.fixture(scope="module")
+def spaces():
+    return battery._space_pool(4)
+
+
 def test_01_every_small_space_has_a_power_of_two_nucleus_count():
+    # the timed region builds the space pool, i.e. every assembly and sigma
     start = time.time()
-    row = battery.criterion_nucleus_count(max_poset=4)
+    row = battery.criterion_nucleus_count(spaces=battery._space_pool(4))
     assert row["passed"], row["detail"]
     assert "24 spaces" in row["detail"]
     assert time.time() - start < 60
@@ -30,18 +36,18 @@ def test_01_every_small_space_has_a_power_of_two_nucleus_count():
 
 def test_02_sigma_is_an_isomorphism_on_all_small_spaces():
     start = time.time()
-    row = battery.criterion_sigma_iso(max_poset=4)
+    row = battery.criterion_sigma_iso(spaces=battery._space_pool(4))
     assert row["passed"], row["detail"]
     assert time.time() - start < 60
 
 
-def test_03_the_five_weakly_scattered_conditions_agree():
-    row = battery.criterion_weakly_scattered_equivalences(max_poset=4)
+def test_03_the_five_weakly_scattered_conditions_agree(spaces):
+    row = battery.criterion_weakly_scattered_equivalences(spaces=spaces)
     assert row["passed"], row["detail"]
 
 
-def test_04_the_four_scattered_conditions_agree():
-    row = battery.criterion_scattered_equivalences(max_poset=4)
+def test_04_the_four_scattered_conditions_agree(spaces):
+    row = battery.criterion_scattered_equivalences(spaces=spaces)
     assert row["passed"], row["detail"]
 
 
@@ -70,8 +76,8 @@ def test_08_bottom_weakly_associated_primes_lie_in_the_support(pool):
     assert "1400 instances" in row["detail"]
 
 
-def test_09_property_suite_and_orthogonality_over_z6_and_z12():
-    row = battery.criterion_property_suite(seed=SEED, samples=SAMPLES)
+def test_09_property_suite_and_orthogonality_over_z6_and_z12(pool):
+    row = battery.criterion_property_suite(pool=pool, seed=SEED)
     assert row["passed"], row["detail"]
     assert "400 suites" in row["detail"]
 
@@ -104,3 +110,24 @@ def test_12_suite_output_is_byte_identical_for_a_fixed_seed():
     assert first.returncode == second.returncode == 0
     report = json.loads(first.stdout)
     assert report["all_passed"]
+
+
+def test_the_battery_builds_each_input_once(monkeypatch):
+    calls = {"assembly": 0, "instances": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(frames, "assembly")
+    counted(battery, "instances")
+    rows = battery.run_battery(samples=1)
+    assert all(row["passed"] for row in rows)
+    # one assembly per space with at most 4 points; one batch per ring class
+    # for the pool and one more for criterion 12's reproducibility check
+    assert calls == {"assembly": 24, "instances": 14}

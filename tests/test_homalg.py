@@ -22,6 +22,7 @@ from ttsupport.homalg import (
     localize,
     localize_by_element,
     module_complex,
+    restrict_to_integers,
     ring_from_json,
     zero_complex,
 )
@@ -361,6 +362,34 @@ def test_residue_dimensions_of_a_torsion_module():
 def test_residue_at_the_generic_point_counts_free_ranks():
     cx = module_complex(PresentedModule.free(Z, 2), 0)
     assert derived_tensor_residue(cx, 0).dims == ((0, 2),)
+
+
+def _universal_coefficient_dims(cx, p):
+    """Over a PID a bounded complex is quasi-isomorphic to the sum of its
+    shifted cohomology, so dim H^i(C ⊗^L F_p) = rank H^i + t_p(H^i) +
+    t_p(H^(i+1)), where t_p counts the invariant factors divisible by p."""
+
+    def t_p(h):
+        return sum(1 for d in h.factors if d % p == 0)
+
+    h = {i: cx.cohomology(i) for i in range(cx.min_deg - 1, cx.max_deg + 2)}
+    return tuple(
+        (i, h[i].rank + t_p(h[i]) + t_p(h[i + 1]))
+        for i in range(cx.min_deg - 1, cx.max_deg + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [r for r in battery.ring_classes() if not isinstance(r, LocalNilpotentAlgebra)],
+    ids=lambda r: r.label(),
+)
+def test_residue_dimensions_follow_the_universal_coefficient_formula(ring):
+    for cx in battery.instances(ring, 25, battery.DEFAULT_SEED):
+        if isinstance(ring, ModularIntegers):
+            cx = restrict_to_integers(cx)
+        for p in (2, 3):
+            assert derived_tensor_residue(cx, p).dims == _universal_coefficient_dims(cx, p)
 
 
 def test_derived_hom_of_the_periodic_resolution():
