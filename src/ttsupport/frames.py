@@ -2,8 +2,8 @@
 
 A finite frame is a finite distributive lattice; the constructor reads
 bottom, top, binary meets and joins off the down- and up-sets of the order
-and validates distributivity.  Heyting implication exists automatically and
-is computed by its defining join.
+and decides distributivity by Birkhoff's representation theorem.  Heyting
+implication exists automatically and is computed by its defining join.
 """
 
 from .errors import InputError, ResourceLimitError
@@ -19,7 +19,7 @@ def set_label(s):
 
 
 class FiniteFrame:
-    __slots__ = ("order", "bottom", "top", "_meet", "_join", "_heyting")
+    __slots__ = ("order", "bottom", "top", "_meet", "_join", "_heyting", "_primes")
 
     def __init__(self, order):
         if not isinstance(order, FinitePoset):
@@ -50,14 +50,13 @@ class FiniteFrame:
                     raise InputError("not a lattice: meet/join fails on (%r, %r)" % (x, y))
                 self._meet[(x, y)] = m
                 self._join[(x, y)] = j
-        for x in els:
-            for y in els:
-                for z in els:
-                    lhs = self._meet[(x, self._join[(y, z)])]
-                    rhs = self._join[(self._meet[(x, y)], self._meet[(x, z)])]
-                    if lhs != rhs:
-                        raise InputError("lattice is not distributive")
+        # Birkhoff (Davey-Priestley, Introduction to Lattices and Order, ch. 5):
+        # x |-> {join-irreducibles <= x} embeds the lattice into the down-sets
+        # of J(L), and the lattice is distributive iff that map is onto
+        if _count_down_sets(order.restrict(self.join_irreducibles()), len(els) + 1) != len(els):
+            raise InputError("lattice is not distributive")
         self._heyting = {}
+        self._primes = None
 
     @classmethod
     def from_sets(cls, sets):
@@ -127,22 +126,29 @@ class FiniteFrame:
     def is_boolean(self):
         return all(self.complement(x) is not None for x in self.elements)
 
+    def join_irreducibles(self):
+        """Elements x with x != join{y : y < x} (so the bottom is not one)."""
+        return [
+            x
+            for x in self.elements
+            if x != self.join_many(y for y in self.order.down_set(x) if y != x)
+        ]
+
     def primes(self):
         """Prime (= meet-irreducible) elements p != top:
-        x ∧ y <= p forces x <= p or y <= p."""
-        out = []
-        for p in self.elements:
-            if p == self.top:
-                continue
-            ok = all(
-                self.leq(x, p) or self.leq(y, p)
-                for x in self.elements
-                for y in self.elements
-                if self.leq(self.meet(x, y), p)
-            )
-            if ok:
-                out.append(p)
-        return sorted(out)
+        x ∧ y <= p forces x <= p or y <= p.  Pairs with x or y below p pass
+        trivially, so only x, y outside the down-set of p are visited."""
+        if self._primes is None:
+            found = []
+            for p in self.elements:
+                if p == self.top:
+                    continue
+                below = self.order.down_set(p)
+                outside = [x for x in self.elements if x not in below]
+                if all(self._meet[(x, y)] not in below for x in outside for y in outside):
+                    found.append(p)
+            self._primes = tuple(sorted(found))
+        return list(self._primes)
 
     def min_primes(self, x):
         """Minimal primes above x."""
@@ -164,6 +170,21 @@ class FiniteFrame:
 
     def __repr__(self):
         return "FiniteFrame(%d elements)" % len(self)
+
+
+def _count_down_sets(order, stop):
+    """Number of down-sets of order, counting no further than stop."""
+    # adding the elements in a linear extension keeps every partial family a
+    # family of down-sets of order, so the count only grows
+    els = sorted(order.elements, key=lambda e: len(order.down_set(e)))
+    bit = {e: 1 << i for i, e in enumerate(els)}
+    below = {e: sum(bit[d] for d in order.down_set(e)) & ~bit[e] for e in els}
+    found = [0]
+    for e in els:
+        found += [d | bit[e] for d in found if d & below[e] == below[e]]
+        if len(found) >= stop:
+            return stop
+    return len(found)
 
 
 class FrameHom:
@@ -388,11 +409,7 @@ def frame_homs(source, target, bound=HOM_SEARCH_MAX):
     """All frame homs source -> target by exhaustive search over images of
     join-irreducibles, each hom listed once.  Intended for desk-scale
     uniqueness checks only."""
-    joinirr = [
-        x
-        for x in source.elements
-        if x != source.join_many(y for y in source.order.down_set(x) if y != x)
-    ]
+    joinirr = source.join_irreducibles()
     total = len(target.elements) ** len(joinirr)
     if total > bound:
         raise ResourceLimitError(

@@ -59,11 +59,93 @@ def test_non_lattices_and_non_distributive_orders_are_rejected():
         FiniteFrame(diamond)
 
 
+def _lattice_operations(order):
+    """Meet and join tables read off the order, or None when some pair has
+    no greatest lower or least upper bound."""
+    els = order.elements
+
+    def extremum(bounds, leq):
+        best = [b for b in bounds if all(leq(c, b) for c in bounds)]
+        return best[0] if best else None
+
+    meet, join = {}, {}
+    for x in els:
+        for y in els:
+            lower = order.down_set(x) & order.down_set(y)
+            upper = order.up_set(x) & order.up_set(y)
+            meet[(x, y)] = extremum(lower, order.leq)
+            join[(x, y)] = extremum(upper, lambda a, b: order.leq(b, a))
+            if meet[(x, y)] is None or join[(x, y)] is None:
+                return None
+    return meet, join
+
+
+def _literally_distributive(elements, meet, join):
+    return all(
+        meet(x, join(y, z)) == join(meet(x, y), meet(x, z))
+        for x in elements
+        for y in elements
+        for z in elements
+    )
+
+
+def test_birkhoff_distributivity_agrees_with_the_literal_law_on_small_lattices():
+    lattices = distributive = 0
+    for n in range(1, 7):
+        for order in enumerate_posets(n):
+            ops = _lattice_operations(order)
+            if ops is None:
+                with pytest.raises(InputError):
+                    FiniteFrame(order)
+                continue
+            meet, join = ops
+            lattices += 1
+            if _literally_distributive(
+                order.elements, lambda x, y: meet[(x, y)], lambda x, y: join[(x, y)]
+            ):
+                distributive += 1
+                FiniteFrame(order)
+            else:
+                with pytest.raises(InputError, match="not distributive"):
+                    FiniteFrame(order)
+    assert (lattices, distributive) == (25, 13)
+
+
+def test_frames_and_assemblies_of_small_spaces_satisfy_the_literal_law():
+    for space in _small_spaces(4):
+        frame, _ = frame_of(space)
+        nframe = assembly(frame).frame
+        for f in (frame, nframe):
+            assert len(f) <= 16
+            assert _literally_distributive(f.elements, f.meet, f.join)
+
+
 def test_primes_are_the_meet_irreducibles():
     assert CHAIN3.primes() == ["0", "a"]
     assert BOOL4.primes() == ["x", "y"]
     two = FiniteFrame(FinitePoset.from_pairs(["0", "1"], [("0", "1")]))
     assert two.primes() == ["0"]
+
+
+def test_primes_of_open_set_frames_are_the_elements_with_one_upper_cover():
+    for space in _small_spaces(5):
+        frame, _ = frame_of(space)
+        covers = {
+            x: [
+                y
+                for y in frame.order.up_set(x)
+                if y != x
+                and not any(z not in (x, y) and frame.leq(z, y) for z in frame.order.up_set(x))
+            ]
+            for x in frame.elements
+        }
+        expected = sorted(x for x in frame.elements if x != frame.top and len(covers[x]) == 1)
+        first = frame.primes()
+        assert first == expected
+        assert len(first) == len(space.points)
+        first.append(frame.top)
+        first.reverse()
+        assert frame.primes() == expected
 
 
 def test_heyting_implication_and_complements():

@@ -359,6 +359,16 @@ def test_residue_dimensions_of_a_torsion_module():
     assert not derived_tensor_residue(cx, 0).is_nonzero
 
 
+def test_residue_refuses_torsion_that_p_does_not_kill(monkeypatch):
+    # the cone of p^2 on Z has cohomology Z/p^2, a power of p that is not an
+    # F_p-vector space
+    honest = homalg.identity_blocks
+    monkeypatch.setattr(homalg, "identity_blocks", lambda cx, c=1: honest(cx, c * c))
+    cx = module_complex(PresentedModule.free(Z, 1), 0)
+    with pytest.raises(AssertionError, match="stray torsion"):
+        derived_tensor_residue(cx, 2)
+
+
 def test_residue_at_the_generic_point_counts_free_ranks():
     cx = module_complex(PresentedModule.free(Z, 2), 0)
     assert derived_tensor_residue(cx, 0).dims == ((0, 2),)
