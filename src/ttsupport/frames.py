@@ -19,7 +19,9 @@ def set_label(s):
 
 
 class FiniteFrame:
-    __slots__ = ("order", "bottom", "top", "_meet", "_join", "_heyting", "_primes")
+    __slots__ = (
+        "order", "bottom", "top", "_meet", "_join", "_heyting", "_primes", "_index", "_assembly"
+    )
 
     def __init__(self, order):
         if not isinstance(order, FinitePoset):
@@ -56,7 +58,7 @@ class FiniteFrame:
         if _count_down_sets(order.restrict(self.join_irreducibles()), len(els) + 1) != len(els):
             raise InputError("lattice is not distributive")
         self._heyting = {}
-        self._primes = None
+        self._primes = self._index = self._assembly = None
 
     @classmethod
     def from_sets(cls, sets):
@@ -168,6 +170,18 @@ class FiniteFrame:
     def is_isomorphic_to(self, other):
         return self.order.is_isomorphic_to(other.order)
 
+    def _indexed(self):
+        """The frame on positions, built once: the sorted elements, each
+        element's position, up-sets as bitmasks of positions and the meet
+        table on positions."""
+        if self._index is None:
+            els = sorted(self.elements)
+            pos = {x: i for i, x in enumerate(els)}
+            up = [sum(1 << pos[y] for y in self.order.up_set(x)) for x in els]
+            meet = [[pos[self._meet[(x, y)]] for y in els] for x in els]
+            self._index = (els, pos, up, meet)
+        return self._index
+
     def __repr__(self):
         return "FiniteFrame(%d elements)" % len(self)
 
@@ -255,20 +269,30 @@ class Nucleus:
 
 
 def validate_nucleus(frame, table):
-    """Check the four nucleus axioms literally; returns (ok, report)."""
-    report = []
+    """Check the four nucleus axioms at every x and every pair (x, y), on the
+    frame's position tables; returns (ok, report)."""
     if set(table) != set(frame.elements):
         return False, ["table must be defined on exactly the frame"]
-    for x in frame.elements:
-        if not frame.leq(x, table[x]):
-            report.append("not inflationary at %r" % x)
-        if table[table[x]] != table[x]:
-            report.append("not idempotent at %r" % x)
-        for y in frame.elements:
-            if frame.leq(x, y) and not frame.leq(table[x], table[y]):
-                report.append("not monotone on (%r, %r)" % (x, y))
-            if table[frame.meet(x, y)] != frame.meet(table[x], table[y]):
-                report.append("does not preserve the meet of (%r, %r)" % (x, y))
+    els, pos, up, meet = frame._indexed()
+    strays = [x for x in frame.elements if table[x] not in pos]
+    if strays:
+        return False, ["value %r at %r is not a frame element" % (table[x], x) for x in strays]
+    t = [pos[table[x]] for x in els]
+    # visit in the frame's element order, so the report lists failures in it
+    visit = [pos[x] for x in frame.elements]
+    report = []
+    for i in visit:
+        ti = t[i]
+        if not up[i] >> ti & 1:
+            report.append("not inflationary at %r" % els[i])
+        if t[ti] != ti:
+            report.append("not idempotent at %r" % els[i])
+        up_i, up_ti, meet_i, meet_ti = up[i], up[ti], meet[i], meet[ti]
+        for j in visit:
+            if up_i >> j & 1 and not up_ti >> t[j] & 1:
+                report.append("not monotone on (%r, %r)" % (els[i], els[j]))
+            if t[meet_i[j]] != meet_ti[t[j]]:
+                report.append("does not preserve the meet of (%r, %r)" % (els[i], els[j]))
     return not report, report
 
 
@@ -285,9 +309,7 @@ def _sublocales(frame):
     closed under meets, contains x -> s for every x" (Picado-Pultr, Frames
     and Locales, III), enumerated by Ganter's NextClosure over the sorted
     elements."""
-    els = sorted(frame.elements)
-    index = {x: i for i, x in enumerate(els)}
-    meet = [[index[frame.meet(x, y)] for y in els] for x in els]
+    els, index, _up, meet = frame._indexed()
     implies = [[index[frame.heyting(x, y)] for x in els] for y in els]
     top = 1 << index[frame.top]
 
@@ -336,6 +358,7 @@ def assembly(frame, max_size=ASSEMBLY_MAX):
 
     Every nucleus is the closure x |-> meet{s in S : x <= s} onto its
     fixed-point set S, and the fixed-point sets are exactly the sublocales.
+    The bound is checked on every call; the assembly is built once per frame.
     """
     if len(frame) > max_size:
         raise ResourceLimitError(
@@ -343,6 +366,12 @@ def assembly(frame, max_size=ASSEMBLY_MAX):
             bound_name="max-frame",
             bound_value=max_size,
         )
+    if frame._assembly is None:
+        frame._assembly = _build_assembly(frame)
+    return frame._assembly
+
+
+def _build_assembly(frame):
     by_label = {}
     for s in _sublocales(frame):
         nu = Nucleus(
@@ -351,11 +380,15 @@ def assembly(frame, max_size=ASSEMBLY_MAX):
         if nu.label in by_label:
             raise InputError("two nuclei share the label %s" % nu.label)
         by_label[nu.label] = nu
+    # nu <= mu pointwise: mu(x) lies in the up-set of nu(x) at every position
+    els, pos, up, _meet = frame._indexed()
+    tables = {a: [pos[nu.table[x]] for x in els] for a, nu in by_label.items()}
+    ups = {a: [up[v] for v in t] for a, t in tables.items()}
     rel = {
         (a, b)
         for a in by_label
         for b in by_label
-        if all(frame.leq(by_label[a](x), by_label[b](x)) for x in frame.elements)
+        if all(u >> v & 1 for u, v in zip(ups[a], tables[b]))
     }
     nframe = FiniteFrame(FinitePoset(tuple(sorted(by_label)), rel))
     alpha = FrameHom(
@@ -386,8 +419,11 @@ def nucleus_join(frame, nu, mu):
 
 def frame_of(space):
     """Frame of opens (= down-sets) of a finite spectral space, with set
-    labels."""
-    return FiniteFrame.from_sets(space.opens())
+    labels.  The frame is built once per space; the labels come as a copy."""
+    if space._frame is None:
+        space._frame = FiniteFrame.from_sets(space.opens())
+    frame, labels = space._frame
+    return frame, dict(labels)
 
 
 def spc(frame):
@@ -483,7 +519,8 @@ def universal_factorization(asm, phi, check_unique=False):
 def sigma(space, check_unique=False, max_size=ASSEMBLY_MAX):
     """The comparison hom from the assembly of the open-set frame to the
     frame of opens of the same point set with every singleton isolated.
-    Returns (hom, is_isomorphism, assembly_result)."""
+    Returns (hom, is_isomorphism, assembly_result); the assembly is the one
+    ``assembly(frame_of(space)[0])`` returns."""
     frame, labels = frame_of(space)
     asm = assembly(frame, max_size=max_size)
     skula_frame, _slabels = FiniteFrame.from_sets(space.skula_opens())

@@ -17,7 +17,7 @@ _POSET_COUNTS = (1, 2, 5, 16, 63, 318)
 
 
 class FinitePoset:
-    __slots__ = ("elements", "relation", "_down", "_up")
+    __slots__ = ("elements", "relation", "_down", "_up", "_down_sets", "_up_sets")
 
     def __init__(self, elements, relation):
         elements = tuple(elements)
@@ -44,6 +44,7 @@ class FinitePoset:
         self.relation = relation
         self._down = {e: frozenset(a for a in elements if (a, e) in relation) for e in elements}
         self._up = {e: frozenset(b for b in elements if (e, b) in relation) for e in elements}
+        self._down_sets = self._up_sets = None
 
     @classmethod
     def from_pairs(cls, elements, pairs):
@@ -117,17 +118,16 @@ class FinitePoset:
         return all(self._up[e] <= s for e in s)
 
     def down_sets(self):
-        """All down-sets, sorted for determinism."""
-        sets = {frozenset()}
-        for e in self.elements:
-            sets |= {s | self._down[e] for s in sets}
-        return sorted(sets, key=_set_key)
+        """All down-sets, sorted for determinism; enumerated once per poset,
+        returned as a fresh list."""
+        if self._down_sets is None:
+            self._down_sets = _unions_of(self.elements, self._down)
+        return list(self._down_sets)
 
     def up_sets(self):
-        sets = {frozenset()}
-        for e in self.elements:
-            sets |= {s | self._up[e] for s in sets}
-        return sorted(sets, key=_set_key)
+        if self._up_sets is None:
+            self._up_sets = _unions_of(self.elements, self._up)
+        return list(self._up_sets)
 
     def canonical_key(self):
         """Isomorphism invariant: lexicographically smallest relation matrix
@@ -173,6 +173,15 @@ class FinitePoset:
 
 def _set_key(s):
     return (len(s), tuple(sorted(s)))
+
+
+def _unions_of(elements, generators):
+    """All unions of the generator sets (the empty union included), as a
+    sorted tuple."""
+    sets = {frozenset()}
+    for e in elements:
+        sets |= {s | generators[e] for s in sets}
+    return tuple(sorted(sets, key=_set_key))
 
 
 def _grouped_orders(groups):

@@ -12,12 +12,14 @@ from .poset import FinitePoset
 
 
 class SpectralSpace:
-    __slots__ = ("order",)
+    # _frame holds frames.frame_of(self) once it has been built
+    __slots__ = ("order", "_frame")
 
     def __init__(self, order):
         if not isinstance(order, FinitePoset):
             raise InputError("SpectralSpace wants a FinitePoset")
         self.order = order
+        self._frame = None
 
     @classmethod
     def from_json(cls, obj):
@@ -85,9 +87,10 @@ class SpectralSpace:
         topology.  Checked literally against every open of the ambient
         space."""
         subset = frozenset(self.points if subset is None else subset)
+        opens = self.opens()
         out = set()
         for p in subset:
-            if any(v & subset == {p} for v in self.opens()):
+            if any(v & subset == {p} for v in opens):
                 out.add(p)
         return frozenset(out)
 
@@ -97,10 +100,11 @@ class SpectralSpace:
         closed = frozenset(closed)
         if not self.order.is_up_set(closed):
             raise InputError("weakly_isolated_points wants a closed (up-)set")
+        opens = self.opens()
         out = set()
         for p in closed:
             cl = self.order.up_set(p)
-            if any(p in v and (v & closed) <= cl for v in self.opens()):
+            if any(p in v and (v & closed) <= cl for v in opens):
                 out.add(p)
         return frozenset(out)
 

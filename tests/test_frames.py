@@ -1,13 +1,15 @@
 """Finite frames, nuclei, the assembly, and the Skula comparison map."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from ttsupport import frames as frames_module
 from ttsupport.errors import InputError, ResourceLimitError
 from ttsupport.frames import (
     FiniteFrame,
     FrameHom,
+    Nucleus,
     assembly,
     closed_nucleus,
     frame_homs,
@@ -175,6 +177,66 @@ def test_nucleus_validation_names_the_failure():
     assert ok
 
 
+def test_nucleus_values_outside_the_frame_are_reported():
+    table = {"0": "zz", "a": "1", "1": "1"}
+    ok, report = validate_nucleus(CHAIN3, table)
+    assert not ok
+    assert report == ["value 'zz' at '0' is not a frame element"]
+    with pytest.raises(InputError, match="'zz'"):
+        Nucleus(CHAIN3, table)
+
+
+def _literal_validate_nucleus(frame, table):
+    """Reference for validate_nucleus: the four nucleus axioms checked
+    literally on the frame's own order and meets."""
+    report = []
+    if set(table) != set(frame.elements):
+        return False, ["table must be defined on exactly the frame"]
+    for x in frame.elements:
+        if not frame.leq(x, table[x]):
+            report.append("not inflationary at %r" % x)
+        if table[table[x]] != table[x]:
+            report.append("not idempotent at %r" % x)
+        for y in frame.elements:
+            if frame.leq(x, y) and not frame.leq(table[x], table[y]):
+                report.append("not monotone on (%r, %r)" % (x, y))
+            if table[frame.meet(x, y)] != frame.meet(table[x], table[y]):
+                report.append("does not preserve the meet of (%r, %r)" % (x, y))
+    return not report, report
+
+
+def test_nucleus_validation_agrees_with_the_literal_axioms_on_every_self_map():
+    # element orders as enumerated, not sorted, so the report order is tested
+    small = []
+    for n in range(1, 6):
+        for order in enumerate_posets(n):
+            try:
+                small.append(FiniteFrame(order))
+            except InputError:
+                pass
+    maps = nuclei = 0
+    for frame in small:
+        els = frame.elements
+        for values in product(els, repeat=len(els)):
+            table = dict(zip(els, values))
+            expected = _literal_validate_nucleus(frame, table)
+            assert validate_nucleus(frame, table) == expected
+            maps += 1
+            nuclei += expected[0]
+    assert len(small) == 8 and maps == 1 + 4 + 27 + 2 * 4**4 + 3 * 5**5
+    assert nuclei == sum(len(assembly(frame).nuclei) for frame in small)
+
+
+def test_assembly_order_is_the_literal_pointwise_order():
+    for space in _small_spaces(4):
+        frame, _ = frame_of(space)
+        asm = assembly(frame)
+        for a, nu in asm.nuclei.items():
+            for b, mu in asm.nuclei.items():
+                pointwise = all(frame.leq(nu(x), mu(x)) for x in frame.elements)
+                assert asm.frame.leq(a, b) == pointwise
+
+
 def test_assembly_of_a_three_chain_has_four_nuclei():
     asm = assembly(CHAIN3)
     tables = {tuple(nu(x) for x in ("0", "a", "1")) for nu in asm.nuclei.values()}
@@ -312,8 +374,52 @@ def test_five_point_antichain_assembles_within_a_raised_bound():
     asm = assembly(frame, max_size=32)
     assert len(asm.nuclei) == 32
     assert asm.frame.is_boolean()
-    _psi, is_iso, _asm = sigma(space, max_size=32)
-    assert is_iso
+    # the built assembly is cached on the frame, and the bound still holds
+    for call in (lambda: assembly(frame), lambda: sigma(space)):
+        with pytest.raises(ResourceLimitError) as exc:
+            call()
+        assert exc.value.bound_name == "max-frame"
+    _psi, is_iso, again = sigma(space, max_size=32)
+    assert is_iso and again is asm
+
+
+def test_sigma_reuses_the_frame_and_assembly_of_each_space(monkeypatch):
+    calls = []
+    original = frames_module._sublocales
+
+    def counting(frame):
+        calls.append(frame)
+        return original(frame)
+
+    monkeypatch.setattr(frames_module, "_sublocales", counting)
+    spaces = list(_small_spaces(5))
+    for space in spaces:
+        bound = 2 ** len(space.points)
+        frame, _ = frame_of(space)
+        asm = assembly(frame, max_size=bound)
+        _psi, is_iso, again = sigma(space, max_size=bound)
+        assert is_iso and again is asm and asm.base is frame
+        assert sigma(space, max_size=bound)[2] is assembly(frame_of(space)[0], max_size=bound)
+    # one NextClosure enumeration per space
+    assert len(spaces) == 87 and len(calls) == 87
+
+
+def test_returned_families_and_labels_are_fresh_copies():
+    space = VPOSET
+    order = space.order
+    expected = tuple(
+        list(family) for family in (order.down_sets(), order.up_sets(), space.opens(), space.closeds())
+    )
+    for family in (order.down_sets(), order.up_sets(), space.opens(), space.closeds()):
+        family.append(frozenset({"junk"}))
+        family.reverse()
+    assert (order.down_sets(), order.up_sets(), space.opens(), space.closeds()) == expected
+    frame, labels = frame_of(space)
+    kept = dict(labels)
+    labels.clear()
+    frame_of(space)[1][frame.top] = frozenset()
+    assert frame_of(space) == (frame, kept)
+    assert sigma(space)[1]
 
 
 def test_frame_homs_counts_on_small_frames():

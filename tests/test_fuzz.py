@@ -156,5 +156,18 @@ def test_relabelling_points_changes_no_answer(case):
     assert _sorted_sets([back[p] for p in s] for s in thomason) == answers("thomason", space)
     zsets = answers("zset", relabelled)
     assert {back[p]: sorted(back[q] for q in z) for p, z in zsets.items()} == answers("zset", space)
-    count = _one_json_document(["frames", "assembly", json.dumps(relabelled)])["count"]
-    assert count == _one_json_document(["frames", "assembly", json.dumps(space)])["count"]
+    assert answers("scattered", relabelled) == answers("scattered", space)
+    skula = answers("skula", relabelled)
+    assert _sorted_sets([back[p] for p in s] for s in skula) == answers("skula", space)
+
+    def frames(op, doc):
+        return _one_json_document(["frames", op, json.dumps(doc)])
+
+    count = frames("assembly", relabelled)["count"]
+    assert count == frames("assembly", space)["count"]
+    primes = [len(frames("primes", frames("of", doc))["primes"]) for doc in (relabelled, space)]
+    assert primes == [len(names)] * 2
+    assert frames("sigma", relabelled) == frames("sigma", space) == {
+        "is_isomorphism": True,
+        "nuclei": 2 ** len(names),
+    }
