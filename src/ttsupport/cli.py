@@ -231,6 +231,12 @@ def _cmd_axioms(args):
 
 
 def _cmd_suite(args):
+    # the battery fixes its own size bounds (battery.POSET_BOUND and
+    # ZSET_POSET_BOUND points, each frame at most 2**points), so an explicit
+    # --max-poset or --max-frame is refused rather than silently ignored
+    for option, value in (("--max-poset", args.max_poset), ("--max-frame", args.max_frame)):
+        if value is not None:
+            raise InputError("suite does not take %s: the battery fixes its own bounds" % option)
     rows = run_battery(seed=args.seed, samples=args.samples)
     if args.format == "tsv":
         lines = ["id\tname\tpassed\tdetail"]
@@ -262,12 +268,12 @@ def _build_parser():
         help="random seed for sampled checks (default %d)" % DEFAULT_SEED,
     )
     parser.add_argument(
-        "--max-poset", type=int, default=DEFAULT_MAX_POSET,
-        help="largest accepted poset (default %d)" % DEFAULT_MAX_POSET,
+        "--max-poset", type=int, default=None,
+        help="largest accepted poset (default %d; refused by suite)" % DEFAULT_MAX_POSET,
     )
     parser.add_argument(
-        "--max-frame", type=int, default=ASSEMBLY_MAX,
-        help="largest frame for assembly operations (default %d)" % ASSEMBLY_MAX,
+        "--max-frame", type=int, default=None,
+        help="largest frame for assembly operations (default %d; refused by suite)" % ASSEMBLY_MAX,
     )
     parser.add_argument(
         "--samples", type=int, default=DEFAULT_SAMPLES,
@@ -309,6 +315,10 @@ def main(argv=None):
     try:
         if args.command == "suite":
             return _cmd_suite(args)
+        if args.max_poset is None:
+            args.max_poset = DEFAULT_MAX_POSET
+        if args.max_frame is None:
+            args.max_frame = ASSEMBLY_MAX
         report = _HANDLERS[args.command](args)
     except ResourceLimitError as exc:
         sys.stdout.write(

@@ -4,6 +4,8 @@ Matrices are lists of rows of Python ints (arbitrary precision).  Everything
 here is exact; there is no floating point anywhere in the package.
 """
 
+import operator
+
 from .errors import InputError, ResourceLimitError
 
 # Every Smith form re-verifies U*A*V == D, the divisibility chain and
@@ -45,7 +47,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v) if x) for row in a]
+    return [sum(map(operator.mul, row, v)) for row in a]
 
 
 def transpose(a):
@@ -224,7 +226,15 @@ def _verify_snf(a, d, u, v):
 
 
 def _det_unimodular(a):
-    """Determinant by fraction-free Bareiss elimination (exact)."""
+    """Determinant by fraction-free Bareiss elimination (exact).
+
+    A pivot row whose sign differs from the previous pivot's is negated (and
+    the sign of the result flipped back).  When the pivot p then equals
+    the previous pivot, Bareiss's update (x*p - c*r) / p is x - c*r/p, an
+    exact division: rows with c == 0 and columns where the pivot row is zero
+    stay as they are, so only the pivot row's nonzero columns are touched.
+    The permuted unit-triangular transforms of the Smith form take that
+    branch at every step."""
     n = len(a)
     if n == 0:
         return 1
@@ -232,17 +242,34 @@ def _det_unimodular(a):
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
+        pivot_row = m[k]
+        p = pivot_row[k]
+        if p == 0:
             swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if swap is None:
                 return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+            pivot_row = m[k]
+            p = pivot_row[k]
+        if (p < 0) != (prev < 0):
+            pivot_row = m[k] = [-x for x in pivot_row]
+            p = -p
+            sign = -sign
+        if p == prev:
+            for row in m[k + 1 :]:
+                c = row[k]
+                if c:
+                    for j in range(k + 1, n):
+                        r = pivot_row[j]
+                        if r:
+                            row[j] -= c * r // p
+        else:
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    m[i][j] = (m[i][j] * p - m[i][k] * pivot_row[j]) // prev
+                m[i][k] = 0
+        prev = p
     return sign * m[n - 1][n - 1]
 
 

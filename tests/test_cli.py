@@ -167,6 +167,15 @@ def test_suite_tsv_table_lists_every_criterion():
     assert all(line.split("\t")[2] == "pass" for line in lines[1:])
 
 
+@pytest.mark.parametrize("option", ["--max-poset", "--max-frame"])
+@pytest.mark.parametrize("value", ["6", "16", "64"])
+def test_suite_refuses_an_explicit_size_bound(option, value):
+    code, report, elapsed = _timed_main([option, value, "--samples", "2", "suite"])
+    assert code == 1 and set(report) == {"error"}
+    assert option in report["error"]
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize(
     "op, poset",
     [

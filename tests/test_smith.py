@@ -6,7 +6,9 @@ import time
 import pytest
 
 from ttsupport.smith import (
+    _det_unimodular,
     _smith,
+    _verify_snf,
     identity,
     kernel_basis,
     lattice_basis,
@@ -16,6 +18,7 @@ from ttsupport.smith import (
     smith_normal_form,
     solve_int,
     transpose,
+    zeros,
 )
 
 
@@ -187,3 +190,97 @@ def test_quotient_invariants_accepts_dependent_generators():
 def test_quotient_invariants_refuses_l_outside_k(k_gens, l_gens):
     with pytest.raises(AssertionError, match="L not inside K"):
         quotient_invariants(k_gens, l_gens)
+
+
+def _reference_det(a):
+    """Determinant by the plain dense Bareiss loop: every entry below and to
+    the right of the pivot is updated at every step."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def test_determinant_agrees_with_dense_bareiss_on_seeded_square_matrices():
+    rng = random.Random(23)
+    singular = 0
+    for _ in range(2000):
+        n = rng.randint(0, 8)
+        density = rng.choice((0.2, 0.5, 0.8, 1.0))
+        bits = rng.choice((1, 2, 8, 60))
+        a = [
+            [rng.randint(-(2**bits), 2**bits) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n > 1 and rng.random() < 0.2:
+            i, j = rng.sample(range(n), 2)
+            a[i] = [rng.choice((-2, 1, 3)) * x for x in a[j]]  # a dependent row
+        expected = _reference_det(a)
+        singular += expected == 0
+        assert abs(_det_unimodular(a)) == abs(expected), a
+    assert singular > 200
+
+
+def test_determinant_agrees_with_dense_bareiss_on_smith_transforms():
+    rng = random.Random(29)
+    for _ in range(500):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        a = _random_matrix(rng, rows, cols, rng.choice((1, 3, 50)))
+        if rng.random() < 0.3 and min(rows, cols) > 1:
+            mid = rng.randint(1, min(rows, cols) - 1)
+            a = mat_mul(_random_matrix(rng, rows, mid, 6), _random_matrix(rng, mid, cols, 6))
+        _d, u, v = smith_normal_form(a)
+        for t in (u, v):
+            assert abs(_det_unimodular(t)) == abs(_reference_det(t)) == 1
+
+
+def _permuted_unit_triangular(n, seed):
+    """The rows of a seeded unit upper-triangular matrix (diagonal +-1, two
+    more entries per row) in a seeded order."""
+    rng = random.Random(seed)
+    a = zeros(n, n)
+    for i in range(n):
+        a[i][i] = rng.choice((1, -1))
+        for j in rng.sample(range(i + 1, n), min(2, n - i - 1)):
+            a[i][j] = rng.randint(-9, 9)
+    rng.shuffle(a)
+    return a
+
+
+@pytest.mark.parametrize("diagonal_entry, det", [(1, 1), (2, 2)])
+def test_determinant_of_a_large_permuted_unit_triangular_matrix_is_quick(diagonal_entry, det):
+    a = _permuted_unit_triangular(150, 31)
+    row = next(r for r in a if r[75] and not any(r[:75]))  # the row with diagonal entry 75
+    row[75] = diagonal_entry
+    start = time.perf_counter()
+    got = _det_unimodular(a)
+    assert time.perf_counter() - start < 0.05
+    assert abs(got) == det == abs(_reference_det(a))
+
+
+@pytest.mark.parametrize("which", ["U", "V"])
+def test_self_check_refuses_a_transform_with_determinant_two(which):
+    # A = D = 0, so U*A*V == D and the divisibility chain hold for any U, V:
+    # only the determinant can catch the bad transform
+    a = zeros(40, 40)
+    bad = _permuted_unit_triangular(40, 37)
+    row = next(r for r in bad if r[20] and not any(r[:20]))
+    row[20] = 2
+    u, v = (bad, identity(40)) if which == "U" else (identity(40), bad)
+    with pytest.raises(AssertionError, match="%s not unimodular" % which):
+        _verify_snf(a, zeros(40, 40), u, v)
