@@ -1,13 +1,18 @@
 """Finite frames, frame homomorphisms, nuclei and the assembly.
 
-A finite frame is a finite distributive lattice; the constructor reads
-bottom, top, binary meets and joins off the down- and up-sets of the order
-and decides distributivity by Birkhoff's representation theorem.  Heyting
-implication exists automatically and is computed by its defining join.
+A finite frame is a finite distributive lattice.  By Birkhoff's theorem
+(Davey-Priestley, Introduction to Lattices and Order, ch. 5) it is the
+lattice of down-sets of its join-irreducibles J, so each element is held as
+the bitmask of the join-irreducibles below it: meet is &, join is |, and
+x <= y is x & ~y == 0.  The constructor accepts an order exactly when that
+map is an order-isomorphism onto the down-sets of J, which decides both
+"lattice" and "distributive".  Labels appear only at the API.
 """
 
+import weakref
+
 from .errors import InputError, ResourceLimitError
-from .poset import FinitePoset
+from .poset import FinitePoset, bits_of, unions_of
 from .spectral import SpectralSpace
 
 ASSEMBLY_MAX = 16
@@ -19,9 +24,10 @@ def set_label(s):
 
 
 class FiniteFrame:
-    __slots__ = (
-        "order", "bottom", "top", "_meet", "_join", "_heyting", "_primes", "_index", "_assembly"
-    )
+    # _mask: element -> mask over J; _element: the inverse; _irreducible: the
+    # masks of the join-irreducibles, in element order (bit t of a mask
+    # stands for the t-th of them)
+    __slots__ = ("order", "bottom", "top", "_mask", "_element", "_irreducible", "_primes", "_assembly")
 
     def __init__(self, order):
         if not isinstance(order, FinitePoset):
@@ -30,35 +36,31 @@ class FiniteFrame:
         els = order.elements
         if not els:
             raise InputError("a frame is nonempty")
-        down = {e: order.down_set(e) for e in els}
-        up = {e: order.up_set(e) for e in els}
-        everything = frozenset(els)
-        bottoms = [e for e in els if up[e] == everything]
-        tops = [e for e in els if down[e] == everything]
+        down, up = order._down, order._up
+        everything = (1 << len(els)) - 1
+        bottoms = [e for e, u in zip(els, up) if u == everything]
+        tops = [e for e, d in zip(els, down) if d == everything]
         if len(bottoms) != 1 or len(tops) != 1:
             raise InputError("lattice is not bounded")
         self.bottom = bottoms[0]
         self.top = tops[0]
-        # x ∧ y is the z whose down-set is down(x) ∩ down(y); joins dually
-        by_down = {d: e for e, d in down.items()}
-        by_up = {u: e for e, u in up.items()}
-        self._meet = {}
-        self._join = {}
-        for x in els:
-            for y in els:
-                m = by_down.get(down[x] & down[y])
-                j = by_up.get(up[x] & up[y])
-                if m is None or j is None:
-                    raise InputError("not a lattice: meet/join fails on (%r, %r)" % (x, y))
-                self._meet[(x, y)] = m
-                self._join[(x, y)] = j
-        # Birkhoff (Davey-Priestley, Introduction to Lattices and Order, ch. 5):
-        # x |-> {join-irreducibles <= x} embeds the lattice into the down-sets
-        # of J(L), and the lattice is distributive iff that map is onto
-        if _count_down_sets(order.restrict(self.join_irreducibles()), len(els) + 1) != len(els):
-            raise InputError("lattice is not distributive")
-        self._heyting = {}
-        self._primes = self._index = self._assembly = None
+        # x is join-irreducible iff it has exactly one lower cover, that is
+        # iff the down-set of x without x is a principal down-set
+        principal = set(down)
+        joinirr = [i for i, d in enumerate(down) if (d ^ 1 << i) in principal]
+        masks = [sum(1 << t for t, j in enumerate(joinirr) if d >> j & 1) for d in down]
+        element = dict(zip(masks, els))
+        irreducible = tuple(masks[j] for j in joinirr)
+        if not (
+            len(element) == len(els)
+            and len(unions_of(irreducible, len(els) + 1)) == len(els)
+            and _reflects_covers(masks, irreducible, element, order)
+        ):
+            raise InputError(_refusal(order))
+        self._mask = dict(zip(els, masks))
+        self._element = element
+        self._irreducible = irreducible
+        self._primes = self._assembly = None
 
     @classmethod
     def from_sets(cls, sets):
@@ -69,13 +71,11 @@ class FiniteFrame:
         for s in map(frozenset, sets):
             if labels.setdefault(set_label(s), s) != s:
                 raise InputError("two sets share the label %s" % set_label(s))
-        rel = {
-            (a, b)
-            for a in labels
-            for b in labels
-            if labels[a] <= labels[b]
-        }
-        frame = cls(FinitePoset(tuple(sorted(labels)), rel))
+        names = sorted(labels)
+        bit = {p: 1 << i for i, p in enumerate(set().union(*labels.values()))}
+        masks = [sum(bit[p] for p in labels[a]) for a in names]
+        up = [sum(1 << j for j, n in enumerate(masks) if not m & ~n) for m in masks]
+        frame = cls(FinitePoset.from_masks(names, up))
         return frame, labels
 
     @property
@@ -86,76 +86,65 @@ class FiniteFrame:
         return len(self.order.elements)
 
     def leq(self, x, y):
-        return self.order.leq(x, y)
+        return not self._mask[x] & ~self._mask[y]
 
     def meet(self, x, y):
-        return self._meet[(x, y)]
+        return self._element[self._mask[x] & self._mask[y]]
 
     def join(self, x, y):
-        return self._join[(x, y)]
+        return self._element[self._mask[x] | self._mask[y]]
 
     def meet_many(self, xs):
-        out = self.top
+        out = self._mask[self.top]
         for x in xs:
-            out = self._meet[(out, x)]
-        return out
+            out &= self._mask[x]
+        return self._element[out]
 
     def join_many(self, xs):
-        out = self.bottom
+        out = 0
         for x in xs:
-            out = self._join[(out, x)]
-        return out
+            out |= self._mask[x]
+        return self._element[out]
 
     def heyting(self, x, y):
         """x -> y, the largest z with z ∧ x <= y."""
-        key = (x, y)
-        if key not in self._heyting:
-            self._heyting[key] = self.join_many(
-                z for z in self.elements if self.leq(self.meet(z, x), y)
-            )
-        return self._heyting[key]
+        return self._element[self._implies(self._mask[x], self._mask[y])]
+
+    def _implies(self, x, y):
+        # the join-irreducibles j whose down-set meets x only inside y
+        outside = x & ~y
+        return sum(1 << t for t, j in enumerate(self._irreducible) if not j & outside)
 
     def complement(self, x):
         """The complement of x when it exists (unique in a distributive
-        lattice), else None."""
-        found = None
-        for y in self.elements:
-            if self.meet(x, y) == self.bottom and self.join(x, y) == self.top:
-                assert found is None, "two complements in a distributive lattice"
-                found = y
-        return found
+        lattice: the join-irreducibles not below x), else None."""
+        return self._element.get(self._mask[self.top] & ~self._mask[x])
 
     def is_boolean(self):
         return all(self.complement(x) is not None for x in self.elements)
 
     def join_irreducibles(self):
         """Elements x with x != join{y : y < x} (so the bottom is not one)."""
-        return [
-            x
-            for x in self.elements
-            if x != self.join_many(y for y in self.order.down_set(x) if y != x)
-        ]
+        return [self._element[j] for j in self._irreducible]
 
     def primes(self):
-        """Prime (= meet-irreducible) elements p != top:
-        x ∧ y <= p forces x <= p or y <= p.  Pairs with x or y below p pass
-        trivially, so only x, y outside the down-set of p are visited."""
+        """Prime elements p != top: x ∧ y <= p forces x <= p or y <= p.  In a
+        distributive lattice these are the meet-irreducibles, the elements
+        with exactly one upper cover."""
         if self._primes is None:
-            found = []
-            for p in self.elements:
-                if p == self.top:
-                    continue
-                below = self.order.down_set(p)
-                outside = [x for x in self.elements if x not in below]
-                if all(self._meet[(x, y)] not in below for x in outside for y in outside):
-                    found.append(p)
-            self._primes = tuple(sorted(found))
+            up = self.order._up
+            principal = set(up)
+            self._primes = tuple(
+                sorted(x for i, x in enumerate(self.elements) if (up[i] ^ 1 << i) in principal)
+            )
         return list(self._primes)
 
     def min_primes(self, x):
         """Minimal primes above x."""
-        above = [p for p in self.primes() if self.leq(x, p)]
-        return sorted(p for p in above if not any(q != p and self.leq(q, p) for q in above))
+        above = [self._mask[p] for p in self.primes() if self.leq(x, p)]
+        return sorted(
+            self._element[p] for p in above if not any(q != p and not q & ~p for q in above)
+        )
 
     def essential_primes(self, x):
         """Primes in min_primes(x) whose removal changes the meet.  Empty
@@ -170,35 +159,35 @@ class FiniteFrame:
     def is_isomorphic_to(self, other):
         return self.order.is_isomorphic_to(other.order)
 
-    def _indexed(self):
-        """The frame on positions, built once: the sorted elements, each
-        element's position, up-sets as bitmasks of positions and the meet
-        table on positions."""
-        if self._index is None:
-            els = sorted(self.elements)
-            pos = {x: i for i, x in enumerate(els)}
-            up = [sum(1 << pos[y] for y in self.order.up_set(x)) for x in els]
-            meet = [[pos[self._meet[(x, y)]] for y in els] for x in els]
-            self._index = (els, pos, up, meet)
-        return self._index
-
     def __repr__(self):
         return "FiniteFrame(%d elements)" % len(self)
 
 
-def _count_down_sets(order, stop):
-    """Number of down-sets of order, counting no further than stop."""
-    # adding the elements in a linear extension keeps every partial family a
-    # family of down-sets of order, so the count only grows
-    els = sorted(order.elements, key=lambda e: len(order.down_set(e)))
-    bit = {e: 1 << i for i, e in enumerate(els)}
-    below = {e: sum(bit[d] for d in order.down_set(e)) & ~bit[e] for e in els}
-    found = [0]
-    for e in els:
-        found += [d | bit[e] for d in found if d & below[e] == below[e]]
-        if len(found) >= stop:
-            return stop
-    return len(found)
+def _reflects_covers(masks, irreducible, element, order):
+    """Whether masks[x] ⊆ masks[y] forces x <= y in the order.  Inclusion of
+    down-sets of J is generated by the steps that add one join-irreducible
+    whose strict down-set is already in, so only those steps are checked."""
+    up, pos = order._up, order._pos
+    for i, m in enumerate(masks):
+        for t, j in enumerate(irreducible):
+            bit = 1 << t
+            if not m & bit and not j & ~bit & ~m:
+                y = element.get(m | bit)
+                if y is None or not up[i] >> pos[y] & 1:
+                    return False
+    return True
+
+
+def _refusal(order):
+    """Why an order is not a distributive lattice: the first pair without a
+    meet or a join, else non-distributivity."""
+    down, up = order._down, order._up
+    downs, ups = set(down), set(up)
+    for i, x in enumerate(order.elements):
+        for j, y in enumerate(order.elements):
+            if down[i] & down[j] not in downs or up[i] & up[j] not in ups:
+                return "not a lattice: meet/join fails on (%r, %r)" % (x, y)
+    return "lattice is not distributive"
 
 
 class FrameHom:
@@ -216,11 +205,14 @@ class FrameHom:
             raise InputError("hom does not preserve bottom")
         if mapping[source.top] != target.top:
             raise InputError("hom does not preserve top")
-        for x in source.elements:
-            for y in source.elements:
-                if mapping[source.meet(x, y)] != target.meet(mapping[x], mapping[y]):
+        # every pair's meet and join, on the masks of both frames
+        image = {source._mask[x]: target._mask[mapping[x]] for x in source.elements}
+        pairs = list(image.items())
+        for a, fa in pairs:
+            for b, fb in pairs:
+                if image[a & b] != fa & fb:
                     raise InputError("hom does not preserve meets")
-                if mapping[source.join(x, y)] != target.join(mapping[x], mapping[y]):
+                if image[a | b] != fa | fb:
                     raise InputError("hom does not preserve joins")
         self.source = source
         self.target = target
@@ -270,29 +262,27 @@ class Nucleus:
 
 def validate_nucleus(frame, table):
     """Check the four nucleus axioms at every x and every pair (x, y), on the
-    frame's position tables; returns (ok, report)."""
+    frame's masks; returns (ok, report)."""
     if set(table) != set(frame.elements):
         return False, ["table must be defined on exactly the frame"]
-    els, pos, up, meet = frame._indexed()
-    strays = [x for x in frame.elements if table[x] not in pos]
+    mask = frame._mask
+    strays = [x for x in frame.elements if table[x] not in mask]
     if strays:
         return False, ["value %r at %r is not a frame element" % (table[x], x) for x in strays]
-    t = [pos[table[x]] for x in els]
+    image = {mask[x]: mask[table[x]] for x in frame.elements}
     # visit in the frame's element order, so the report lists failures in it
-    visit = [pos[x] for x in frame.elements]
+    rows = [(x, mask[x], mask[table[x]]) for x in frame.elements]
     report = []
-    for i in visit:
-        ti = t[i]
-        if not up[i] >> ti & 1:
-            report.append("not inflationary at %r" % els[i])
-        if t[ti] != ti:
-            report.append("not idempotent at %r" % els[i])
-        up_i, up_ti, meet_i, meet_ti = up[i], up[ti], meet[i], meet[ti]
-        for j in visit:
-            if up_i >> j & 1 and not up_ti >> t[j] & 1:
-                report.append("not monotone on (%r, %r)" % (els[i], els[j]))
-            if t[meet_i[j]] != meet_ti[t[j]]:
-                report.append("does not preserve the meet of (%r, %r)" % (els[i], els[j]))
+    for x, mx, tx in rows:
+        if mx & ~tx:
+            report.append("not inflationary at %r" % x)
+        if image[tx] != tx:
+            report.append("not idempotent at %r" % x)
+        for y, my, ty in rows:
+            if not mx & ~my and tx & ~ty:
+                report.append("not monotone on (%r, %r)" % (x, y))
+            if image[mx & my] != tx & ty:
+                report.append("does not preserve the meet of (%r, %r)" % (x, y))
     return not report, report
 
 
@@ -309,21 +299,31 @@ def _sublocales(frame):
     closed under meets, contains x -> s for every x" (Picado-Pultr, Frames
     and Locales, III), enumerated by Ganter's NextClosure over the sorted
     elements."""
-    els, index, _up, meet = frame._indexed()
-    implies = [[index[frame.heyting(x, y)] for x in els] for y in els]
-    top = 1 << index[frame.top]
+    els = sorted(frame.elements)
+    masks = [frame._mask[x] for x in els]
+    bit = {m: 1 << i for i, m in enumerate(masks)}
+    # set masks over the sorted elements: the meets of s with each element,
+    # and all x -> s at once
+    meet = [[bit[a & b] for b in masks] for a in masks]
+    implies = [sum({bit[frame._implies(x, y)] for x in masks}) for y in masks]
+    top = bit[frame._mask[frame.top]]
 
     def close(mask):
         mask |= top
-        members = [i for i in range(len(els)) if mask >> i & 1]
+        members = bits_of(mask)
         todo = list(members)
         while todo:
             s = todo.pop()
-            for t in implies[s] + [meet[s][u] for u in members]:
-                if not mask >> t & 1:
-                    mask |= 1 << t
-                    members.append(t)
-                    todo.append(t)
+            row = meet[s]
+            new = implies[s]
+            for u in members:
+                new |= row[u]
+            new &= ~mask
+            if new:
+                mask |= new
+                added = bits_of(new)
+                members += added
+                todo += added
         return mask
 
     full = (1 << len(els)) - 1
@@ -343,7 +343,7 @@ def _sublocales(frame):
 
 
 class AssemblyResult:
-    __slots__ = ("base", "frame", "nuclei", "alpha", "alpha_complement")
+    __slots__ = ("base", "frame", "nuclei", "alpha", "alpha_complement", "__weakref__")
 
     def __init__(self, base, frame, nuclei, alpha, alpha_complement):
         self.base = base
@@ -358,7 +358,9 @@ def assembly(frame, max_size=ASSEMBLY_MAX):
 
     Every nucleus is the closure x |-> meet{s in S : x <= s} onto its
     fixed-point set S, and the fixed-point sets are exactly the sublocales.
-    The bound is checked on every call; the assembly is built once per frame.
+    The bound is checked on every call.  The assembly is built once per
+    frame and kept while anything holds it: the frame holds it only weakly,
+    as it points back to the frame, and sigma has the space hold it.
     """
     if len(frame) > max_size:
         raise ResourceLimitError(
@@ -366,9 +368,11 @@ def assembly(frame, max_size=ASSEMBLY_MAX):
             bound_name="max-frame",
             bound_value=max_size,
         )
-    if frame._assembly is None:
-        frame._assembly = _build_assembly(frame)
-    return frame._assembly
+    asm = None if frame._assembly is None else frame._assembly()
+    if asm is None:
+        asm = _build_assembly(frame)
+        frame._assembly = weakref.ref(asm)
+    return asm
 
 
 def _build_assembly(frame):
@@ -380,17 +384,17 @@ def _build_assembly(frame):
         if nu.label in by_label:
             raise InputError("two nuclei share the label %s" % nu.label)
         by_label[nu.label] = nu
-    # nu <= mu pointwise: mu(x) lies in the up-set of nu(x) at every position
-    els, pos, up, _meet = frame._indexed()
-    tables = {a: [pos[nu.table[x]] for x in els] for a, nu in by_label.items()}
-    ups = {a: [up[v] for v in t] for a, t in tables.items()}
-    rel = {
-        (a, b)
-        for a in by_label
-        for b in by_label
-        if all(u >> v & 1 for u, v in zip(ups[a], tables[b]))
+    # nu <= mu pointwise iff each mask of mu's table contains nu's: with a
+    # table's masks packed side by side into one int, that is one test
+    mask = frame._mask
+    width = mask[frame.top].bit_length()
+    packed = {
+        a: sum(mask[nu.table[x]] << width * i for i, x in enumerate(frame.elements))
+        for a, nu in by_label.items()
     }
-    nframe = FiniteFrame(FinitePoset(tuple(sorted(by_label)), rel))
+    names = sorted(by_label)
+    up = [sum(1 << j for j, b in enumerate(names) if not packed[a] & ~packed[b]) for a in names]
+    nframe = FiniteFrame(FinitePoset.from_masks(names, up))
     alpha = FrameHom(
         frame, nframe, {x: closed_nucleus(frame, x).label for x in frame.elements}
     )
@@ -522,7 +526,7 @@ def sigma(space, check_unique=False, max_size=ASSEMBLY_MAX):
     Returns (hom, is_isomorphism, assembly_result); the assembly is the one
     ``assembly(frame_of(space)[0])`` returns."""
     frame, labels = frame_of(space)
-    asm = assembly(frame, max_size=max_size)
+    asm = space._assembly = assembly(frame, max_size=max_size)
     skula_frame, _slabels = FiniteFrame.from_sets(space.skula_opens())
     phi = FrameHom(
         frame, skula_frame, {x: set_label(labels[x]) for x in frame.elements}

@@ -1,9 +1,11 @@
 """Finite posets with string-labelled elements.
 
-The order relation is stored as a frozenset of (a, b) pairs meaning a <= b.
-Constructors validate reflexivity, antisymmetry and transitivity;
-``FinitePoset.from_pairs`` takes an arbitrary generating relation and closes
-it up first.
+The order is held as bitmasks over element positions: bit j of the up-mask
+of element i is set when elements[i] <= elements[j], and the down-masks are
+the transpose.  Point sets are masks inside the package and frozensets of
+labels at the API.  Constructors validate reflexivity, antisymmetry and
+transitivity on the masks; ``FinitePoset.from_pairs`` takes an arbitrary
+generating relation and closes it up first.
 """
 
 from itertools import permutations
@@ -17,51 +19,83 @@ _POSET_COUNTS = (1, 2, 5, 16, 63, 318)
 
 
 class FinitePoset:
-    __slots__ = ("elements", "relation", "_down", "_up", "_down_sets", "_up_sets")
+    __slots__ = ("elements", "_pos", "_down", "_up", "_relation", "_families")
 
     def __init__(self, elements, relation):
         elements = tuple(elements)
-        if len(set(elements)) != len(elements):
-            raise InputError("duplicate element labels")
-        if not all(isinstance(e, str) for e in elements):
-            raise InputError("element labels must be strings")
-        relation = frozenset((a, b) for a, b in relation)
-        universe = set(elements)
+        pos = _positions(elements)
+        up = [0] * len(elements)
         for a, b in relation:
-            if a not in universe or b not in universe:
+            if a not in pos or b not in pos:
                 raise InputError("relation mentions unknown element %r" % ((a, b),))
-        for e in elements:
-            if (e, e) not in relation:
+            up[pos[a]] |= 1 << pos[b]
+        self._set_order(elements, pos, up)
+
+    @classmethod
+    def from_masks(cls, elements, up):
+        """Build from one up-mask per element (bit j of up[i] set means
+        elements[i] <= elements[j]), validated like the relation form."""
+        elements = tuple(elements)
+        pos = _positions(elements)
+        if any(u >> len(elements) for u in up):
+            raise InputError("up-mask mentions a position past the elements")
+        self = cls.__new__(cls)
+        self._set_order(elements, pos, list(up))
+        return self
+
+    def _set_order(self, elements, pos, up):
+        # one pass over the pairs a <= b: transpose into down-masks, and
+        # collect everything above something above a, which transitivity
+        # keeps inside up[a]
+        down = [0] * len(elements)
+        reach = []
+        for a, u in enumerate(up):
+            bit, above, rest = 1 << a, 0, u
+            while rest:
+                low = rest & -rest
+                b = low.bit_length() - 1
+                down[b] |= bit
+                above |= up[b]
+                rest ^= low
+            reach.append(above)
+        for i, e in enumerate(elements):
+            if not up[i] >> i & 1:
                 raise InputError("relation is not reflexive at %r" % e)
-        for a, b in relation:
-            if a != b and (b, a) in relation:
-                raise InputError("antisymmetry fails on %r, %r" % (a, b))
-        for a, b in relation:
-            for c in elements:
-                if (b, c) in relation and (a, c) not in relation:
-                    raise InputError("transitivity fails on %r <= %r <= %r" % (a, b, c))
+        for i, e in enumerate(elements):
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                raise InputError("antisymmetry fails on %r, %r" % (e, elements[bits_of(both)[0]]))
+        for a, above in enumerate(reach):
+            if above != up[a]:
+                b = next(b for b in bits_of(up[a]) if up[b] & ~up[a])
+                c = bits_of(up[b] & ~up[a])[0]
+                raise InputError(
+                    "transitivity fails on %r <= %r <= %r" % (elements[a], elements[b], elements[c])
+                )
         self.elements = elements
-        self.relation = relation
-        self._down = {e: frozenset(a for a in elements if (a, e) in relation) for e in elements}
-        self._up = {e: frozenset(b for b in elements if (e, b) in relation) for e in elements}
-        self._down_sets = self._up_sets = None
+        self._pos = pos
+        self._up = tuple(up)
+        self._down = tuple(down)
+        self._relation = None
+        self._families = {}
 
     @classmethod
     def from_pairs(cls, elements, pairs):
         """Build from a generating set of a <= b pairs (reflexive-transitive
         closure is computed; antisymmetry of the closure is then validated)."""
         elements = tuple(elements)
-        rel = {(e, e) for e in elements}
-        rel.update((a, b) for a, b in pairs)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for b2, c in list(rel):
-                    if b == b2 and (a, c) not in rel:
-                        rel.add((a, c))
-                        changed = True
-        return cls(elements, rel)
+        pos = _positions(elements)
+        up = [1 << i for i in range(len(elements))]
+        for a, b in pairs:
+            if a not in pos or b not in pos:
+                raise InputError("relation mentions unknown element %r" % ((a, b),))
+            up[pos[a]] |= 1 << pos[b]
+        # Warshall: after round k, up[i] holds everything reachable via 0..k
+        for k in range(len(up)):
+            for i in range(len(up)):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        return cls.from_masks(elements, up)
 
     @classmethod
     def from_json(cls, obj):
@@ -86,69 +120,110 @@ class FinitePoset:
             "leq": sorted([a, b] for a, b in self.relation if a != b),
         }
 
+    @property
+    def relation(self):
+        """The order as a frozenset of (a, b) pairs meaning a <= b."""
+        if self._relation is None:
+            els = self.elements
+            self._relation = frozenset(
+                (els[i], els[j]) for i, u in enumerate(self._up) for j in bits_of(u)
+            )
+        return self._relation
+
     def leq(self, a, b):
-        return (a, b) in self.relation
+        pos = self._pos
+        return a in pos and b in pos and bool(self._up[pos[a]] >> pos[b] & 1)
+
+    def mask_of(self, points):
+        """The bitmask of a set of elements."""
+        out = 0
+        for p in points:
+            out |= 1 << self._position(p)
+        return out
+
+    def set_of(self, mask):
+        """The elements of a bitmask, as a frozenset."""
+        return frozenset(self.elements[i] for i in bits_of(mask))
 
     def down_set(self, p):
-        if p not in self._down:
-            raise InputError("unknown element %r" % p)
-        return self._down[p]
+        return self.set_of(self._down[self._position(p)])
 
     def up_set(self, p):
-        if p not in self._up:
+        return self.set_of(self._up[self._position(p)])
+
+    def _position(self, p):
+        if p not in self._pos:
             raise InputError("unknown element %r" % p)
-        return self._up[p]
+        return self._pos[p]
 
     def opposite(self):
-        return FinitePoset(self.elements, frozenset((b, a) for a, b in self.relation))
+        return FinitePoset.from_masks(self.elements, self._down)
 
     def restrict(self, subset):
         subset = frozenset(subset)
         if not subset <= set(self.elements):
             raise InputError("restriction to non-elements")
-        keep = tuple(e for e in self.elements if e in subset)
-        return FinitePoset(keep, {(a, b) for a, b in self.relation if a in subset and b in subset})
+        keep = [i for i, e in enumerate(self.elements) if e in subset]
+        up = [sum(1 << t for t, j in enumerate(keep) if self._up[i] >> j & 1) for i in keep]
+        return FinitePoset.from_masks([self.elements[i] for i in keep], up)
 
     def is_down_set(self, s):
-        s = frozenset(s)
-        return all(self._down[e] <= s for e in s)
+        m = self.mask_of(s)
+        return all(not self._down[i] & ~m for i in bits_of(m))
 
     def is_up_set(self, s):
-        s = frozenset(s)
-        return all(self._up[e] <= s for e in s)
+        m = self.mask_of(s)
+        return all(not self._up[i] & ~m for i in bits_of(m))
+
+    def down_set_masks(self):
+        """All down-sets as masks, in the order of down_sets()."""
+        return self._family(False)[0]
+
+    def up_set_masks(self):
+        return self._family(True)[0]
 
     def down_sets(self):
         """All down-sets, sorted for determinism; enumerated once per poset,
         returned as a fresh list."""
-        if self._down_sets is None:
-            self._down_sets = _unions_of(self.elements, self._down)
-        return list(self._down_sets)
+        return list(self._family(False)[1])
 
     def up_sets(self):
-        if self._up_sets is None:
-            self._up_sets = _unions_of(self.elements, self._up)
-        return list(self._up_sets)
+        return list(self._family(True)[1])
+
+    def _family(self, up):
+        """All up-sets (up true) or down-sets, built once and sorted by
+        point set: (masks, frozensets)."""
+        if up not in self._families:
+            pairs = sorted(
+                ((m, self.set_of(m)) for m in unions_of(self._up if up else self._down)),
+                key=lambda pair: (len(pair[1]), tuple(sorted(pair[1]))),
+            )
+            self._families[up] = (tuple(m for m, _s in pairs), tuple(s for _m, s in pairs))
+        return self._families[up]
 
     def canonical_key(self):
         """Isomorphism invariant: lexicographically smallest relation matrix
         over all relabellings.  Only relabellings compatible with the
         (|down-set|, |up-set|) profile of each element are tried."""
         n = len(self.elements)
-        profile = {e: (len(self._down[e]), len(self._up[e])) for e in self.elements}
+        up = self._up
+        profile = [(self._down[i].bit_count(), up[i].bit_count()) for i in range(n)]
         groups = {}
-        for e in self.elements:
-            groups.setdefault(profile[e], []).append(e)
-        ordered_groups = [groups[k] for k in sorted(groups)]
+        for i in range(n):
+            groups.setdefault(profile[i], []).append(i)
+        # the n*n matrix read row by row as one binary number: the smallest
+        # number is the lexicographically smallest matrix
         best = None
-        for labels in _grouped_orders(ordered_groups):
-            bits = tuple(
-                1 if (labels[i], labels[j]) in self.relation else 0
-                for i in range(n)
-                for j in range(n)
-            )
-            if best is None or bits < best:
-                best = bits
-        return (n, tuple(sorted(profile.values())), best)
+        for order in _grouped_orders([groups[k] for k in sorted(groups)]):
+            code = 0
+            for i in order:
+                row = up[i]
+                for j in order:
+                    code = code << 1 | row >> j & 1
+            if best is None or code < best:
+                best = code
+        bits = tuple(best >> k & 1 for k in reversed(range(n * n)))
+        return (n, tuple(sorted(profile)), bits)
 
     def is_isomorphic_to(self, other):
         return (
@@ -171,17 +246,36 @@ class FinitePoset:
         return "FinitePoset(%r, %r)" % (sorted(self.elements), strict)
 
 
-def _set_key(s):
-    return (len(s), tuple(sorted(s)))
+def _positions(elements):
+    """Each label's position, once the labels are checked to be distinct
+    strings."""
+    if len(set(elements)) != len(elements):
+        raise InputError("duplicate element labels")
+    if not all(isinstance(e, str) for e in elements):
+        raise InputError("element labels must be strings")
+    return {e: i for i, e in enumerate(elements)}
 
 
-def _unions_of(elements, generators):
-    """All unions of the generator sets (the empty union included), as a
-    sorted tuple."""
-    sets = {frozenset()}
-    for e in elements:
-        sets |= {s | generators[e] for s in sets}
-    return tuple(sorted(sets, key=_set_key))
+def bits_of(mask):
+    """Positions of the set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def unions_of(masks, stop=None):
+    """The set of all unions of the masks, the empty union 0 included.  With
+    stop, enumeration ends once at least stop are found; the family only
+    grows, so a count below stop is exact."""
+    found = {0}
+    for m in masks:
+        found |= {f | m for f in found}
+        if stop is not None and len(found) >= stop:
+            break
+    return found
 
 
 def _grouped_orders(groups):
@@ -212,22 +306,19 @@ def enumerate_posets(n):
     layer = [FinitePoset(("p0",), {("p0", "p0")})]
     for k in range(2, n + 1):
         new = {}
-        fresh = "p%d" % (k - 1)
+        fresh = 1 << (k - 1)
         for base in layer:
-            downs = base.down_sets()
-            ups = base.up_sets()
-            for d in downs:
-                for u in ups:
+            up = base._up
+            elements = base.elements + ("p%d" % (k - 1),)
+            for d in base.down_set_masks():
+                for u in base.up_set_masks():
                     if d & u:
                         continue
                     # transitivity through the new point needs d <= u pointwise
-                    if any(not base.leq(a, b) for a in d for b in u):
+                    if any(u & ~up[a] for a in bits_of(d)):
                         continue
-                    rel = set(base.relation)
-                    rel.add((fresh, fresh))
-                    rel.update((a, fresh) for a in d)
-                    rel.update((fresh, b) for b in u)
-                    p = FinitePoset(base.elements + (fresh,), rel)
+                    ups = [m | fresh if d >> a & 1 else m for a, m in enumerate(up)]
+                    p = FinitePoset.from_masks(elements, ups + [u | fresh])
                     key = p.canonical_key()
                     if key not in new:
                         new[key] = p

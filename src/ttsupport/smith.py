@@ -159,12 +159,19 @@ def _smith(a, inverse=False):
 
     t = 0
     while True:
-        # locate a pivot: smallest nonzero absolute value in the submatrix
+        # locate a pivot: the first entry of smallest nonzero absolute value
+        # in the submatrix; a unit cannot be beaten, so the search stops there
         pivot = None
+        best = 0
         for i in range(t, m):
             for j in range(t, n):
-                if d[i][j] != 0 and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                x = d[i][j]
+                if x and (not best or abs(x) < best):
+                    pivot, best = (i, j), abs(x)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         if pivot[0] != t:

@@ -4,22 +4,25 @@ Convention: p <= q means q lies in the closure of {p}.  Open sets are then
 exactly the down-sets of the order and closed sets the up-sets.  All
 topological notions below are computed literally from those set systems, not
 through order-theoretic shortcuts, so that the order-level facts can be
-cross-checked against them in tests.
+cross-checked against them in tests.  Inside, point sets are the order's
+bitmasks (see poset.py); the API takes and returns frozensets of labels.
 """
 
 from .errors import InputError
-from .poset import FinitePoset
+from .poset import FinitePoset, bits_of, unions_of
 
 
 class SpectralSpace:
-    # _frame holds frames.frame_of(self) once it has been built
-    __slots__ = ("order", "_frame")
+    # _frame holds frames.frame_of(self) and _skula the Skula opens once they
+    # have been built; _assembly keeps the assembly of _frame alive once
+    # frames.sigma has used it
+    __slots__ = ("order", "_frame", "_skula", "_assembly")
 
     def __init__(self, order):
         if not isinstance(order, FinitePoset):
             raise InputError("SpectralSpace wants a FinitePoset")
         self.order = order
-        self._frame = None
+        self._frame = self._skula = self._assembly = None
 
     @classmethod
     def from_json(cls, obj):
@@ -36,10 +39,10 @@ class SpectralSpace:
         return self.order.up_sets()
 
     def closure(self, s):
-        out = set()
-        for p in s:
-            out |= self.order.up_set(p)
-        return frozenset(out)
+        out = 0
+        for i in bits_of(self.order.mask_of(s)):
+            out |= self.order._up[i]
+        return self.order.set_of(out)
 
     def thomason_sets(self):
         """For a finite space: exactly the specialization-closed sets."""
@@ -52,7 +55,8 @@ class SpectralSpace:
         """The largest Thomason set avoiding p: everything not below p."""
         if p not in self.points:
             raise InputError("unknown point %r" % p)
-        return frozenset(q for q in self.points if not self.order.leq(q, p))
+        order = self.order
+        return order.set_of(_full(order) & ~order._down[order._pos[p]])
 
     def hochster_dual(self):
         return SpectralSpace(self.order.opposite())
@@ -61,11 +65,13 @@ class SpectralSpace:
         """Topology generated by the opens together with the closeds.
 
         Computed by closing { opens } ∪ { closeds } under finite
-        intersection and then arbitrary union.  For a finite T0 space this
-        is the discrete topology; the generic construction is kept so the
-        discreteness is a checked fact and not an assumption.
+        intersection and then arbitrary union, once per space.  For a finite
+        T0 space this is the discrete topology; the generic construction is
+        kept so the discreteness is a checked fact and not an assumption.
         """
-        return generate_topology(list(self.opens()) + list(self.closeds()), self.points)
+        if self._skula is None:
+            self._skula = tuple(generate_topology(self.opens() + self.closeds(), self.points))
+        return list(self._skula)
 
     def localising_basic_opens(self):
         """Triples (V, U, V minus U) over all Thomason pairs.  The sets
@@ -86,13 +92,15 @@ class SpectralSpace:
         """Isolated points of the subspace: p with {p} open in the subspace
         topology.  Checked literally against every open of the ambient
         space."""
-        subset = frozenset(self.points if subset is None else subset)
-        opens = self.opens()
-        out = set()
-        for p in subset:
-            if any(v & subset == {p} for v in opens):
-                out.add(p)
-        return frozenset(out)
+        order = self.order
+        mask = _full(order) if subset is None else order.mask_of(subset)
+        return order.set_of(self._isolated(mask))
+
+    def _isolated(self, subset):
+        # the subspace opens are the traces of the opens; the isolated
+        # points are the singletons among them
+        traces = {v & subset for v in self.order.down_set_masks()}
+        return sum(t for t in traces if t and not t & (t - 1))
 
     def weakly_isolated_points(self, closed):
         """Points p of the closed set with an open V such that
@@ -100,48 +108,45 @@ class SpectralSpace:
         closed = frozenset(closed)
         if not self.order.is_up_set(closed):
             raise InputError("weakly_isolated_points wants a closed (up-)set")
-        opens = self.opens()
-        out = set()
-        for p in closed:
-            cl = self.order.up_set(p)
-            if any(p in v and (v & closed) <= cl for v in opens):
-                out.add(p)
-        return frozenset(out)
+        return self.order.set_of(self._weakly_isolated(self.order.mask_of(closed)))
+
+    def _weakly_isolated(self, closed):
+        opens = self.order.down_set_masks()
+        out = 0
+        for i in bits_of(closed):
+            bit, cl = 1 << i, self.order._up[i]
+            if any(v & bit and not v & closed & ~cl for v in opens):
+                out |= bit
+        return out
 
     def cb_rank(self):
         """Iterated removal of isolated points of the leftover closed
         subspace; the rank is the number of rounds until nothing is left.
         Returns None when the process stalls (cannot happen on a finite T0
         space, but the stall case is detected, not assumed away)."""
-        remaining = frozenset(self.points)
+        remaining = _full(self.order)
         rank = 0
         while remaining:
-            isolated = self.isolated_points(remaining)
+            isolated = self._isolated(remaining)
             if not isolated:
                 return None
-            remaining -= isolated
+            remaining &= ~isolated
             rank += 1
         return rank
 
     def is_t_half(self):
         """Every singleton is (open ∩ closed)."""
-        opens = self.opens()
-        closeds = self.closeds()
-        return all(
-            any(v & c == {p} for v in opens for c in closeds) for p in self.points
-        )
+        order = self.order
+        pieces = {v & c for v in order.down_set_masks() for c in order.up_set_masks()}
+        return all(1 << i in pieces for i in range(len(self.points)))
 
     def is_scattered(self):
         """Every nonempty closed subset has an isolated point."""
-        return all(
-            bool(self.isolated_points(c)) for c in self.closeds() if c
-        )
+        return all(self._isolated(c) for c in self.order.up_set_masks() if c)
 
     def is_weakly_scattered(self):
         """Every nonempty closed subset has a weakly isolated point."""
-        return all(
-            bool(self.weakly_isolated_points(c)) for c in self.closeds() if c
-        )
+        return all(self._weakly_isolated(c) for c in self.order.up_set_masks() if c)
 
     def is_hochster_weakly_scattered(self):
         return self.hochster_dual().is_weakly_scattered()
@@ -156,30 +161,20 @@ class SpectralSpace:
         return "SpectralSpace(%r)" % (self.order,)
 
 
+def _full(order):
+    return (1 << len(order.elements)) - 1
+
+
 def generate_topology(subbasis, universe):
     """All unions of finite intersections of the subbasis sets (plus the
     whole space as the empty intersection).  Sorted for determinism."""
-    universe = frozenset(universe)
-    basis = {universe}
-    frontier = {universe}
-    while frontier:
-        nxt = set()
-        for b in frontier:
-            for s in subbasis:
-                c = b & frozenset(s)
-                if c not in basis:
-                    nxt.add(c)
-        basis |= nxt
-        frontier = nxt
-    opens = {frozenset()}
-    frontier = {frozenset()}
-    while frontier:
-        nxt = set()
-        for o in frontier:
-            for b in basis:
-                c = o | b
-                if c not in opens:
-                    nxt.add(c)
-        opens |= nxt
-        frontier = nxt
-    return sorted(opens, key=lambda s: (len(s), tuple(sorted(s))))
+    points = sorted(set(universe))
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    basis = {(1 << len(points)) - 1}
+    for s in subbasis:
+        m = sum(bit.get(p, 0) for p in set(s))
+        basis |= {b & m for b in basis}
+    # bit i stands for the i-th sorted point, so sorting (size, bits) sorts
+    # the sets by (size, sorted points)
+    ordered = sorted((m.bit_count(), bits_of(m)) for m in unions_of(basis))
+    return [frozenset(points[i] for i in bits) for _size, bits in ordered]

@@ -1,10 +1,12 @@
 """Finite frames, nuclei, the assembly, and the Skula comparison map."""
 
+import gc
 from itertools import combinations, product
 
 import pytest
 
 from ttsupport import frames as frames_module
+from ttsupport import spectral as spectral_module
 from ttsupport.errors import InputError, ResourceLimitError
 from ttsupport.frames import (
     FiniteFrame,
@@ -111,6 +113,120 @@ def test_birkhoff_distributivity_agrees_with_the_literal_law_on_small_lattices()
                 with pytest.raises(InputError, match="not distributive"):
                     FiniteFrame(order)
     assert (lattices, distributive) == (25, 13)
+
+
+def _literal_refusal(order):
+    """Reference for the constructor: None for a distributive lattice, else
+    the refusal text, found by checking boundedness, then every pair in
+    element order for a greatest lower and a least upper bound, then the
+    distributive law."""
+    els = order.elements
+    if not (
+        any(all(order.leq(b, x) for x in els) for b in els)
+        and any(all(order.leq(x, t) for x in els) for t in els)
+    ):
+        return "lattice is not bounded"
+    for x in els:
+        for y in els:
+            lower = [z for z in els if order.leq(z, x) and order.leq(z, y)]
+            upper = [z for z in els if order.leq(x, z) and order.leq(y, z)]
+            if not any(all(order.leq(z, m) for z in lower) for m in lower) or not any(
+                all(order.leq(j, z) for z in upper) for j in upper
+            ):
+                return "not a lattice: meet/join fails on (%r, %r)" % (x, y)
+    meet, join = _lattice_operations(order)
+    if _literally_distributive(els, lambda x, y: meet[(x, y)], lambda x, y: join[(x, y)]):
+        return None
+    return "lattice is not distributive"
+
+
+def test_refused_orders_get_the_literal_refusal_text():
+    refused = 0
+    for n in range(1, 7):
+        for order in enumerate_posets(n):
+            # the enumerated element order and its reverse meet failing
+            # pairs in different orders
+            for els in (order.elements, order.elements[::-1]):
+                relabelled = FinitePoset(els, order.relation)
+                expected = _literal_refusal(relabelled)
+                if expected is None:
+                    FiniteFrame(relabelled)
+                    continue
+                with pytest.raises(InputError) as exc:
+                    FiniteFrame(relabelled)
+                assert str(exc.value) == expected
+                refused += 1
+    assert refused == 2 * (405 - 13)
+
+
+def test_a_bijection_onto_the_down_sets_of_j_must_also_reflect_the_order():
+    # J = {a, b, c, d} with b < c < d; x and y both sit on {a, b}, and y
+    # also on c: x -> {a, b} and y -> {a, b, c} are down-sets of J and the
+    # eight elements biject onto all eight of them, but x is not below y,
+    # so a and b have no least upper bound
+    order = FinitePoset.from_pairs(
+        ["0", "a", "b", "c", "x", "y", "d", "1"],
+        [("0", "a"), ("0", "b"), ("b", "c"), ("a", "x"), ("b", "x"), ("a", "y"),
+         ("c", "y"), ("c", "d"), ("x", "1"), ("y", "1"), ("d", "1")],
+    )
+    with pytest.raises(InputError) as exc:
+        FiniteFrame(order)
+    assert str(exc.value) == _literal_refusal(order) == "not a lattice: meet/join fails on ('a', 'b')"
+
+
+def _check_against_literal_definitions(frame):
+    order = frame.order
+    els = frame.elements
+    meet, join = _lattice_operations(order)
+
+    def greatest(candidates):
+        top = [z for z in candidates if all(order.leq(c, z) for c in candidates)]
+        assert len(top) == 1
+        return top[0]
+
+    for x in els:
+        for y in els:
+            assert frame.leq(x, y) == order.leq(x, y)
+            assert frame.meet(x, y) == meet[(x, y)]
+            assert frame.join(x, y) == join[(x, y)]
+            assert frame.heyting(x, y) == greatest(
+                [z for z in els if order.leq(meet[(z, x)], y)]
+            )
+    primes = [
+        p
+        for p in els
+        if p != frame.top
+        and all(
+            order.leq(x, p) or order.leq(y, p)
+            for x in els
+            for y in els
+            if order.leq(meet[(x, y)], p)
+        )
+    ]
+    assert frame.primes() == sorted(primes)
+    irreducible = [
+        x
+        for x in els
+        if x != frame.bottom and all(join[(y, z)] != x for y in els for z in els if y != x != z)
+    ]
+    assert frame.join_irreducibles() == irreducible
+    for x in els:
+        complements = [y for y in els if meet[(x, y)] == frame.bottom and join[(x, y)] == frame.top]
+        assert frame.complement(x) == (complements[0] if complements else None)
+        assert frame.meet_many([x, frame.top]) == x and frame.join_many([x]) == x
+
+
+def test_frame_operations_agree_with_the_literal_definitions():
+    checked = 0
+    for n in range(1, 7):
+        for order in enumerate_posets(n):
+            if _literal_refusal(order) is None:
+                _check_against_literal_definitions(FiniteFrame(order))
+                checked += 1
+    for space in _small_spaces(4):
+        _check_against_literal_definitions(frame_of(space)[0])
+        checked += 1
+    assert checked == 13 + 24
 
 
 def test_frames_and_assemblies_of_small_spaces_satisfy_the_literal_law():
@@ -309,6 +425,15 @@ def test_sigma_composed_with_alpha_is_the_skula_comparison():
         assert psi(asm.alpha(x)) == x
 
 
+def test_frame_homs_must_preserve_every_meet_and_join():
+    # both maps keep bottom and top; the first keeps every meet but sends
+    # the join x v y = 1 to 0, the second loses the meet x ^ y = 0
+    for images, broken in ((("0", "0"), "joins"), (("a", "a"), "meets")):
+        mapping = {"0": "0", "x": images[0], "y": images[1], "1": "1"}
+        with pytest.raises(InputError, match="hom does not preserve %s" % broken):
+            FrameHom(BOOL4, CHAIN3, mapping)
+
+
 def test_essential_primes_examples():
     assert CHAIN3.min_primes("0") == ["0"]
     assert CHAIN3.essential_primes("0") == ["0"]
@@ -402,6 +527,40 @@ def test_sigma_reuses_the_frame_and_assembly_of_each_space(monkeypatch):
         assert sigma(space, max_size=bound)[2] is assembly(frame_of(space)[0], max_size=bound)
     # one NextClosure enumeration per space
     assert len(spaces) == 87 and len(calls) == 87
+
+
+def test_skula_opens_are_generated_once_per_space(monkeypatch):
+    calls = []
+    original = spectral_module.generate_topology
+
+    def counting(subbasis, universe):
+        calls.append(universe)
+        return original(subbasis, universe)
+
+    monkeypatch.setattr(spectral_module, "generate_topology", counting)
+    spaces = list(_small_spaces(4))
+    for space in spaces:
+        skula = space.skula_opens()
+        assert len(skula) == 2 ** len(space.points)
+        skula.append(frozenset({"junk"}))
+        assert sigma(space)[1]
+        assert len(space.skula_opens()) == 2 ** len(space.points)
+    assert len(calls) == len(spaces) == 24
+
+
+def test_sigma_leaves_no_reference_cycles():
+    # the frame holds its assembly, which points back to the frame, only
+    # weakly: dropping the spaces frees everything without the collector
+    spaces = [SpectralSpace(order) for order in enumerate_posets(4)]
+    gc.collect()
+    gc.disable()
+    try:
+        verdicts = [sigma(space)[1] for space in spaces]
+        del spaces
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert verdicts == [True] * 16
 
 
 def test_returned_families_and_labels_are_fresh_copies():

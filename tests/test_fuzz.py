@@ -159,6 +159,11 @@ def test_relabelling_points_changes_no_answer(case):
     assert answers("scattered", relabelled) == answers("scattered", space)
     skula = answers("skula", relabelled)
     assert _sorted_sets([back[p] for p in s] for s in skula) == answers("skula", space)
+    dual = answers("dual", relabelled)
+    assert {
+        "elements": sorted(back[p] for p in dual["elements"]),
+        "leq": sorted([back[a], back[b]] for a, b in dual["leq"]),
+    } == answers("dual", space)
 
     def frames(op, doc):
         return _one_json_document(["frames", op, json.dumps(doc)])

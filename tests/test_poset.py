@@ -65,3 +65,22 @@ def test_isomorphism_ignores_labels():
 def test_non_string_labels_are_rejected():
     with pytest.raises(InputError):
         FinitePoset.from_pairs([0, 1], [(0, 1)])
+
+
+def test_relations_that_are_not_partial_orders_are_refused():
+    loops = {("a", "a"), ("b", "b"), ("c", "c")}
+    cases = [
+        ({("a", "a"), ("c", "c")}, "relation is not reflexive at 'b'"),
+        (loops | {("a", "b"), ("b", "a")}, "antisymmetry fails on 'a', 'b'"),
+        (loops | {("a", "b"), ("b", "c")}, "transitivity fails on 'a' <= 'b' <= 'c'"),
+        (loops | {("a", "z")}, "relation mentions unknown element ('a', 'z')"),
+    ]
+    for relation, message in cases:
+        with pytest.raises(InputError) as exc:
+            FinitePoset(["a", "b", "c"], relation)
+        assert str(exc.value) == message
+    # the mask form is validated the same way
+    with pytest.raises(InputError, match="transitivity fails on 'a' <= 'b' <= 'c'"):
+        FinitePoset.from_masks(["a", "b", "c"], [0b011, 0b110, 0b100])
+    with pytest.raises(InputError, match="past the elements"):
+        FinitePoset.from_masks(["a"], [0b11])

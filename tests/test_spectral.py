@@ -1,5 +1,7 @@
 """Finite spectral spaces: topologies, duality, rank, scatteredness."""
 
+import random
+
 from ttsupport.poset import FinitePoset, enumerate_posets
 from ttsupport.spectral import SpectralSpace, generate_topology
 
@@ -101,3 +103,76 @@ def test_generate_topology_closes_under_unions_and_intersections():
     as_sets = {frozenset(s) for s in tops}
     assert frozenset({"a", "b"}) in as_sets
     assert frozenset() in as_sets and frozenset(universe) in as_sets
+
+
+def _literal_topology(subbasis, universe):
+    """Reference for generate_topology on frozensets: close under pairwise
+    intersection, then under pairwise union, until nothing new appears."""
+    universe = frozenset(universe)
+    basis = {universe}
+    frontier = {universe}
+    while frontier:
+        frontier = {b & frozenset(s) for b in frontier for s in subbasis} - basis
+        basis |= frontier
+    opens = {frozenset()}
+    frontier = {frozenset()}
+    while frontier:
+        frontier = {o | b for o in frontier for b in basis} - opens
+        opens |= frontier
+    return sorted(opens, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def test_generate_topology_agrees_with_the_literal_closure_on_seeded_subbases():
+    rng = random.Random(5)
+    names = ["a", "b", "c", "d", "e", "xy", "q1"]
+    for _ in range(300):
+        universe = rng.sample(names, rng.randint(0, 6))
+        # subbasis sets may reach outside the universe; only their traces count
+        subbasis = [
+            set(rng.sample(names, rng.randint(0, 4))) for _ in range(rng.randint(0, 5))
+        ]
+        assert generate_topology(subbasis, universe) == _literal_topology(subbasis, universe)
+
+
+def _literal_isolated(space, subset):
+    return {p for p in subset if any(v & subset == {p} for v in space.opens())}
+
+
+def _literal_weakly_isolated(space, closed):
+    return {
+        p
+        for p in closed
+        if any(p in v and v & closed <= space.order.up_set(p) for v in space.opens())
+    }
+
+
+def _literal_cb_rank(space):
+    remaining, rank = frozenset(space.points), 0
+    while remaining:
+        remaining -= _literal_isolated(space, remaining)
+        rank += 1
+    return rank
+
+
+def test_point_set_answers_agree_with_literal_set_computations():
+    for n in range(1, 6):
+        for order in enumerate_posets(n):
+            space = SpectralSpace(order)
+            points = frozenset(space.points)
+            closeds = [c for c in space.closeds() if c]
+            for c in closeds:
+                assert space.isolated_points(c) == _literal_isolated(space, c)
+                assert space.weakly_isolated_points(c) == _literal_weakly_isolated(space, c)
+            assert space.isolated_points() == _literal_isolated(space, points)
+            assert space.cb_rank() == _literal_cb_rank(space)
+            assert space.is_t_half() == all(
+                any(v & c == {p} for v in space.opens() for c in space.closeds())
+                for p in points
+            )
+            assert space.is_scattered() == all(_literal_isolated(space, c) for c in closeds)
+            assert space.is_weakly_scattered() == all(
+                _literal_weakly_isolated(space, c) for c in closeds
+            )
+            for p in points:
+                assert space.z_set(p) == {q for q in points if not order.leq(q, p)}
+                assert space.closure({p}) == order.up_set(p)
