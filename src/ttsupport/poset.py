@@ -23,27 +23,20 @@ class FinitePoset:
 
     def __init__(self, elements, relation):
         elements = tuple(elements)
-        pos = _positions(elements)
-        up = [0] * len(elements)
-        for a, b in relation:
-            if a not in pos or b not in pos:
-                raise InputError("relation mentions unknown element %r" % ((a, b),))
-            up[pos[a]] |= 1 << pos[b]
-        self._set_order(elements, pos, up)
+        self._set_order(elements, _pair_masks(elements, relation))
 
     @classmethod
     def from_masks(cls, elements, up):
         """Build from one up-mask per element (bit j of up[i] set means
         elements[i] <= elements[j]), validated like the relation form."""
-        elements = tuple(elements)
+        self = cls.__new__(cls)
+        self._set_order(tuple(elements), list(up))
+        return self
+
+    def _set_order(self, elements, up):
         pos = _positions(elements)
         if any(u >> len(elements) for u in up):
             raise InputError("up-mask mentions a position past the elements")
-        self = cls.__new__(cls)
-        self._set_order(elements, pos, list(up))
-        return self
-
-    def _set_order(self, elements, pos, up):
         # one pass over the pairs a <= b: transpose into down-masks, and
         # collect everything above something above a, which transitivity
         # keeps inside up[a]
@@ -84,12 +77,7 @@ class FinitePoset:
         """Build from a generating set of a <= b pairs (reflexive-transitive
         closure is computed; antisymmetry of the closure is then validated)."""
         elements = tuple(elements)
-        pos = _positions(elements)
-        up = [1 << i for i in range(len(elements))]
-        for a, b in pairs:
-            if a not in pos or b not in pos:
-                raise InputError("relation mentions unknown element %r" % ((a, b),))
-            up[pos[a]] |= 1 << pos[b]
+        up = [u | 1 << i for i, u in enumerate(_pair_masks(elements, pairs))]
         # Warshall: after round k, up[i] holds everything reachable via 0..k
         for k in range(len(up)):
             for i in range(len(up)):
@@ -254,6 +242,17 @@ def _positions(elements):
     if not all(isinstance(e, str) for e in elements):
         raise InputError("element labels must be strings")
     return {e: i for i, e in enumerate(elements)}
+
+
+def _pair_masks(elements, pairs):
+    """The up-masks of the pairs a <= b, once the labels are checked."""
+    pos = _positions(elements)
+    up = [0] * len(elements)
+    for a, b in pairs:
+        if a not in pos or b not in pos:
+            raise InputError("relation mentions unknown element %r" % ((a, b),))
+        up[pos[a]] |= 1 << pos[b]
+    return up
 
 
 def bits_of(mask):
