@@ -395,10 +395,16 @@ def _build_assembly(frame):
     names = sorted(by_label)
     up = [sum(1 << j for j, b in enumerate(names) if not packed[a] & ~packed[b]) for a in names]
     nframe = FiniteFrame(FinitePoset.from_masks(names, up))
-    alpha = FrameHom(
-        frame, nframe, {x: closed_nucleus(frame, x).label for x in frame.elements}
-    )
-    alpha_complement = {x: open_nucleus(frame, x).label for x in frame.elements}
+    # closed and open nuclei are among those just validated: look them up
+    by_table = {tuple(nu.table[y] for y in frame.elements): a for a, nu in by_label.items()}
+
+    def label_of(op, x):
+        table = tuple(op(x, y) for y in frame.elements)
+        assert table in by_table, "y |-> %s(%r, y) is not a sublocale nucleus" % (op.__name__, x)
+        return by_table[table]
+
+    alpha = FrameHom(frame, nframe, {x: label_of(frame.join, x) for x in frame.elements})
+    alpha_complement = {x: label_of(frame.heyting, x) for x in frame.elements}
     for x in frame.elements:
         assert nframe.complement(alpha(x)) == alpha_complement[x], (
             "open nucleus is not the complement of the closed one"

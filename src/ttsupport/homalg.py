@@ -490,8 +490,7 @@ class PresentedModule:
             return canonical_module(self.ring, (), 0)
         if not cols:
             return canonical_module(self.ring, (), self.ngens)
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(self.ngens)]
-        d, _u, _v = smith_normal_form(mat)
+        d, _u, _v = smith_normal_form(transpose(cols))
         diag = [e for e in diagonal(d) if e != 0]
         return canonical_module(self.ring, diag, self.ngens - len(diag))
 
@@ -501,9 +500,7 @@ class PresentedModule:
 
     def direct_sum(self, other):
         assert self.ring == other.ring
-        a = self.rel if self.nrels else [[] for _ in range(self.ngens)]
-        b = other.rel if other.nrels else [[] for _ in range(other.ngens)]
-        rel = block_diag([a, b]) if (self.ngens or other.ngens) else []
+        rel = block_diag([self.rel, other.rel])
         return PresentedModule(self.ring, self.ngens + other.ngens, rel)
 
     def _kills(self, vecs):
@@ -1138,149 +1135,109 @@ def hom_complex_h0(s_cx, t_cx, window=(0, 0), gens_bound=HOM_GENS_MAX):
 
 def _hom_block(s_cx, t_cx, lo_k, hi_k, gens_bound):
     ring = s_cx.ring
-    cutoff = t_cx.min_deg - hi_k - 2
-    res = _free_resolution(s_cx, cutoff, gens_bound)
-    # res: degree -> (rank, d to degree+1, f to S) ; frees only
+    res = _free_resolution(s_cx, t_cx.min_deg - hi_k - 2, gens_bound)
     hom_lo, hom_hi = lo_k - 1, hi_k + 1
-    gens_layout = {}
-    hom_rels = {}
+    # Hom^k(P, T) is the direct sum over j of rank(P^j) copies of T^{j+k};
+    # layouts[k] lists its nonzero summands (j, rank, T^{j+k})
+    layouts = {}
+    mods = []
     for k in range(hom_lo, hom_hi + 1):
         layout = []
-        for j in sorted(res):
-            rank = res[j][0]
+        for j, (rank, _d) in sorted(res.items()):
             tm = t_cx.module(j + k)
             if rank and tm.ngens:
                 layout.append((j, rank, tm))
-        gens_layout[k] = layout
-        hom_rels[k] = block_diag(
-            [_replicate_rel(tm, rank) for j, rank, tm in layout]
-        ) if layout else []
-    mods = {}
-    for k in range(hom_lo, hom_hi + 1):
-        total_gens = sum(rank * tm.ngens for _j, rank, tm in gens_layout[k])
+        total_gens = sum(rank * tm.ngens for _j, rank, tm in layout)
         if total_gens > gens_bound:
             raise ResourceLimitError("hom module too large", "hom_gens", gens_bound)
-        mods[k] = PresentedModule(ring, total_gens, hom_rels[k] or [[] for _ in range(total_gens)])
+        rel = block_diag([tm.rel for _j, rank, tm in layout for _ in range(rank)])
+        layouts[k] = layout
+        mods.append(PresentedModule(ring, total_gens, rel))
     diffs = []
     for k in range(hom_lo, hom_hi):
-        diffs.append(_hom_differential(gens_layout[k], gens_layout[k + 1], t_cx, res, k))
-    hom_cx = ChainComplex(ring, hom_lo, [mods[k] for k in range(hom_lo, hom_hi + 1)], diffs)
+        diffs.append(_hom_differential(layouts[k], layouts[k + 1], t_cx, res, k))
+    hom_cx = ChainComplex(ring, hom_lo, mods, diffs)
     return {k: hom_cx.cohomology(k) for k in range(lo_k, hi_k + 1)}
 
 
-def _replicate_rel(tm, rank):
-    base = tm.rel if tm.nrels else [[] for _ in range(tm.ngens)]
-    return block_diag([base] * rank) if rank else []
-
-
 def _offsets(layout):
+    """Position of each summand's first generator, and the generator total."""
     out = {}
     pos = 0
     for j, rank, tm in layout:
-        out[j] = (pos, rank, tm)
+        out[j] = pos
         pos += rank * tm.ngens
     return out, pos
 
 
 def _hom_differential(src_layout, tgt_layout, t_cx, res, k):
     """(δφ)_j = d_T ∘ φ_j − (−1)^k φ_{j+1} ∘ d_P."""
-    src_off, src_total = _offsets(src_layout)
-    tgt_off, tgt_total = _offsets(tgt_layout)
-    d = zeros(tgt_total, src_total)
-    sign = -1 if k % 2 else 1
-    for j, (tpos, trank, t_tgt) in tgt_off.items():
-        # d_T ∘ φ_j : uses source block j (φ_j : P^j -> T^{j+k})
-        if j in src_off:
-            spos, srank, t_src = src_off[j]
-            assert srank == trank
-            d_t = t_cx.differential(j + k)
-            for b in range(trank):
-                for t_out in range(t_tgt.ngens):
-                    for t_in in range(t_src.ngens):
-                        v = d_t[t_out][t_in]
-                        if v:
-                            d[tpos + b * t_tgt.ngens + t_out][spos + b * t_src.ngens + t_in] += v
-        # − (−1)^k φ_{j+1} ∘ d_P : uses source block j+1
-        if j + 1 in src_off and j in res:
-            spos, srank, t_src = src_off[j + 1]
-            d_p = res[j][1]  # rank(P^{j+1}) x rank(P^j)
-            assert t_src.ngens == t_tgt.ngens
-            for b_out in range(trank):
-                for b_in in range(srank):
-                    v = d_p[b_in][b_out] if d_p else 0
-                    if v:
-                        for t in range(t_tgt.ngens):
-                            d[tpos + b_out * t_tgt.ngens + t][
-                                spos + b_in * t_src.ngens + t
-                            ] += -sign * v
-    return d
+    src_pos, src_total = _offsets(src_layout)
+    tgt_pos, tgt_total = _offsets(tgt_layout)
+    sign = 1 if k % 2 else -1  # (−1)^{k+1}
+    blocks = []
+    for j, rank, tm in tgt_layout:
+        if j in src_pos:
+            # d_T acts on each of the rank copies separately
+            blocks.append((tgt_pos[j], src_pos[j], block_diag([t_cx.differential(j + k)] * rank)))
+        if j + 1 in src_pos:
+            # d_P mixes the copies: (−1)^{k+1} (d_Pᵀ ⊗ I)
+            d_pt = transpose(res[j][1])  # rank(P^j) x rank(P^{j+1})
+            g = tm.ngens
+            kron = [
+                [sign * v if r == c else 0 for v in row for c in range(g)]
+                for row in d_pt
+                for r in range(g)
+            ]
+            blocks.append((tgt_pos[j], src_pos[j + 1], kron))
+    return block_matrix(tgt_total, src_total, blocks)
 
 
 def _free_resolution(s_cx, cutoff, gens_bound):
     """Degreewise-free complex P with a quasi-isomorphism onto S, built top
     down: P^i covers the pullback of (S^i --d--> S^{i+1} <--f-- Z^{i+1}(P)).
-    Returns {degree: (rank, d_to_next (rank_{i+1} x rank_i), f_to_S)} for
-    degrees cutoff..max; cohomology is trustworthy above the cutoff."""
+    Returns {degree: (rank, d_to_next (rank_{i+1} x rank_i))} for degrees
+    cutoff..max; cohomology is trustworthy above the cutoff."""
     ring = s_cx.ring
-    n = ring.modulus
-    rank = {}
-    dmat = {}
-    fmat = {}
-    top = s_cx.max_deg
-    for i in range(top, cutoff - 1, -1):
-        sg = s_cx.module(i).ngens
-        r_up = rank.get(i + 1, 0)
-        r_upup = rank.get(i + 2, 0)
+    res = {}
+    f_up = []  # f: P^{i+1} -> S^{i+1}
+    for i in range(s_cx.max_deg, cutoff - 1, -1):
+        s_i, s_up = s_cx.module(i), s_cx.module(i + 1)
+        r_up, d_up = res.get(i + 1, (0, []))
+        r_upup = res.get(i + 2, (0, []))[0]
         # kernel of (s, y) -> (d_S s - f y, d_P y) inside S^i ⊕ P^{i+1}
-        up_gens = s_cx.module(i + 1).ngens
+        sg = s_i.ngens
         amb = sg + r_up
-        minus_f = [[-v for v in row] for row in fmat.get(i + 1, [])]
+        minus_f = [[-v for v in row] for row in f_up]
         phi = block_matrix(
-            up_gens + r_upup,
+            s_up.ngens + r_upup,
             amb,
-            [(0, 0, s_cx.differential(i)), (0, sg, minus_f), (up_gens, sg, dmat.get(i + 1, []))],
+            [(0, 0, s_cx.differential(i)), (0, sg, minus_f), (s_up.ngens, sg, d_up)],
         )
-        # module-level kernel: image must land in rel(S^{i+1}) ⊕ 0 (P free,
-        # so its only relation lattice is n * I)
-        tgt_rel_cols = s_cx.module(i + 1).relation_columns()
-        tcols = [c + [0] * r_upup for c in tgt_rel_cols]
-        if n:
-            for j in range(r_upup):
-                tcols.append([0] * up_gens + [n if t == j else 0 for t in range(r_upup)])
-        k_gens = _module_kernel(phi, tcols, amb)
-        # relations of the ambient module: rel(S^i) ⊕ n*I on the P part
-        src_rel = [c + [0] * r_up for c in s_cx.module(i).relation_columns()]
-        if n:
-            for j in range(r_up):
-                src_rel.append([0] * sg + [n if t == j else 0 for t in range(r_up)])
-        gens_mat, invs = _minimal_generators(k_gens, src_rel, amb)
-        r_i = len(invs)
-        if r_i > gens_bound:
+        # module-level kernel: the image must vanish in S^{i+1} ⊕ P^{i+2}
+        tgt_cols = s_up.direct_sum(PresentedModule.free(ring, r_upup)).relation_columns()
+        k_gens = _module_kernel(phi, tgt_cols, amb)
+        src_cols = s_i.direct_sum(PresentedModule.free(ring, r_up)).relation_columns()
+        gens_mat, rank = _minimal_generators(k_gens, src_cols, amb)
+        if rank > gens_bound:
             raise ResourceLimitError("resolution rank too large", "hom_gens", gens_bound)
-        rank[i] = r_i
-        fmat[i] = [[gens_mat[r][c] for c in range(r_i)] for r in range(sg)]
-        dmat[i] = [[gens_mat[sg + r][c] for c in range(r_i)] for r in range(r_up)]
-    # repackage: for each degree i store (rank_i, d: P^i -> P^{i+1}, f: P^i -> S^i)
-    final = {}
-    for i in range(cutoff, top + 1):
-        final[i] = (rank.get(i, 0), dmat.get(i, []), fmat.get(i, []))
-    return final
+        res[i] = (rank, gens_mat[sg:])
+        f_up = gens_mat[:sg]
+    return res
 
 
 def _minimal_generators(k_gens, l_cols, amb):
     """Minimal generators of the quotient lattice K/L as columns in the
-    ambient coordinates, dropping unit invariant factors."""
+    ambient coordinates, dropping unit invariant factors, and their count."""
     basis, coords = smith._span_coordinates(k_gens, l_cols)
     k = len(basis)
     if not k:
-        return [[] for _ in range(amb)], []
+        return [[] for _ in range(amb)], 0
     kb = transpose(basis)  # amb x k
     if not coords:
-        return kb, [0] * k
+        return kb, k
     d, _u, _v, uinv = smith._smith(transpose(coords), inverse=True)
     diag = diagonal(d)
     keep = [j for j in range(k) if j >= len(diag) or diag[j] != 1]
     new_gens = mat_mul(kb, uinv)  # columns = new generators
-    gens = [[new_gens[r][j] for j in keep] for r in range(amb)]
-    invs = [diag[j] if j < len(diag) else 0 for j in keep]
-    return gens, invs
+    return [[new_gens[r][j] for j in keep] for r in range(amb)], len(keep)

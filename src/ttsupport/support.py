@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .homalg import (
-    ChainComplex,
     IntegersLocalized,
     ModularIntegers,
-    PresentedModule,
+    _over_ring,
     cone,
     hom_complex_h0,
     identity_blocks,
@@ -239,9 +238,7 @@ def localize_support_check(cx, invert):
     if not isinstance(ring, IntegersLocalized) or ring.at_prime is not None:
         raise InputError("localization check is for the plain integer flavours")
     invert = frozenset(invert)
-    new_ring = IntegersLocalized(inverted=ring.inverted | invert)
-    mods = [PresentedModule(new_ring, m.ngens, m.rel) for m in cx.modules]
-    localized = ChainComplex(new_ring, cx.min_deg, mods, cx.differentials)
+    localized = _over_ring(cx, IntegersLocalized(inverted=ring.inverted | invert))
     before = small_support(cx)
     after = small_support(localized)
     sample = set(candidate_primes(cx)) | invert | {0}
@@ -264,11 +261,10 @@ def base_change_check(cx, source):
     upstairs = small_support(cx).closed_set()
     if source == "Z":
         restricted = restrict_to_integers(cx)
-        downstairs = small_support(restricted)
-        assert not downstairs.cofinite and not downstairs.generic
-        return upstairs == downstairs.closed_set(), upstairs, downstairs.closed_set()
-    restricted = restrict_modulus(cx, source)
+    else:
+        restricted = restrict_modulus(cx, source)
     downstairs = small_support(restricted)
+    assert not downstairs.cofinite and not downstairs.generic
     return upstairs == downstairs.closed_set(), upstairs, downstairs.closed_set()
 
 

@@ -548,6 +548,34 @@ def test_skula_opens_are_generated_once_per_space(monkeypatch):
     assert len(calls) == len(spaces) == 24
 
 
+def test_the_assembly_validates_each_nucleus_once(monkeypatch):
+    calls = []
+    original = frames_module.validate_nucleus
+
+    def counting(frame, table):
+        calls.append(frame)
+        return original(frame, table)
+
+    monkeypatch.setattr(frames_module, "validate_nucleus", counting)
+    spaces = list(_small_spaces(4))
+    nuclei = sum(len(assembly(frame_of(space)[0]).nuclei) for space in spaces)
+    # the closed and open nuclei behind alpha are read off the validated ones
+    assert len(spaces) == 24 and len(calls) == nuclei == 306
+
+
+def test_an_assembly_missing_a_closed_nucleus_fails_loudly(monkeypatch):
+    original = frames_module._sublocales
+
+    def without_closed_a(frame):
+        # the fixed points of y |-> a v y; the other three nuclei still form a chain
+        return [s for s in original(frame) if s != {"a", "1"}]
+
+    monkeypatch.setattr(frames_module, "_sublocales", without_closed_a)
+    frame = FiniteFrame(FinitePoset.from_pairs(["0", "a", "1"], [("0", "a"), ("a", "1")]))
+    with pytest.raises(AssertionError, match="not a sublocale nucleus"):
+        assembly(frame)
+
+
 def test_sigma_leaves_no_reference_cycles():
     # the frame holds its assembly, which points back to the frame, only
     # weakly: dropping the spaces frees everything without the collector

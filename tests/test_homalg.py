@@ -26,6 +26,7 @@ from ttsupport.homalg import (
     ring_from_json,
     zero_complex,
 )
+from ttsupport.support import localization_functor, torsion_functor
 
 Z = IntegersLocalized()
 Z4 = ModularIntegers(4)
@@ -425,6 +426,53 @@ def test_derived_hom_sees_shifts():
     res = hom_complex_h0(s, t, window=(0, 1))
     groups = dict(res.groups)
     assert not groups[1].is_zero
+
+
+@pytest.mark.parametrize(
+    "bound, note",
+    [(0, "resolution rank too large"), (1, "hom module too large"), (2, "hom module too large")],
+)
+def test_derived_hom_refuses_past_the_generator_bound(bound, note):
+    s = module_complex(PresentedModule.cyclic(Z4, 2))
+    t = module_complex(PresentedModule.free(Z4, 3))
+    res = hom_complex_h0(s, t, window=(-1, 1), gens_bound=bound)
+    assert not res.certified and note in res.note
+
+
+def test_derived_hom_answers_at_the_generator_bound():
+    s = module_complex(PresentedModule.cyclic(Z4, 2))
+    t = module_complex(PresentedModule.free(Z4, 3))
+    res = hom_complex_h0(s, t, window=(-1, 1), gens_bound=3)
+    assert res.certified
+    assert [(k, g.factors, g.rank) for k, g in res.groups] == [
+        (-1, (), 0),
+        (0, (2, 2, 2), 0),
+        (1, (), 0),
+    ]
+
+
+# pinned on the seed-42 battery: Hom groups between consecutive instances
+# over each Z/n, and from the torsion part at p to the localization away from
+# p as in the orthogonality check of battery criterion 9
+HOM_BATCH_SHA256 = "d45ab4dfdf94051027c0bcce73df5ac9679ee0e85708f5ca1ba34b757adc5c86"
+
+
+def test_derived_hom_of_the_battery_batch_is_pinned():
+    rows = []
+    for n in battery.MODULI:
+        ring = ModularIntegers(n)
+        batch = battery.instances(ring, 12, battery.DEFAULT_SEED)
+        for s, t in zip(batch, batch[1:]):
+            pairs = [(s, t)] + [
+                (torsion_functor(s, {p}), localization_functor(t, {p}))
+                for p in ring.prime_divisors()
+            ]
+            for first, second in pairs:
+                res = hom_complex_h0(first, second, window=(-2, 2))
+                rows.append([[[k, list(g.factors), g.rank] for k, g in res.groups], res.certified])
+    assert len(rows) == 132
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == HOM_BATCH_SHA256
 
 
 def test_derived_hom_refuses_a_modulus_it_cannot_factor():
