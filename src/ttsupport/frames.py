@@ -157,7 +157,12 @@ class FiniteFrame:
         )
 
     def is_isomorphic_to(self, other):
-        return self.order.is_isomorphic_to(other.order)
+        """By Birkhoff, two finite distributive lattices are isomorphic
+        exactly when their posets of join-irreducibles are, and those are
+        far smaller than the frames."""
+        return self.order.restrict(self.join_irreducibles()).is_isomorphic_to(
+            other.order.restrict(other.join_irreducibles())
+        )
 
     def __repr__(self):
         return "FiniteFrame(%d elements)" % len(self)

@@ -29,11 +29,18 @@ Modules share the generator count ``ngens``; the lattice (integer
 flavours) and F_p-linear (local nilpotent) algebra behind validation and
 cohomology sits in the two module classes.
 
+Modules and complexes are immutable, and their matrices are tuples of row
+tuples.  So each answer derived from one is computed once and kept on it: a
+presented module's relation Smith form (behind validation, ``canonical()``
+and ``is_zero``), and a complex's cohomology groups, its localization at
+each prime and, through ``support``, its supports.
+
 Differentials raise degree by one.  d(a ⊗ b) = da ⊗ b + (-1)^|a| a ⊗ db is
 the sign rule used for the two-term tensor constructions below.
 """
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import smith
 from .errors import InputError, ResourceLimitError
@@ -50,7 +57,7 @@ from .smith import (
     mat_vec,
     quotient_invariants,
     smith_normal_form,
-    solve_int,
+    solve_int,  # unused here, but bench/test_bench.py traces it as a homalg binding
     transpose,
     zeros,
 )
@@ -136,7 +143,7 @@ class IntegersLocalized(_IntegerFlavour):
         kills every presentation entry's torsion, so membership is decided
         by the free ranks alone."""
         seen = set()
-        for mat in [m.rel for m in cx.modules] + cx.differentials:
+        for mat in (*(m.rel for m in cx.modules), *cx.differentials):
             for row in mat:
                 for v in row:
                     if v:
@@ -368,19 +375,18 @@ def _json_key(obj, key, what):
 
 
 def _json_ints(raw, what):
-    """raw itself if it is a JSON list of integers, else InputError."""
-    if not isinstance(raw, list) or not all(type(x) is int for x in raw):
+    """raw itself if it is a list (or tuple) of integers, else InputError."""
+    if not isinstance(raw, (list, tuple)) or not all(type(x) is int for x in raw):
         raise InputError("%s must be a list of integers" % what)
     return raw
 
 
 def _json_int_matrix(raw, what):
-    """raw itself if it is a JSON list of rows of integers, else InputError."""
-    if not isinstance(raw, list):
+    """raw as a tuple of integer row tuples, if it is a list (or tuple) of
+    rows of integers, else InputError."""
+    if not isinstance(raw, (list, tuple)):
         raise InputError("%s must be a list of rows of integers" % what)
-    for row in raw:
-        _json_ints(row, "each row of " + what)
-    return raw
+    return tuple(tuple(_json_ints(row, "each row of " + what)) for row in raw)
 
 
 def ring_from_json(obj):
@@ -438,10 +444,41 @@ def canonical_module(ring, factors, rank, divisible=()):
 
 
 # ---------------------------------------------------------------------------
+# immutable objects
+
+
+class _Immutable:
+    """Modules and complexes take their fields once, in the constructor, and
+    refuse reassignment afterwards.  Matrices they hold are tuples of row
+    tuples, so nothing handed out can be edited either, and each answer
+    derived from the fields is computed once and kept in _cache."""
+
+    __slots__ = ("_cache",)
+
+    def _freeze(self, **fields):
+        object.__setattr__(self, "_cache", {})
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _cached(self, key, compute):
+        """compute(), computed on the first call with this key only."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+
+# ---------------------------------------------------------------------------
 # presented modules (integer flavours)
 
 
-class PresentedModule:
+class PresentedModule(_Immutable):
     """coker of an integer matrix (rows = generators, columns = relations),
     over an integer-flavoured base ring."""
 
@@ -455,18 +492,16 @@ class PresentedModule:
             raise InputError("use LnaModule over a local nilpotent algebra")
         if type(ngens) is not int or ngens < 0:
             raise InputError("the generator count must be a nonnegative integer")
-        rel = [row[:] for row in _json_int_matrix(rel, "complex key 'modules'")]
+        rel = _json_int_matrix(rel, "complex key 'modules'")
         if rel and len(rel) != ngens:
             raise InputError("presentation must have one row per generator")
         if rel and len({len(r) for r in rel}) > 1:
             raise InputError("ragged presentation")
-        self.ring = ring
-        self.ngens = ngens
-        self.rel = rel if rel else [[] for _ in range(ngens)]
+        self._freeze(ring=ring, ngens=ngens, rel=rel if rel else ((),) * ngens)
 
     @classmethod
     def free(cls, ring, rank):
-        return cls(ring, rank, [[] for _ in range(rank)])
+        return cls(ring, rank, [])
 
     @classmethod
     def cyclic(cls, ring, d):
@@ -484,28 +519,50 @@ class PresentedModule:
             cols += [[m if i == j else 0 for i in range(self.ngens)] for j in range(self.ngens)]
         return cols
 
+    def _form(self):
+        """(diag, U) of one Smith form U·A·V = D of the relation columns A,
+        diag the nonzero invariant factors: v lies in the relation lattice
+        iff _divide(diag, U·v) is not None.  Without explicit relations A is
+        modulus·I (or has no columns), already a Smith form, and U = I is
+        given as None."""
+
+        def compute():
+            if not self.nrels:
+                m = self.ring.modulus
+                return ((m,) * self.ngens if m else ()), None
+            d, u, _v = smith_normal_form(transpose(self.relation_columns()))
+            return tuple(e for e in diagonal(d) if e != 0), u
+
+        return self._cached("form", compute)
+
     def canonical(self):
-        cols = self.relation_columns()
-        if self.ngens == 0:
-            return canonical_module(self.ring, (), 0)
-        if not cols:
-            return canonical_module(self.ring, (), self.ngens)
-        d, _u, _v = smith_normal_form(transpose(cols))
-        diag = [e for e in diagonal(d) if e != 0]
-        return canonical_module(self.ring, diag, self.ngens - len(diag))
+        def compute():
+            diag = self._form()[0]
+            return canonical_module(self.ring, diag, self.ngens - len(diag))
+
+        return self._cached("canonical", compute)
 
     @property
     def is_zero(self):
         return self.canonical().is_zero
 
     def direct_sum(self, other):
+        """The direct sum; a summand without generators leaves the other one
+        itself, relation form included."""
         assert self.ring == other.ring
+        if not other.ngens:
+            return self
+        if not self.ngens:
+            return other
         rel = block_diag([self.rel, other.rel])
         return PresentedModule(self.ring, self.ngens + other.ngens, rel)
 
     def _kills(self, vecs):
         """Whether every vector (on the generators) is zero in the module."""
-        return _all_in_lattice(vecs, self.relation_columns())
+        diag, u = self._form()
+        return all(
+            smith._divide(diag, v if u is None else mat_vec(u, v)) is not None for v in vecs
+        )
 
     def _accepts(self, d, src):
         """Whether d carries the relations of src into those of self."""
@@ -521,7 +578,7 @@ class PresentedModule:
         return canonical_module(self.ring, factors, rank)
 
     def to_json(self):
-        return [row[:] for row in self.rel]
+        return [list(row) for row in self.rel]
 
     def __repr__(self):
         c = self.canonical()
@@ -575,7 +632,7 @@ def fp_kernel(mat, ncols, p):
     return basis
 
 
-class LnaModule:
+class LnaModule(_Immutable):
     """Finite dimensional F_p vector space with commuting nilpotent actions
     of the algebra generators."""
 
@@ -589,8 +646,10 @@ class LnaModule:
             raise InputError("LnaModule wants a LocalNilpotentAlgebra")
         p = ring.p
         actions = {
-            n: [[x % p for x in row] for row in _json_int_matrix(m, "module key 'actions'")]
-            for n, m in actions.items()
+            n: tuple(
+                tuple(x % p for x in row) for row in _json_int_matrix(a, "module key 'actions'")
+            )
+            for n, a in actions.items()
         }
         if set(actions) != {n for n, _e in ring.generators}:
             raise InputError("need one action per algebra generator")
@@ -610,9 +669,7 @@ class LnaModule:
                 ba = mat_mul(actions[names[j]], actions[names[i]])
                 if any((x - y) % p for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)):
                     raise InputError("generator actions do not commute")
-        self.ring = ring
-        self.dim = dim
-        self.actions = actions
+        self._freeze(ring=ring, dim=dim, actions=MappingProxyType(actions))
 
     @classmethod
     def free(cls, ring, rank):
@@ -681,7 +738,10 @@ class LnaModule:
         )
 
     def to_json(self):
-        return {"dim": self.dim, "actions": {n: self.actions[n] for n in sorted(self.actions)}}
+        return {
+            "dim": self.dim,
+            "actions": {n: [list(row) for row in self.actions[n]] for n in sorted(self.actions)},
+        }
 
     def __repr__(self):
         return "LnaModule(dim=%d)" % self.dim
@@ -691,10 +751,11 @@ class LnaModule:
 # cochain complexes
 
 
-class ChainComplex:
+class ChainComplex(_Immutable):
     """Bounded cochain complex.  modules[k] sits in degree min_deg + k and
     differentials[k] maps it to modules[k+1] (matrix rows = target
-    generators)."""
+    generators).  Cohomology, localizations and supports are computed once
+    per complex and kept on it."""
 
     __slots__ = ("ring", "min_deg", "modules", "differentials")
 
@@ -704,32 +765,20 @@ class ChainComplex:
             raise InputError("need exactly len(modules) - 1 differentials")
         if type(min_deg) is not int:
             raise InputError("the lowest degree must be an integer")
-        self.ring = ring
-        self.min_deg = min_deg
-        self.modules = list(modules)
-        for m in self.modules:
+        modules = tuple(modules)
+        for m in modules:
             if not isinstance(m, (PresentedModule, LnaModule)) or m.ring != ring:
                 raise InputError("module/ring mismatch in complex")
-        self.differentials = [self._checked_differential(k, d) for k, d in enumerate(differentials)]
-        for k in range(len(self.differentials) - 1):
-            src, mid, far = self.modules[k : k + 3]
+        differentials = tuple(
+            _checked_differential(modules, k, d) for k, d in enumerate(differentials)
+        )
+        for k in range(len(differentials) - 1):
+            src, mid, far = modules[k : k + 3]
             if src.ngens and mid.ngens and far.ngens:
-                square = mat_mul(self.differentials[k + 1], self.differentials[k])
+                square = mat_mul(differentials[k + 1], differentials[k])
                 if not far._kills(transpose(square)):
                     raise InputError("d^2 != 0 between slots %d and %d" % (k, k + 2))
-
-    def _checked_differential(self, k, d):
-        """Differential k as an exact target x source module map; [] stands
-        for the zero map only when one side has no generators."""
-        src, tgt = self.modules[k], self.modules[k + 1]
-        if not d and not (src.ngens and tgt.ngens):
-            return zeros(tgt.ngens, src.ngens)
-        if len(d) != tgt.ngens or any(len(r) != src.ngens for r in d):
-            raise InputError("differential shape mismatch at slot %d" % k)
-        d = [row[:] for row in d]
-        if src.ngens and tgt.ngens and not tgt._accepts(d, src):
-            raise InputError(tgt._MAP_ERROR % k)
-        return d
+        self._freeze(ring=ring, min_deg=min_deg, modules=modules, differentials=differentials)
 
     # -- structure ----------------------------------------------------------
 
@@ -778,8 +827,11 @@ class ChainComplex:
     # -- cohomology ---------------------------------------------------------
 
     def cohomology(self, i):
-        return self.module(i)._homology(
-            self.differential(i - 1), self.differential(i), self.module(i + 1)
+        return self._cached(
+            ("cohomology", i),
+            lambda: self.module(i)._homology(
+                self.differential(i - 1), self.differential(i), self.module(i + 1)
+            ),
         )
 
     def cohomology_all(self):
@@ -795,9 +847,7 @@ class ChainComplex:
             "ring": self.ring.to_json(),
             "degrees": [self.min_deg, self.max_deg],
             "modules": [m.to_json() for m in self.modules],
-            "differentials": [
-                [row[:] for row in d] for d in self.differentials
-            ],
+            "differentials": [[list(row) for row in d] for d in self.differentials],
         }
 
     @classmethod
@@ -834,19 +884,17 @@ def _module_kernel(phi, tgt_cols, amb):
     return [v[:amb] for v in kernel_basis(big, ncols=amb + len(tgt_cols))]
 
 
-def _all_in_lattice(vecs, cols):
-    """Whether every vector lies in the lattice spanned by cols.
-
-    One solve_int call, hence one Smith form of the relation matrix, decides
-    all nonzero vectors at once; it fails if any one of them has no integer
-    preimage."""
-    vecs = [v for v in vecs if any(v)]
-    if not vecs:
-        return True
-    if not cols:
-        return False
-    mat = [[c[i] for c in cols] for i in range(len(vecs[0]))]
-    return solve_int(mat, vecs) is not None
+def _checked_differential(modules, k, d):
+    """Differential k as an exact target x source module map; an empty
+    matrix stands for the zero map only when one side has no generators."""
+    src, tgt = modules[k], modules[k + 1]
+    if not d and not (src.ngens and tgt.ngens):
+        return ((0,) * src.ngens,) * tgt.ngens
+    if len(d) != tgt.ngens or any(len(r) != src.ngens for r in d):
+        raise InputError("differential shape mismatch at slot %d" % k)
+    if src.ngens and tgt.ngens and not tgt._accepts(d, src):
+        raise InputError(tgt._MAP_ERROR % k)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -901,11 +949,12 @@ def identity_blocks(cx, c=1):
 
 def localize(cx, p):
     """Localize a complex at a prime p of its ring; ring.localized_at(p)
-    names the local ring and refuses primes it does not have."""
+    names the local ring and refuses primes it does not have.  Each complex
+    builds its localization at p once."""
     ring = cx.ring.localized_at(p)
     if ring == cx.ring:
         return cx
-    return _over_ring(cx, ring)
+    return cx._cached(("localize", p), lambda: _over_ring(cx, ring))
 
 
 def _over_ring(cx, ring, kill=0):
@@ -915,9 +964,7 @@ def _over_ring(cx, ring, kill=0):
     for m in cx.modules:
         rel = m.rel
         if kill:
-            rel = [
-                row + [kill if r == i else 0 for i in range(m.ngens)] for r, row in enumerate(rel)
-            ]
+            rel = hstack(rel, [[kill * v for v in row] for row in identity(m.ngens)])
         mods.append(PresentedModule(ring, m.ngens, rel))
     return ChainComplex(ring, cx.min_deg, mods, cx.differentials)
 
@@ -1096,7 +1143,8 @@ class HomExtResult:
 
     @property
     def all_vanish(self):
-        return all(g.is_zero for _i, g in self.groups)
+        """Every group in the window is zero, and the answer is certified."""
+        return self.certified and all(g.is_zero for _i, g in self.groups)
 
 
 def hom_complex_h0(s_cx, t_cx, window=(0, 0), gens_bound=HOM_GENS_MAX):
@@ -1127,9 +1175,8 @@ def hom_complex_h0(s_cx, t_cx, window=(0, 0), gens_bound=HOM_GENS_MAX):
                     tuple(sorted(old.factors + cm.factors)), old.rank + cm.rank, ()
                 )
     except ResourceLimitError as exc:
-        return HomExtResult(
-            (lo_k, hi_k), tuple(sorted(totals.items())), False, "window insufficient: %s" % exc
-        )
+        note = "%s: the %s bound %d was hit" % (exc, exc.bound_name, exc.bound_value)
+        return HomExtResult((lo_k, hi_k), tuple(sorted(totals.items())), False, note)
     return HomExtResult((lo_k, hi_k), tuple(sorted(totals.items())), True)
 
 

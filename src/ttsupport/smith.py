@@ -58,11 +58,11 @@ def transpose(a):
 
 def hstack(a, b):
     if not a:
-        return [row[:] for row in b]
+        return [list(row) for row in b]
     if not b:
-        return [row[:] for row in a]
+        return [list(row) for row in a]
     assert len(a) == len(b)
-    return [ra + rb for ra, rb in zip(a, b)]
+    return [[*ra, *rb] for ra, rb in zip(a, b)]
 
 
 def block_matrix(rows, cols, blocks):
@@ -128,7 +128,7 @@ def _smith(a, inverse=False):
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
         raise InputError("ragged matrix")
-    d = [row[:] for row in a]
+    d = [list(row) for row in a]
     u = identity(m)
     v = identity(n)
     uinv = identity(m) if inverse else []

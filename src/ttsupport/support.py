@@ -11,7 +11,9 @@ Every support here is one code path over the ring interface of ``homalg``:
 the ring lists its candidate closed primes (``closed_primes``), says whether
 it has a generic point (``has_generic``), localizes (``localized_at``),
 names the Koszul generators of a prime (``koszul_elements``) and tests
-residue fields (``residue_nonzero``).
+residue fields (``residue_nonzero``).  Complexes are immutable, so each
+keeps its small (per sequence length), big and Foxby supports once
+computed.
 """
 
 from dataclasses import dataclass
@@ -154,7 +156,12 @@ def small_support(cx, sequence_length=1):
     At a closed candidate prime q the test tensors the localized complex
     with R -> R[1/x] for every sequence of generators x of length up to
     sequence_length (a maximal ideal here is principal, so checking the
-    generator once decides it; longer sequences are for cross-checks)."""
+    generator once decides it; longer sequences are for cross-checks).
+    Each complex computes it once per sequence_length."""
+    return cx._cached(("small_support", sequence_length), lambda: _small(cx, sequence_length))
+
+
+def _small(cx, sequence_length):
     candidates = candidate_primes(cx)
     if _generic(cx):
         # sequences inside (0) are zero; K(0) ⊗ C_0 = C ⊗ Q.  Every closed
@@ -182,7 +189,11 @@ def _in_support(cx, q, sequence_length):
 
 def big_support(cx):
     """Localization support: primes where the localized complex is not
-    acyclic.  No Koszul tensor involved."""
+    acyclic.  No Koszul tensor involved.  Computed once per complex."""
+    return cx._cached("big_support", lambda: _big(cx))
+
+
+def _big(cx):
     if _generic(cx):
         return SupportDescriptor(generic=True, cofinite=True)
     return SupportDescriptor(
@@ -191,7 +202,12 @@ def big_support(cx):
 
 
 def foxby_support(cx):
-    """Residue-field support: primes p with C ⊗^L k(p) not acyclic."""
+    """Residue-field support: primes p with C ⊗^L k(p) not acyclic.
+    Computed once per complex."""
+    return cx._cached("foxby_support", lambda: _foxby(cx))
+
+
+def _foxby(cx):
     ring = cx.ring
     candidates = candidate_primes(cx)
     if ring.has_generic and ring.residue_nonzero(cx, 0):

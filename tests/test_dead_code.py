@@ -10,9 +10,10 @@ import ttsupport
 
 SRC = Path(ttsupport.__file__).parent
 
-# homalg imports lattice_basis without reading it: bench/test_bench.py traces
-# it as a homalg binding, so the name has to stay bound there
-ALLOWED = {("homalg", "lattice_basis")}
+# homalg imports lattice_basis and solve_int without reading them:
+# bench/test_bench.py traces both as homalg bindings, so the names have to
+# stay bound there
+ALLOWED = {("homalg", "lattice_basis"), ("homalg", "solve_int")}
 
 
 def _trees():

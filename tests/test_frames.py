@@ -1,6 +1,7 @@
 """Finite frames, nuclei, the assembly, and the Skula comparison map."""
 
 import gc
+import time
 from itertools import combinations, product
 
 import pytest
@@ -50,6 +51,25 @@ def test_open_set_frames_of_small_spaces():
     assert frame.is_isomorphic_to(BOOL4)
     frame, _ = frame_of(VPOSET)
     assert len(frame) == 5
+
+
+def test_the_frame_of_a_four_point_antichain_is_recognised_as_itself_quickly():
+    frame, _ = frame_of(_space(["a", "b", "c", "d"], []))
+    assert len(frame) == 16
+    start = time.perf_counter()
+    assert frame.is_isomorphic_to(frame)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_frames_of_the_same_size_with_other_join_irreducibles_are_told_apart():
+    # down-sets of a < b, a < c and of a < c, b < c: five elements each
+    vee = FinitePoset.from_pairs(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    wedge = FinitePoset.from_pairs(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    up, _ = FiniteFrame.from_sets(vee.down_sets())
+    down, _ = FiniteFrame.from_sets(wedge.down_sets())
+    assert len(up) == len(down) == 5
+    assert not up.is_isomorphic_to(down) and not down.is_isomorphic_to(up)
+    assert up.is_isomorphic_to(FiniteFrame.from_sets(vee.down_sets())[0])
 
 
 def test_non_lattices_and_non_distributive_orders_are_rejected():

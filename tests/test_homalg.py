@@ -150,20 +150,67 @@ def test_integer_cohomology_takes_three_smith_forms(monkeypatch):
     assert len(calls) <= 3
 
 
-def test_validation_solves_once_per_slot(monkeypatch):
-    calls = []
-    solve_int = homalg.solve_int
+def test_validation_takes_one_relation_form_per_target_module(monkeypatch):
+    forms, tested = [], []
+    smith_normal_form, kills = homalg.smith_normal_form, PresentedModule._kills
 
-    def counting(a, b_cols):
-        calls.append(len(b_cols))
-        return solve_int(a, b_cols)
+    def counting_forms(a):
+        forms.append(a)
+        return smith_normal_form(a)
 
-    monkeypatch.setattr(homalg, "solve_int", counting)
-    _z6_two_slot_complex([[3, 3]])
-    # slots 1 and 2 are checked for well-definedness, (1, 3) for d^2 = 0;
-    # together the calls still carry all five nonzero columns
-    assert len(calls) <= 3
-    assert sum(calls) == 5
+    def counting_columns(module, vecs):
+        tested.extend(v for v in vecs if any(v))
+        return kills(module, vecs)
+
+    monkeypatch.setattr(homalg, "smith_normal_form", counting_forms)
+    monkeypatch.setattr(PresentedModule, "_kills", counting_columns)
+    # fresh modules, so no relation form is cached before the count starts
+    mods = [PresentedModule(Z6, 0, []), PresentedModule.free(Z6, 2), PresentedModule.free(Z6, 1)]
+    ChainComplex(Z6, 0, mods + [PresentedModule(Z6, 1, [[3]])], [[], [[3, 3]], [[1]]])
+    # slots 1 and 2 are checked for well-definedness, (1, 3) for d^2 = 0:
+    # five nonzero columns in all, against the relation forms of the two
+    # nonzero targets.  The relations 6·I of the free Z/6 are their own
+    # Smith form, so only Z/3 takes one, for both of its checks
+    assert len(tested) == 5
+    assert len(forms) <= 1
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        (PresentedModule.cyclic(Z, 2), "rel"),
+        (PresentedModule.cyclic(Z, 2), "ngens"),
+        (LnaModule.free(LNA, 1), "actions"),
+        (_free_complex(Z, [[[2]]]), "differentials"),
+        (_free_complex(Z, [[[2]]]), "min_deg"),
+    ],
+    ids=["rel", "ngens", "actions", "differentials", "min_deg"],
+)
+def test_modules_and_complexes_refuse_reassignment(obj, field):
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(obj, field, getattr(obj, field))
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(obj, field)
+
+
+def test_handed_out_matrices_cannot_change_cached_answers():
+    cx = ChainComplex(Z, 0, [PresentedModule.free(Z, 1), PresentedModule.cyclic(Z, 6)], [[[2]]])
+    h1 = cx.cohomology(1)
+    assert h1.factors == (2,)
+    with pytest.raises(TypeError):
+        cx.differential(0)[0][0] = 1
+    with pytest.raises(TypeError):
+        cx.module(1).rel[0][0] = 1
+    doc = cx.to_json()
+    doc["differentials"][0][0][0] = 1
+    doc["modules"][1][0][0] = 1
+    lna = LnaModule.free(LNA, 1)
+    with pytest.raises(TypeError):
+        lna.actions["x"] = lna.actions["y"]
+    lna.to_json()["actions"]["x"][1][0] = 0
+    assert cx.differential(0) == ((2,),) and cx.module(1).rel == ((6,),)
+    assert lna.to_json() == LnaModule.free(LNA, 1).to_json()
+    assert cx.cohomology(1) is h1 and h1.factors == (2,)
 
 
 def test_cohomology_of_multiplication_by_two_on_the_integers():
@@ -268,8 +315,8 @@ def test_constructors_refuse_entries_that_are_not_integers(build):
 def test_empty_differential_stands_for_zero_only_next_to_a_zero_module():
     zero = PresentedModule(Z6, 0, [])
     one = PresentedModule.free(Z6, 1)
-    assert ChainComplex(Z6, 0, [zero, one], [[]]).differentials == [[[]]]
-    assert ChainComplex(Z6, 0, [one, zero], [[]]).differentials == [[]]
+    assert ChainComplex(Z6, 0, [zero, one], [[]]).differentials == (((),),)
+    assert ChainComplex(Z6, 0, [one, zero], [[]]).differentials == ((),)
     with pytest.raises(InputError, match="^differential shape mismatch at slot 0$"):
         ChainComplex(Z6, 0, [one, one], [[]])
     with pytest.raises(InputError, match="^differential shape mismatch at slot 0$"):
@@ -436,7 +483,9 @@ def test_derived_hom_refuses_past_the_generator_bound(bound, note):
     s = module_complex(PresentedModule.cyclic(Z4, 2))
     t = module_complex(PresentedModule.free(Z4, 3))
     res = hom_complex_h0(s, t, window=(-1, 1), gens_bound=bound)
-    assert not res.certified and note in res.note
+    assert not res.certified and note in res.note and "hom_gens" in res.note
+    # H^0 is (Z/2)^3, so an uncertified answer must not claim vanishing
+    assert not res.all_vanish
 
 
 def test_derived_hom_answers_at_the_generator_bound():

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ttsupport import battery
+from ttsupport import battery, smith
 from ttsupport.errors import InputError
 from ttsupport.homalg import (
     ChainComplex,
@@ -261,3 +261,56 @@ def test_foxby_support_over_z_mod_n_is_quick_and_equals_small_support(doc):
     foxby = foxby_support(cx)
     assert time.perf_counter() - start < 1.0
     assert foxby == small_support(cx)
+
+
+# -- what each complex computes once -----------------------------------------------
+
+
+@pytest.fixture
+def smith_forms(monkeypatch):
+    """The matrices of every Smith form taken while the test runs."""
+    seen = []
+    take = smith._smith
+
+    def counting(a, inverse=False):
+        seen.append(a)
+        return take(a, inverse)
+
+    monkeypatch.setattr(smith, "_smith", counting)
+    return seen
+
+
+@pytest.mark.parametrize("ring", battery.ring_classes(), ids=lambda r: r.label())
+def test_a_second_query_on_the_same_complex_takes_no_smith_form(ring, smith_forms):
+    def answers(cx):
+        supports = [small_support(cx), big_support(cx), foxby_support(cx)]
+        return supports + [cx.cohomology(i) for i in cx.degrees()]
+
+    for cx in battery.instances(ring, 6, battery.DEFAULT_SEED):
+        first = answers(cx)
+        del smith_forms[:]
+        again = answers(cx)
+        assert detect_vanishing(cx) == first[0].is_empty
+        assert all(a is b for a, b in zip(again, first)) and smith_forms == []
+
+
+@pytest.mark.parametrize("ring", battery.ring_classes(), ids=lambda r: r.label())
+def test_a_longer_test_sequence_is_answered_apart_and_agrees(ring):
+    for cx in battery.instances(ring, 6, battery.DEFAULT_SEED):
+        default = small_support(cx)
+        assert small_support(cx, sequence_length=2) == default
+        assert small_support(cx) is default
+
+
+# Smith forms taken by the seed-42 batch below, counted when each module's
+# relation form and each complex's cohomology, localizations and supports
+# began to be computed once; 3,870 before that
+BATCH_SMITH_FORMS = 2203
+
+
+def test_the_supports_of_a_seeded_batch_take_a_bounded_number_of_smith_forms(smith_forms):
+    for ring in battery.ring_classes():
+        for cx in battery.instances(ring, 10, battery.DEFAULT_SEED):
+            cx.cohomology_all()
+            small_support(cx), big_support(cx), foxby_support(cx), detect_vanishing(cx)
+    assert len(smith_forms) <= BATCH_SMITH_FORMS
