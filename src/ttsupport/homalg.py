@@ -88,6 +88,9 @@ class _IntegerFlavour:
         """Generators of the prime q: q itself."""
         return (q,)
 
+    def residue_nonzero(self, cx, p):
+        return derived_tensor_residue(cx, p).is_nonzero
+
 
 @dataclass(frozen=True)
 class IntegersLocalized(_IntegerFlavour):
@@ -156,9 +159,6 @@ class IntegersLocalized(_IntegerFlavour):
     def _koszul_stable(self, x, cx):
         return _koszul_symbolic(x, cx)
 
-    def residue_nonzero(self, cx, p):
-        return derived_tensor_residue(cx, p).is_nonzero
-
     def strip_units(self, d):
         """Remove unit-prime parts from an invariant factor."""
         assert d > 0
@@ -204,6 +204,9 @@ class ModularIntegers(_IntegerFlavour):
     def prime_divisors(self):
         return tuple(sorted(factorize(self.n)))
 
+    def is_unit_prime(self, q):
+        return self.n % q != 0
+
     def is_unit(self, x):
         if not isinstance(x, int):
             raise InputError("ring elements here are integers")
@@ -242,11 +245,9 @@ class ModularIntegers(_IntegerFlavour):
     def _koszul_stable(self, x, cx):
         if not isinstance(x, int):
             raise InputError("elements of Z/n are integers")
-        return _localization_cone(cx, localize_by_element(cx, x))
-
-    def residue_nonzero(self, cx, p):
-        """The residue fields are those of Z at the primes dividing n."""
-        return derived_tensor_residue(restrict_to_integers(cx), p).is_nonzero
+        # a nilpotent x makes C[1/x] = 0
+        loc = localize_by_element(cx, x) if self.coprime_part(x) != 1 else None
+        return _localization_cone(cx, loc)
 
     def label(self):
         return "Z/%d" % self.n
@@ -345,8 +346,7 @@ class LocalNilpotentAlgebra:
 
     def _koszul_stable(self, x, cx):
         # R[1/x] is R for a unit and 0 for a nilpotent
-        loc = cx if self.element_is_unit(x) else zero_complex(self, cx.min_deg)
-        return _localization_cone(cx, loc)
+        return _localization_cone(cx, cx if self.element_is_unit(x) else None)
 
     def residue_nonzero(self, cx, p):
         """Over a local ring a bounded complex is residue-acyclic iff it is
@@ -730,7 +730,12 @@ class LnaModule(_Immutable):
         return LnaModule(self.ring, len(coset), actions)
 
     def direct_sum(self, other):
+        """The direct sum; a zero-dimensional summand leaves the other itself."""
         assert self.ring == other.ring
+        if not other.dim:
+            return self
+        if not self.dim:
+            return other
         return LnaModule(
             self.ring,
             self.dim + other.dim,
@@ -1043,8 +1048,13 @@ def koszul_stable(x, cx):
 
 
 def _localization_cone(cx, loc):
-    """Cone of cx -> loc = cx[1/x]; loc keeps the generators of cx or is
-    zero, so the map is the identity on the generators of loc."""
+    """Cone of cx -> loc = cx[1/x], loc None when cx[1/x] = 0 and otherwise
+    the identity on the generators of cx.  The cone of C -> 0 is C itself,
+    bar the zero degree it adds above a one-degree C."""
+    if loc is None:
+        if len(cx.modules) > 1:
+            return cx
+        loc = zero_complex(cx.ring, cx.min_deg)
     return cone(identity_blocks(loc), cx, loc)
 
 
@@ -1107,10 +1117,13 @@ def derived_tensor_residue(cx, p):
     For p = 0 this is C ⊗ Q, so the dimensions are the free ranks of the
     cohomology.  For a prime it is the totalization of C with the two-term
     flat resolution (R --p--> R) of R/p, computed as an honest complex: the
-    cone of p: C -> C, whose degree j is the totalization's degree j - 1.
+    cone of p: C -> C, whose degree j is the totalization's degree j - 1
+    (all zero at a prime that is a unit of the ring).  A Z/n module lists
+    n*I among its relation columns, so over Z/n this is the restriction to
+    Z's cone under another ring tag, with the same dimensions.
     """
     ring = cx.ring
-    if not isinstance(ring, IntegersLocalized):
+    if not isinstance(ring, _IntegerFlavour):
         raise InputError("residue calculus is set up over the integer flavours")
     if p == 0:
         dims = tuple((i, cx.cohomology(i).rank) for i in cx.degrees())
@@ -1118,7 +1131,7 @@ def derived_tensor_residue(cx, p):
     if not _is_prime(p):
         raise InputError("p must be zero or a prime")
     if ring.is_unit_prime(p):
-        return ResidueOutcome(p, tuple((i, 0) for i in cx.degrees()))
+        return ResidueOutcome(p, tuple((i, 0) for i in range(cx.min_deg - 1, cx.max_deg + 1)))
     total = cone(identity_blocks(cx, p), cx, cx)
     dims = []
     for j in total.degrees():

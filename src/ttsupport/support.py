@@ -7,13 +7,13 @@ the integers the support of a complex with free cohomology ranks is
 cofinite, so descriptors carry generic/cofinite flags instead of trying to
 list infinitely many points.
 
-Every support here is one code path over the ring interface of ``homalg``:
-the ring lists its candidate closed primes (``closed_primes``), says whether
-it has a generic point (``has_generic``), localizes (``localized_at``),
-names the Koszul generators of a prime (``koszul_elements``) and tests
-residue fields (``residue_nonzero``).  Complexes are immutable, so each
-keeps its small (per sequence length), big and Foxby supports once
-computed.
+Every support here is one pointwise routine over the ring interface of
+``homalg``, fed by its membership test at a closed prime: the ring lists
+its candidate closed primes (``closed_primes``), says whether it has a
+generic point (``has_generic``), localizes (``localized_at``), names the
+Koszul generators of a prime (``koszul_elements``) and tests residue fields
+(``residue_nonzero``).  Complexes are immutable, so each keeps its small
+(per sequence length), big and Foxby supports once computed.
 """
 
 from dataclasses import dataclass
@@ -136,18 +136,27 @@ def candidate_primes(cx):
     return cx.ring.closed_primes(cx)
 
 
-def _total_rank(cx):
-    return sum(cx.cohomology(i).rank for i in cx.degrees())
-
-
 def _generic(cx):
     """Whether the generic point (0) lies in the support: the ring has one
     and C ⊗ Q, i.e. the free cohomology rank, is nonzero."""
-    return cx.ring.has_generic and _total_rank(cx) > 0
+    return cx.ring.has_generic and any(cx.cohomology(i).rank for i in cx.degrees())
 
 
 # ---------------------------------------------------------------------------
 # the three supports
+
+
+def _pointwise(cx, member):
+    """The support whose closed points are the candidate primes q with
+    member(q), plus the generic point when _generic(cx)."""
+    candidates = candidate_primes(cx)
+    if _generic(cx):
+        # sequences inside (0) are zero; K(0) ⊗ C_0 = C ⊗ Q = C ⊗^L k(0).
+        # Every closed point survives: torsion candidates pass the test and
+        # at torsion-free primes the free rank keeps the localization alive
+        assert all(member(q) for q in candidates)
+        return SupportDescriptor(generic=True, cofinite=True)
+    return SupportDescriptor(explicit=frozenset(q for q in candidates if member(q)))
 
 
 def small_support(cx, sequence_length=1):
@@ -158,20 +167,9 @@ def small_support(cx, sequence_length=1):
     sequence_length (a maximal ideal here is principal, so checking the
     generator once decides it; longer sequences are for cross-checks).
     Each complex computes it once per sequence_length."""
-    return cx._cached(("small_support", sequence_length), lambda: _small(cx, sequence_length))
-
-
-def _small(cx, sequence_length):
-    candidates = candidate_primes(cx)
-    if _generic(cx):
-        # sequences inside (0) are zero; K(0) ⊗ C_0 = C ⊗ Q.  Every closed
-        # point survives: torsion candidates pass the Koszul test and at
-        # torsion-free primes the free rank alone keeps the localized
-        # complex alive
-        assert all(_in_support(cx, q, sequence_length) for q in candidates)
-        return SupportDescriptor(generic=True, cofinite=True)
-    return SupportDescriptor(
-        explicit=frozenset(q for q in candidates if _in_support(cx, q, sequence_length))
+    return cx._cached(
+        ("small_support", sequence_length),
+        lambda: _pointwise(cx, lambda q: _in_support(cx, q, sequence_length)),
     )
 
 
@@ -190,31 +188,16 @@ def _in_support(cx, q, sequence_length):
 def big_support(cx):
     """Localization support: primes where the localized complex is not
     acyclic.  No Koszul tensor involved.  Computed once per complex."""
-    return cx._cached("big_support", lambda: _big(cx))
-
-
-def _big(cx):
-    if _generic(cx):
-        return SupportDescriptor(generic=True, cofinite=True)
-    return SupportDescriptor(
-        explicit=frozenset(q for q in candidate_primes(cx) if not localize(cx, q).is_acyclic())
+    return cx._cached(
+        "big_support", lambda: _pointwise(cx, lambda q: not localize(cx, q).is_acyclic())
     )
 
 
 def foxby_support(cx):
     """Residue-field support: primes p with C ⊗^L k(p) not acyclic.
     Computed once per complex."""
-    return cx._cached("foxby_support", lambda: _foxby(cx))
-
-
-def _foxby(cx):
-    ring = cx.ring
-    candidates = candidate_primes(cx)
-    if ring.has_generic and ring.residue_nonzero(cx, 0):
-        assert all(ring.residue_nonzero(cx, q) for q in candidates)
-        return SupportDescriptor(generic=True, cofinite=True)
-    return SupportDescriptor(
-        explicit=frozenset(q for q in candidates if ring.residue_nonzero(cx, q))
+    return cx._cached(
+        "foxby_support", lambda: _pointwise(cx, lambda q: cx.ring.residue_nonzero(cx, q))
     )
 
 
@@ -257,11 +240,9 @@ def localize_support_check(cx, invert):
     localized = _over_ring(cx, IntegersLocalized(inverted=ring.inverted | invert))
     before = small_support(cx)
     after = small_support(localized)
-    sample = set(candidate_primes(cx)) | invert | {0}
+    sample = set(candidate_primes(cx)) | invert
     ok = all(
-        after.contains(p) == (before.contains(p) and p not in invert and p != 0)
-        for p in sample
-        if p != 0
+        after.contains(p) == (before.contains(p) and p not in invert) for p in sample
     ) and after.generic == before.generic
     return ok, before, after
 

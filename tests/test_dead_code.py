@@ -1,4 +1,5 @@
-"""No unused imports and no unreferenced private functions in the package.
+"""No unused imports and no unreferenced private functions or methods in the
+package.
 
 There is no linter in the toolchain, so this walks each module's syntax tree.
 """
@@ -41,20 +42,38 @@ def _unused_imports(name, tree):
                     yield name, bound
 
 
+def _private(stmt):
+    """Whether stmt defines an undecorated private function or method."""
+    return (
+        isinstance(stmt, ast.FunctionDef)
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+        and not stmt.decorator_list
+    )
+
+
 def _unreferenced_private_functions(name, tree, reads):
     for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.FunctionDef)
-            and stmt.name.startswith("_")
-            and not stmt.name.startswith("__")
-            and not stmt.decorator_list
-            and not any(stmt.name in read for top, read in reads if top is not stmt)
-        ):
+        if _private(stmt) and not any(stmt.name in read for top, read in reads if top is not stmt):
             yield name, stmt.name
 
 
-def test_no_unused_imports_and_no_unreferenced_private_functions():
-    trees = _trees()
+def _unreferenced_private_methods(name, tree, reads):
+    """Private methods that nothing reads outside their own body: neither
+    another top-level statement nor another statement of the class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            inside = [(stmt, _reads(stmt)) for stmt in cls.body]
+            for stmt in cls.body:
+                if _private(stmt) and not any(
+                    stmt.name in read
+                    for top, read in reads + inside
+                    if top is not stmt and top is not cls
+                ):
+                    yield name, "%s.%s" % (cls.name, stmt.name)
+
+
+def _dead(trees):
     # what each top-level statement of src/ reads, the package's __init__ too
     reads = [(top, _reads(top)) for tree in trees.values() for top in tree.body]
     found = set()
@@ -62,4 +81,26 @@ def test_no_unused_imports_and_no_unreferenced_private_functions():
         if name != "__init__":
             found.update(_unused_imports(name, tree))
             found.update(_unreferenced_private_functions(name, tree, reads))
-    assert sorted(found - ALLOWED) == []
+            found.update(_unreferenced_private_methods(name, tree, reads))
+    return found
+
+
+def test_no_unused_imports_and_no_unreferenced_private_functions():
+    assert sorted(_dead(_trees()) - ALLOWED) == []
+
+
+def test_an_unreferenced_private_method_is_flagged():
+    tree = ast.parse(
+        "class A:\n"
+        "    def _used(self):\n"
+        "        return self._used_elsewhere()\n"
+        "    def _used_elsewhere(self):\n"
+        "        return 1\n"
+        "    def _recursive(self):\n"
+        "        return self._recursive()\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def f(a):\n"
+        "    return a._used()\n"
+    )
+    assert _dead({"m": tree}) == {("m", "A._recursive")}

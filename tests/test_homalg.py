@@ -249,6 +249,14 @@ def test_cohomology_respects_direct_sums():
     assert sorted(h1.factors) in ([6], [2, 3])
 
 
+def test_a_zero_summand_leaves_the_other_module_itself():
+    for m, zero in (
+        (PresentedModule.cyclic(Z6, 2), Z6.zero_module()),
+        (LnaModule.free(LNA, 1), LNA.zero_module()),
+    ):
+        assert m.direct_sum(zero) is m and zero.direct_sum(m) is m
+
+
 def test_cone_over_the_identity_is_acyclic():
     for cx in (
         _free_complex(Z, [[[2]]]),
@@ -373,6 +381,22 @@ def test_stable_koszul_with_a_unit_is_acyclic():
 def test_stable_koszul_on_nilpotents_keeps_everything():
     k = koszul_stable("x", module_complex(LnaModule.free(LNA, 1), 0))
     assert not k.is_acyclic()
+    # a one-degree complex keeps the zero degree the cone adds above it
+    for x, cx in (
+        (2, module_complex(PresentedModule.free(Z4, 1), 3)),
+        ("x", module_complex(LnaModule.free(LNA, 1), 3)),
+    ):
+        k = koszul_stable(x, cx)
+        assert list(k.cohomology_all()) == [3, 4] and k.cohomology(4).is_zero
+        assert k.cohomology(3).canonical() == cx.cohomology(3).canonical()
+
+
+def test_the_koszul_step_at_a_nilpotent_returns_a_complex_over_two_degrees_itself():
+    # C[1/x] = 0 for nilpotent x, and the cone of C -> 0 is C
+    local = localize(_free_complex(Z12, [[[2], [6]]]), 2)
+    assert local.ring == Z4 and koszul_stable(2, local) is local
+    lna = ChainComplex(LNA, 0, [LnaModule.free(LNA, 1)] * 2, [LNA.multiplication_matrix("x")])
+    assert koszul_stable("y", lna) is lna
 
 
 def test_stable_koszul_is_symmetric_in_the_elements():
@@ -405,6 +429,9 @@ def test_residue_dimensions_of_a_torsion_module():
     assert derived_tensor_residue(cx, 2).dims == ((-1, 1), (0, 1))
     assert not derived_tensor_residue(cx, 5).is_nonzero
     assert not derived_tensor_residue(cx, 0).is_nonzero
+    # at an inverted prime the zeros cover the same degrees as the cone's
+    inverted = module_complex(PresentedModule.cyclic(IntegersLocalized(inverted={2}), 6), 0)
+    assert derived_tensor_residue(inverted, 2).dims == ((-1, 0), (0, 0))
 
 
 def test_residue_refuses_torsion_that_p_does_not_kill(monkeypatch):
@@ -445,9 +472,11 @@ def _universal_coefficient_dims(cx, p):
 def test_residue_dimensions_follow_the_universal_coefficient_formula(ring):
     for cx in battery.instances(ring, 25, battery.DEFAULT_SEED):
         if isinstance(ring, ModularIntegers):
-            cx = restrict_to_integers(cx)
+            modular, cx = cx, restrict_to_integers(cx)
         for p in (2, 3):
             assert derived_tensor_residue(cx, p).dims == _universal_coefficient_dims(cx, p)
+            if isinstance(ring, ModularIntegers):
+                assert derived_tensor_residue(modular, p).dims == derived_tensor_residue(cx, p).dims
 
 
 def test_derived_hom_of_the_periodic_resolution():
