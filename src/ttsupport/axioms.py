@@ -12,7 +12,7 @@ the chosen presentation with randomized covers.
 import random
 
 from .errors import InputError
-from .frames import FiniteFrame, FrameHom, frame_homs, set_label
+from .frames import HOM_SEARCH_MAX, FiniteFrame, FrameHom, frame_homs, set_label
 from .poset import FinitePoset
 from .spectral import SpectralSpace
 
@@ -185,7 +185,7 @@ def construct_eta(datum, samples=50, seed=0):
     return EtaResult(eta, lframe, llabels, cover_checks)
 
 
-def eta_is_unique(datum, eta_result, bound=200000):
+def eta_is_unique(datum, eta_result, bound=HOM_SEARCH_MAX):
     """Exhaustive search over frame homs out of the localizing frame that
     extend gamma; True when the constructed eta is the only one."""
     matches = [

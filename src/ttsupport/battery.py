@@ -38,6 +38,9 @@ from .axioms import canonical_datum, construct_eta, eta_is_unique
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 200
+# Largest --samples the CLI accepts: the suite holds 7 * samples complexes,
+# and its time, about 10 s at the default, grows linearly
+SAMPLES_MAX = 2000
 POSET_BOUND = 4
 ZSET_POSET_BOUND = 6
 ENTRY_BOUND = 10

@@ -25,7 +25,7 @@ from .support import (
     weakly_associated,
 )
 from .axioms import SupportDatum, canonical_datum, check_complements, construct_eta, eta_is_unique, is_supportive
-from .battery import DEFAULT_SAMPLES, DEFAULT_SEED, run_battery
+from .battery import DEFAULT_SAMPLES, DEFAULT_SEED, SAMPLES_MAX, run_battery
 
 DEFAULT_MAX_POSET = 6
 
@@ -277,7 +277,7 @@ def _build_parser():
     )
     parser.add_argument(
         "--samples", type=int, default=DEFAULT_SAMPLES,
-        help="sample count for randomized checks (default %d)" % DEFAULT_SAMPLES,
+        help="sample count for randomized checks, 1 to %d (default %d)" % (SAMPLES_MAX, DEFAULT_SAMPLES),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -313,6 +313,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.samples < 1:
+            raise InputError("--samples must be at least 1")
+        if args.samples > SAMPLES_MAX:
+            raise ResourceLimitError("sample count exceeds the bound", "samples", SAMPLES_MAX)
         if args.command == "suite":
             return _cmd_suite(args)
         if args.max_poset is None:

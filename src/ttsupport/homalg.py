@@ -42,12 +42,12 @@ the sign rule used for the two-term tensor constructions below.
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from . import smith
 from .errors import InputError, ResourceLimitError
 from .smith import (
     block_diag,
     block_matrix,
     diagonal,
+    divide_diagonal,
     factorize,
     hstack,
     identity,
@@ -55,6 +55,7 @@ from .smith import (
     lattice_basis,  # unused here, but bench/test_bench.py traces it as a homalg binding
     mat_mul,
     mat_vec,
+    quotient_generators,
     quotient_invariants,
     smith_normal_form,
     solve_int,  # unused here, but bench/test_bench.py traces it as a homalg binding
@@ -100,15 +101,14 @@ class IntegersLocalized(_IntegerFlavour):
     has_generic = True
 
     def __post_init__(self):
+        object.__setattr__(self, "inverted", frozenset(self.inverted))
         if self.at_prime is not None:
             if not _is_prime(self.at_prime):
                 raise InputError("at_prime must be prime")
             if self.inverted:
                 raise InputError("at_prime form keeps no explicit inverted set")
-        else:
-            object.__setattr__(self, "inverted", frozenset(self.inverted))
-            if not all(_is_prime(q) for q in self.inverted):
-                raise InputError("inverted set must consist of primes")
+        elif not all(_is_prime(q) for q in self.inverted):
+            raise InputError("inverted set must consist of primes")
 
     @property
     def modulus(self):
@@ -392,10 +392,8 @@ def _json_int_matrix(raw, what):
 def ring_from_json(obj):
     t = _json_key(obj, "type", "ring")
     if t == "Z":
-        if obj.get("at_prime") is not None:
-            return IntegersLocalized(at_prime=obj["at_prime"])
         inverted = _json_ints(obj.get("inverted", []), "ring key 'inverted'")
-        return IntegersLocalized(inverted=frozenset(inverted))
+        return IntegersLocalized(inverted=frozenset(inverted), at_prime=obj.get("at_prime"))
     if t == "Z/n":
         return ModularIntegers(_json_key(obj, "n", "Z/n ring"))
     if t == "local_nilpotent":
@@ -522,9 +520,9 @@ class PresentedModule(_Immutable):
     def _form(self):
         """(diag, U) of one Smith form U·A·V = D of the relation columns A,
         diag the nonzero invariant factors: v lies in the relation lattice
-        iff _divide(diag, U·v) is not None.  Without explicit relations A is
-        modulus·I (or has no columns), already a Smith form, and U = I is
-        given as None."""
+        iff divide_diagonal(diag, U·v) is not None.  Without explicit
+        relations A is modulus·I (or has no columns), already a Smith form,
+        and U = I is given as None."""
 
         def compute():
             if not self.nrels:
@@ -561,7 +559,7 @@ class PresentedModule(_Immutable):
         """Whether every vector (on the generators) is zero in the module."""
         diag, u = self._form()
         return all(
-            smith._divide(diag, v if u is None else mat_vec(u, v)) is not None for v in vecs
+            divide_diagonal(diag, v if u is None else mat_vec(u, v)) is not None for v in vecs
         )
 
     def _accepts(self, d, src):
@@ -1278,26 +1276,11 @@ def _free_resolution(s_cx, cutoff, gens_bound):
         tgt_cols = s_up.direct_sum(PresentedModule.free(ring, r_upup)).relation_columns()
         k_gens = _module_kernel(phi, tgt_cols, amb)
         src_cols = s_i.direct_sum(PresentedModule.free(ring, r_up)).relation_columns()
-        gens_mat, rank = _minimal_generators(k_gens, src_cols, amb)
-        if rank > gens_bound:
+        gens = quotient_generators(k_gens, src_cols)
+        if len(gens) > gens_bound:
             raise ResourceLimitError("resolution rank too large", "hom_gens", gens_bound)
-        res[i] = (rank, gens_mat[sg:])
+        gens_mat = [[g[r] for g in gens] for r in range(amb)]
+        res[i] = (len(gens), gens_mat[sg:])
         f_up = gens_mat[:sg]
     return res
 
-
-def _minimal_generators(k_gens, l_cols, amb):
-    """Minimal generators of the quotient lattice K/L as columns in the
-    ambient coordinates, dropping unit invariant factors, and their count."""
-    basis, coords = smith._span_coordinates(k_gens, l_cols)
-    k = len(basis)
-    if not k:
-        return [[] for _ in range(amb)], 0
-    kb = transpose(basis)  # amb x k
-    if not coords:
-        return kb, k
-    d, _u, _v, uinv = smith._smith(transpose(coords), inverse=True)
-    diag = diagonal(d)
-    keep = [j for j in range(k) if j >= len(diag) or diag[j] != 1]
-    new_gens = mat_mul(kb, uinv)  # columns = new generators
-    return [[new_gens[r][j] for j in keep] for r in range(amb)], len(keep)

@@ -9,8 +9,8 @@ import operator
 from .errors import InputError, ResourceLimitError
 
 # Every Smith form re-verifies U*A*V == D, the divisibility chain and
-# unimodularity paperwork, and U*U^-1 == I when U^-1 is tracked.  The inputs
-# this package sees are tiny, so the self-check is kept on unconditionally.
+# unimodularity paperwork.  The inputs this package sees are tiny, so the
+# self-check is kept on unconditionally.
 SELF_CHECK = True
 
 # Largest trial divisor in factorize: a larger remaining part may not be
@@ -86,19 +86,6 @@ def block_diag(blocks):
     return block_matrix(r, c, placed)
 
 
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def smith_normal_form(a):
-    """Return (d, u, v) with u*a*v == d in Smith normal form.
-
-    d is diagonal with nonnegative entries satisfying d[0] | d[1] | ... ;
-    u and v are unimodular.
-    """
-    return _smith(a)[:3]
-
-
 def _xgcd(a, b):
     """(g, s, t) with s*a + t*b == g, g a gcd of a and b (possibly negative)."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -121,9 +108,12 @@ def _clearing_step(a, b):
     return s, t, -(b // g), a // g
 
 
-def _smith(a, inverse=False):
-    """smith_normal_form's (d, u, v), followed by the inverse of u when
-    inverse is set (else [])."""
+def smith_normal_form(a):
+    """Return (d, u, v) with u*a*v == d in Smith normal form.
+
+    d is diagonal with nonnegative entries satisfying d[0] | d[1] | ... ;
+    u and v are unimodular.
+    """
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
@@ -131,24 +121,17 @@ def _smith(a, inverse=False):
     d = [list(row) for row in a]
     u = identity(m)
     v = identity(n)
-    uinv = identity(m) if inverse else []
 
     def rows(i, j, a11, a12, a21, a22):
         # rows i, j of d and u become a11*row_i + a12*row_j and
-        # a21*row_i + a22*row_j, a unimodular step; columns i, j of uinv take
-        # the inverse step.  For i == j the second write wins, which makes
-        # (-1, 0, 0, -1) a sign flip of row i.
+        # a21*row_i + a22*row_j, a unimodular step.  For i == j the second
+        # write wins, which makes (-1, 0, 0, -1) a sign flip of row i.
         for mat in (d, u):
             ri, rj = mat[i], mat[j]
             for k in range(len(ri)):
                 p, q = ri[k], rj[k]
                 ri[k] = a11 * p + a12 * q
                 rj[k] = a21 * p + a22 * q
-        det = a11 * a22 - a12 * a21
-        for row in uinv:
-            p, q = row[i], row[j]
-            row[i] = det * (a22 * p - a21 * q)
-            row[j] = det * (a11 * q - a12 * p)
 
     def cols(i, j, a11, a12, a21, a22):  # the same step on columns i, j of d and v
         for mat in (d, v):
@@ -209,14 +192,13 @@ def _smith(a, inverse=False):
 
     if SELF_CHECK:
         _verify_snf(a, d, u, v)
-        assert not uinv or mat_mul(u, uinv) == identity(m), "U*U^-1 != I"
-    return d, u, v, uinv
+    return d, u, v
 
 
 def _verify_snf(a, d, u, v):
     m = len(a)
     n = len(a[0]) if m else 0
-    assert mat_eq(mat_mul(mat_mul(u, a), v), d), "U*A*V != D"
+    assert mat_mul(mat_mul(u, a), v) == d, "U*A*V != D"
     diag = [d[i][i] for i in range(min(m, n))]
     for i in range(m):
         for j in range(n):
@@ -301,7 +283,7 @@ def kernel_basis(a, ncols=None):
     return basis
 
 
-def _divide(diag, ub):
+def divide_diagonal(diag, ub):
     """y with diag[i] * y[i] == ub[i] for every i, when ub is zero past the
     nonzero invariant factors diag and each of them divides; else None."""
     if any(ub[len(diag):]) or any(x % e for x, e in zip(ub, diag)):
@@ -319,7 +301,7 @@ def solve_int(a, b_cols):
     diag = [e for e in diagonal(d) if e != 0]
     xs = []
     for b in b_cols:
-        y = _divide(diag, mat_vec(u, b))
+        y = divide_diagonal(diag, mat_vec(u, b))
         if y is None:
             return None
         xs.append(mat_vec(v, y + [0] * (len(v) - len(y))))
@@ -339,7 +321,7 @@ def _span_coordinates(gens, l_cols):
     a = transpose(gens)
     d, u, v = smith_normal_form(a)
     diag = [e for e in diagonal(d) if e != 0]
-    coords = [_divide(diag, mat_vec(u, l)) for l in l_cols]
+    coords = [divide_diagonal(diag, mat_vec(u, l)) for l in l_cols]
     assert None not in coords, "L not inside K"
     return transpose(mat_mul(a, [row[: len(diag)] for row in v])), coords
 
@@ -350,6 +332,17 @@ def lattice_basis(gens, ambient_dim):
     return _span_coordinates(gens, [])[0]
 
 
+def _quotient_form(k_gens, l_gens):
+    """(basis, diag, u): a basis of the lattice K that k_gens span, and the
+    diagonal and U of one Smith form U*C*V = D of the coordinates C of
+    l_gens in that basis (diag = [] and u = None when C has no entries)."""
+    basis, coords = _span_coordinates(k_gens, l_gens)
+    if not basis or not coords:
+        return basis, [], None
+    d, u, _v = smith_normal_form(transpose(coords))
+    return basis, diagonal(d), u
+
+
 def quotient_invariants(k_gens, l_gens):
     """Invariant factors and free rank of K/L for lattices L <= K <= Z^n.
 
@@ -357,13 +350,25 @@ def quotient_invariants(k_gens, l_gens):
     columns of L (must lie in K).  Returns (factors, rank) with factors the
     invariant factors > 1 in increasing order.
     """
-    basis, coords = _span_coordinates(k_gens, l_gens)
-    if not basis or not coords:
-        return (), len(basis)
-    d, _u, _v = smith_normal_form(transpose(coords))
-    nonzero = [e for e in diagonal(d) if e != 0]
+    basis, diag, _u = _quotient_form(k_gens, l_gens)
+    nonzero = [e for e in diag if e != 0]
     factors = tuple(sorted(e for e in nonzero if e != 1))
     return factors, len(basis) - len(nonzero)
+
+
+def quotient_generators(k_gens, l_gens):
+    """Minimal generators of K/L as ambient columns, len(factors) + rank of
+    them for quotient_invariants' (factors, rank).  With B the basis of K and
+    U*C*V = D as in _quotient_form, the columns g_j of B*U^-1 are a basis of
+    K in which the d_j*g_j span L: each g_j with d_j = 1 lies in L."""
+    basis, diag, u = _quotient_form(k_gens, l_gens)
+    if u is None:
+        return basis
+    k = len(u)
+    uinv = transpose(solve_int(u, identity(k)))
+    assert mat_mul(u, uinv) == identity(k), "U*U^-1 != I"
+    gens = transpose(mat_mul(transpose(basis), uinv))
+    return [g for j, g in enumerate(gens) if j >= len(diag) or diag[j] != 1]
 
 
 def factorize(n):

@@ -352,3 +352,68 @@ def test_local_nilpotent_generators_must_be_named_by_strings_with_integer_expone
     code, report, _elapsed = _timed_main(["support", "small", json.dumps(doc)])
     assert code == 1
     assert report == {"error": "generator names must be strings and exponents integers"}
+
+
+def _z6_over(ring):
+    """Z/6 in degree 0 over the ring {"type": "Z", **ring}."""
+    return json.dumps(
+        {"ring": dict(ring, type="Z"), "degrees": [0, 0], "modules": [[[6]]], "differentials": []}
+    )
+
+
+@pytest.mark.parametrize(
+    "ring", [{"at_prime": 2, "inverted": [2]}, {"at_prime": 2, "inverted": "x"}]
+)
+def test_at_prime_next_to_a_nonempty_or_malformed_inverted_set_exits_one(ring):
+    # Z_(2)[1/2] is Q, so answering the support of Z/6 over Z_(2) would be wrong
+    code, report, _elapsed = _timed_main(["support", "small", _z6_over(ring)])
+    assert code == 1 and set(report) == {"error"}
+
+
+@pytest.mark.parametrize(
+    "ring, primes",
+    [
+        ({"at_prime": 2, "inverted": []}, ["(2)"]),
+        ({"at_prime": 2}, ["(2)"]),
+        ({"inverted": [2]}, ["(3)"]),
+        ({}, ["(2)", "(3)"]),
+    ],
+)
+def test_at_prime_or_inverted_on_its_own_is_accepted(ring, primes):
+    code, report, _elapsed = _timed_main(["support", "small", _z6_over(ring)])
+    assert code == 0 and report["primes"] == primes
+
+
+ALL_COMMANDS = [
+    ["suite"],
+    ["spectral", "cbrank", CHAIN2],
+    ["frames", "of", CHAIN2],
+    ["support", "small", Z6_COMPLEX],
+    ["axioms", "eta", "{broken json"],
+    ["axioms", "supportive", "{broken json"],
+]
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_fewer_than_one_sample_exits_one_before_any_work(samples, argv):
+    code, report, elapsed = _timed_main(["--samples", samples, *argv])
+    assert code == 1 and report == {"error": "--samples must be at least 1"}
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_more_samples_than_the_bound_exits_two_before_any_work(argv):
+    from ttsupport.battery import SAMPLES_MAX
+
+    code, report, elapsed = _timed_main(["--samples", str(SAMPLES_MAX + 1), *argv])
+    assert code == 2 and report["bound"] == "samples" and report["value"] == SAMPLES_MAX
+    assert elapsed < 1.0
+
+
+def test_the_sample_bound_admits_the_default_and_the_bound_itself():
+    from ttsupport.battery import DEFAULT_SAMPLES, SAMPLES_MAX
+
+    assert SAMPLES_MAX >= DEFAULT_SAMPLES
+    code, report, _elapsed = _timed_main(["--samples", str(SAMPLES_MAX), "spectral", "cbrank", CHAIN2])
+    assert code == 0 and report == {"rank": 2}

@@ -1,5 +1,5 @@
-"""No unused imports and no unreferenced private functions or methods in the
-package.
+"""No unused imports, no unreferenced private functions or methods, and no
+reads of another module's private names in the package.
 
 There is no linter in the toolchain, so this walks each module's syntax tree.
 """
@@ -15,6 +15,11 @@ SRC = Path(ttsupport.__file__).parent
 # bench/test_bench.py traces both as homalg bindings, so the names have to
 # stay bound there
 ALLOWED = {("homalg", "lattice_basis"), ("homalg", "solve_int")}
+
+# (reader, module, name) of each private name one module reads from another.
+# support reads homalg._over_ring: localize_support_check inverts a set of
+# primes, and no public constructor does that
+CROSS_MODULE_ALLOWED = {("support", "homalg", "_over_ring")}
 
 
 def _trees():
@@ -42,12 +47,15 @@ def _unused_imports(name, tree):
                     yield name, bound
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private(stmt):
     """Whether stmt defines an undecorated private function or method."""
     return (
         isinstance(stmt, ast.FunctionDef)
-        and stmt.name.startswith("_")
-        and not stmt.name.startswith("__")
+        and _is_private(stmt.name)
         and not stmt.decorator_list
     )
 
@@ -85,6 +93,31 @@ def _dead(trees):
     return found
 
 
+def _private_reads_across_modules(trees):
+    """(reader, module, name) for each private name of a package module that
+    another package module reads, as module._name after ``from . import
+    module`` or through ``from .module import _name``."""
+    found = set()
+    for name, tree in trees.items():
+        aliases = {}  # local name -> package module it is bound to
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.ImportFrom) and sub.level == 1:
+                for alias in sub.names:
+                    if sub.module is None and alias.name in trees:
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif sub.module in trees and _is_private(alias.name):
+                        found.add((name, sub.module, alias.name))
+        for sub in ast.walk(tree):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id in aliases
+                and _is_private(sub.attr)
+            ):
+                found.add((name, aliases[sub.value.id], sub.attr))
+    return found
+
+
 def test_no_unused_imports_and_no_unreferenced_private_functions():
     assert sorted(_dead(_trees()) - ALLOWED) == []
 
@@ -104,3 +137,23 @@ def test_an_unreferenced_private_method_is_flagged():
         "    return a._used()\n"
     )
     assert _dead({"m": tree}) == {("m", "A._recursive")}
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert sorted(_private_reads_across_modules(_trees()) - CROSS_MODULE_ALLOWED) == []
+
+
+def test_a_private_read_across_modules_is_flagged():
+    trees = {
+        "a": ast.parse("def _own():\n    return 1\n"),
+        "b": ast.parse(
+            "from . import a as alias\n"
+            "from .a import _imported, public\n"
+            "def f(a):\n"
+            "    return alias._through_module(), alias.public, a._attribute_of_a_local\n"
+        ),
+    }
+    assert _private_reads_across_modules(trees) == {
+        ("b", "a", "_imported"),
+        ("b", "a", "_through_module"),
+    }

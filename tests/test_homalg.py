@@ -50,6 +50,11 @@ def test_ring_json_round_trip():
         assert ring_from_json(ring.to_json()) == ring
 
 
+def test_an_empty_inverted_list_next_to_at_prime_is_the_local_ring():
+    ring = IntegersLocalized(at_prime=2, inverted=[])
+    assert ring == IntegersLocalized(at_prime=2) and hash(ring) == hash(IntegersLocalized(at_prime=2))
+
+
 def test_unit_detection():
     assert IntegersLocalized(inverted={2}).is_unit(4)
     assert not IntegersLocalized(inverted={2}).is_unit(6)

@@ -9,13 +9,13 @@ import pytest
 
 from ttsupport.smith import (
     _det_unimodular,
-    _smith,
     _verify_snf,
     identity,
     kernel_basis,
     lattice_basis,
     mat_mul,
     mat_vec,
+    quotient_generators,
     quotient_invariants,
     smith_normal_form,
     solve_int,
@@ -141,13 +141,19 @@ def _generator_sets(rng, count):
     return cases
 
 
+def _inverse(u):
+    uinv = transpose(solve_int(u, identity(len(u))))
+    assert mat_mul(u, uinv) == identity(len(u)) == mat_mul(uinv, u)
+    return uinv
+
+
 def _lattice_basis_through_the_inverse(gens, ambient_dim):
     """The columns of U^-1 * D for the nonzero invariant factors."""
     if not gens:
         return []
     a = transpose(gens)
     d, u, _v = smith_normal_form(a)
-    uinv = transpose(solve_int(u, identity(len(u))))
+    uinv = _inverse(u)
     n = len(a[0]) if a else 0
     return [
         [uinv[r][i] * d[i][i] for r in range(ambient_dim)]
@@ -161,12 +167,25 @@ def test_lattice_basis_equals_u_inverse_times_d():
         assert lattice_basis(gens, amb) == _lattice_basis_through_the_inverse(gens, amb)
 
 
-def test_smith_tracks_the_inverse_of_u():
-    for gens, amb in _generator_sets(random.Random(17), 240):
-        a = [[g[r] for g in gens] for r in range(amb)]  # amb x len(gens): 0 x 0 and 3 x 0 too
-        d, u, v, uinv = _smith(a, inverse=True)
-        assert (d, u, v) == smith_normal_form(a)
-        assert mat_mul(u, uinv) == identity(amb) == mat_mul(uinv, u)
+def _columns_matrix(cols, amb):
+    """The amb x len(cols) matrix with the given columns."""
+    return [[c[r] for c in cols] for r in range(amb)]
+
+
+def test_quotient_generators_span_k_with_l_and_count_the_invariants():
+    rng = random.Random(17)
+    for gens, amb in _generator_sets(rng, 240):
+        # L: integer combinations of the generators, so L lies in K
+        l_gens = [
+            [sum(c * g[r] for c, g in zip(coef, gens)) for r in range(amb)]
+            for coef in _random_matrix(rng, rng.randint(0, 4), len(gens), 4)
+        ]
+        new = quotient_generators(gens, l_gens)
+        # each new generator lies in K, and K lies in the span of them and L
+        assert solve_int(_columns_matrix(gens, amb), new) is not None
+        assert solve_int(_columns_matrix(new + l_gens, amb), gens) is not None
+        factors, rank = quotient_invariants(gens, l_gens)
+        assert len(new) == len(factors) + rank
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -175,7 +194,8 @@ def test_transforms_stay_small_on_dense_ten_by_ten_matrices(seed):
     # thousands of bits; 2x2 extended-gcd steps stay near a thousand
     a = _random_matrix(random.Random(seed), 10, 10)
     start = time.perf_counter()
-    _d, u, v, uinv = _smith(a, inverse=True)
+    _d, u, v = smith_normal_form(a)
+    uinv = _inverse(u)
     assert time.perf_counter() - start < 1.0
     assert max(abs(x).bit_length() for row in u + v + uinv for x in row) <= 4096
 

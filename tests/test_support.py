@@ -268,15 +268,17 @@ def test_foxby_support_over_z_mod_n_is_quick_and_equals_small_support(doc):
 
 @pytest.fixture
 def smith_forms(monkeypatch):
-    """The matrices of every Smith form taken while the test runs."""
+    """The matrices of every Smith form taken while the test runs, through
+    smith's binding of the one routine and homalg's."""
     seen = []
-    take = smith._smith
+    take = smith.smith_normal_form
 
-    def counting(a, inverse=False):
+    def counting(a):
         seen.append(a)
-        return take(a, inverse)
+        return take(a)
 
-    monkeypatch.setattr(smith, "_smith", counting)
+    monkeypatch.setattr(smith, "smith_normal_form", counting)
+    monkeypatch.setattr(homalg, "smith_normal_form", counting)
     return seen
 
 
