@@ -25,21 +25,27 @@ on the flavour:
   generates the prime, ``_koszul_stable(x, cx)`` tensors with R -> R[1/x];
 * ``residue_nonzero(cx, p)`` tests C ⊗^L k(p) != 0.
 
-Modules share the generator count ``ngens``; the lattice (integer
-flavours) and F_p-linear (local nilpotent) algebra behind validation and
-cohomology sits in the two module classes.
+Modules share the generator count ``ngens``; the algebra behind validation
+and cohomology sits in the two module classes.  Over Z/n with n squarefree
+(``ring.field_primes``) a presented module is the product of its reductions
+mod each p | n, so it is computed from ranks over F_p, the algebra the local
+nilpotent flavour runs on too; over the other integer flavours from integer
+lattices and Smith forms.
 
 Modules and complexes are immutable, and their matrices are tuples of row
 tuples.  So each answer derived from one is computed once and kept on it: a
-presented module's relation Smith form (behind validation, ``canonical()``
-and ``is_zero``), and a complex's cohomology groups, its localization at
-each prime and, through ``support``, its supports.
+presented module's relation form (a Smith form, or its rank mod each p,
+behind validation, ``canonical()`` and ``is_zero``), and a complex's
+cohomology groups, its localization at each prime and, through ``support``,
+its supports.
 
 Differentials raise degree by one.  d(a ⊗ b) = da ⊗ b + (-1)^|a| a ⊗ db is
 the sign rule used for the two-term tensor constructions below.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 from types import MappingProxyType
 
 from .errors import InputError, ResourceLimitError
@@ -49,6 +55,8 @@ from .smith import (
     diagonal,
     divide_diagonal,
     factorize,
+    fp_kernel,
+    fp_reduce,
     hstack,
     identity,
     kernel_basis,
@@ -57,6 +65,7 @@ from .smith import (
     mat_vec,
     quotient_generators,
     quotient_invariants,
+    rank_p,
     smith_normal_form,
     solve_int,  # unused here, but bench/test_bench.py traces it as a homalg binding
     transpose,
@@ -99,6 +108,7 @@ class IntegersLocalized(_IntegerFlavour):
     at_prime: int | None = None
 
     has_generic = True
+    field_primes = None
 
     def __post_init__(self):
         object.__setattr__(self, "inverted", frozenset(self.inverted))
@@ -203,6 +213,17 @@ class ModularIntegers(_IntegerFlavour):
 
     def prime_divisors(self):
         return tuple(sorted(factorize(self.n)))
+
+    @cached_property
+    def field_primes(self):
+        """The primes p of a squarefree n, for which Z/n is the product of
+        the fields F_p; None when n has a square factor or is too large to
+        factor."""
+        try:
+            f = factorize(self.n)
+        except ResourceLimitError:
+            return None
+        return tuple(sorted(f)) if set(f.values()) == {1} else None
 
     def is_unit_prime(self, q):
         return self.n % q != 0
@@ -441,6 +462,14 @@ def canonical_module(ring, factors, rank, divisible=()):
     return CanonicalModule(tuple(sorted(stripped)), rank, div)
 
 
+def _fp_canonical(ring, dims):
+    """The Z/n module that is F_p^dims[p] at each prime p of a squarefree n:
+    its i-th largest invariant factor is the product of the p with
+    dims[p] > i."""
+    top = max(dims.values(), default=0)
+    return canonical_module(ring, [prod(p for p, d in dims.items() if d > i) for i in range(top)], 0)
+
+
 # ---------------------------------------------------------------------------
 # immutable objects
 
@@ -522,7 +551,7 @@ class PresentedModule(_Immutable):
         diag the nonzero invariant factors: v lies in the relation lattice
         iff divide_diagonal(diag, U·v) is not None.  Without explicit
         relations A is modulus·I (or has no columns), already a Smith form,
-        and U = I is given as None."""
+        and U = I is given as None.  Only the lattice route takes it."""
 
         def compute():
             if not self.nrels:
@@ -533,8 +562,16 @@ class PresentedModule(_Immutable):
 
         return self._cached("form", compute)
 
+    def _fp_rank(self, p):
+        """rank_p of the explicit relations; over Z/n with p | n the
+        relations n·I vanish mod p."""
+        return self._cached(("fp_rank", p), lambda: rank_p(self.rel, p))
+
     def canonical(self):
         def compute():
+            primes = self.ring.field_primes
+            if primes:
+                return _fp_canonical(self.ring, {p: self.ngens - self._fp_rank(p) for p in primes})
             diag = self._form()[0]
             return canonical_module(self.ring, diag, self.ngens - len(diag))
 
@@ -556,7 +593,16 @@ class PresentedModule(_Immutable):
         return PresentedModule(self.ring, self.ngens + other.ngens, rel)
 
     def _kills(self, vecs):
-        """Whether every vector (on the generators) is zero in the module."""
+        """Whether every vector (on the generators) is zero in the module.
+        Over Z/n with n squarefree that holds iff, for each p | n, no vector
+        raises the rank of the relations mod p."""
+        primes = self.ring.field_primes
+        if primes:
+            return all(
+                not any(x % p for v in vecs for x in v)
+                or rank_p(hstack(self.rel, transpose(vecs)), p) == self._fp_rank(p)
+                for p in primes
+            )
         diag, u = self._form()
         return all(
             divide_diagonal(diag, v if u is None else mat_vec(u, v)) is not None for v in vecs
@@ -567,10 +613,23 @@ class PresentedModule(_Immutable):
         return self._kills([mat_vec(d, col) for col in src.relation_columns()])
 
     def _homology(self, d_in, d_out, nxt):
-        """ker(d_out: self -> nxt) / im(d_in), as invariant factors."""
+        """ker(d_out: self -> nxt) / im(d_in), as invariant factors.  Over
+        Z/n with n squarefree, from dimensions over each F_p, p | n: with R
+        the relations of a module, Z the preimage of R_next under d_out and
+        B the span of R_here and im d_in,
+            dim Z = g - (rank_p[d_out | R_next] - rank_p R_next),
+            dim B = rank_p[R_here | d_in]."""
         g = self.ngens
         if g == 0:
             return canonical_module(self.ring, (), 0)
+        primes = self.ring.field_primes
+        if primes:
+            dims = {}
+            for p in primes:
+                z = g - rank_p(hstack(d_out, nxt.rel), p) + nxt._fp_rank(p)
+                dims[p] = z - rank_p(hstack(self.rel, d_in), p)
+                assert dims[p] >= 0, "image larger than the kernel mod %d" % p
+            return _fp_canonical(self.ring, dims)
         k_gens = _module_kernel(d_out, nxt.relation_columns(), g)
         factors, rank = quotient_invariants(k_gens, transpose(d_in) + self.relation_columns())
         return canonical_module(self.ring, factors, rank)
@@ -588,46 +647,7 @@ class PresentedModule(_Immutable):
 
 
 # ---------------------------------------------------------------------------
-# F_p linear algebra (local nilpotent algebra flavour)
-
-
-def fp_reduce(mat, p):
-    """Row reduce mod p; returns (rref, pivot column list)."""
-    m = [[x % p for x in row] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] % p != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] % p != 0:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m[:r], pivots
-
-
-def fp_kernel(mat, ncols, p):
-    """Basis column vectors of the kernel mod p."""
-    rref, pivots = fp_reduce(mat, p) if mat else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        v = [0] * ncols
-        v[fcol] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rref[r][fcol]) % p
-        basis.append(v)
-    return basis
+# modules over a local nilpotent algebra
 
 
 class LnaModule(_Immutable):

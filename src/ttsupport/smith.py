@@ -1,7 +1,10 @@
-"""Integer matrix routines: Smith normal form and lattice arithmetic.
+"""Exact matrix routines: over the integers, Smith normal form and lattice
+arithmetic; over a prime field F_p, row reduction, kernels and ranks.
 
 Matrices are lists of rows of Python ints (arbitrary precision).  Everything
-here is exact; there is no floating point anywhere in the package.
+here is exact; there is no floating point anywhere in the package.  Under
+SELF_CHECK every Smith form is certified by its transforms and every F_p
+rank by a nonsingular minor and a full set of kernel vectors.
 """
 
 import operator
@@ -369,6 +372,115 @@ def quotient_generators(k_gens, l_gens):
     assert mat_mul(u, uinv) == identity(k), "U*U^-1 != I"
     gens = transpose(mat_mul(transpose(basis), uinv))
     return [g for j, g in enumerate(gens) if j >= len(diag) or diag[j] != 1]
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over F_p
+
+
+def fp_reduce(mat, p):
+    """Row reduce mod a prime p: (rref, pivots), the nonzero rows of the
+    reduced echelon form of mat and their pivot columns.  Under SELF_CHECK
+    the rank len(pivots) is certified by _verify_fp_rank."""
+    rref, pivots, pivot_rows = _fp_eliminate(mat, p)
+    if SELF_CHECK:
+        _verify_fp_rank(mat, p, rref, pivots, pivot_rows)
+    return rref, pivots
+
+
+def _fp_eliminate(mat, p):
+    """Gauss-Jordan elimination mod p: (rref, pivots, pivot_rows), with
+    pivot_rows the rows of mat whose span the rows of rref are."""
+    m = [[x % p for x in row] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    order = list(range(rows))  # the row of mat each row of m started as
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        order[r], order[pr] = order[pr], order[r]
+        pivot_row = m[r]
+        if pivot_row[c] != 1:
+            inv = pow(pivot_row[c], p - 2, p)
+            pivot_row = m[r] = [x * inv % p for x in pivot_row]
+        for i in range(rows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot_row)]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots, order[:r]
+
+
+def _verify_fp_rank(a, p, rref, pivots, pivot_rows):
+    """Certify that the m x n matrix a has rank r = len(pivots) mod p: the
+    r x r minor of a at pivot_rows and pivots is nonsingular mod p (rank >=
+    r), and the n - r echelon kernel vectors, independent by their shape,
+    satisfy a*k == 0 mod p (rank <= r)."""
+    minor = [[a[i][c] % p for c in pivots] for i in pivot_rows]
+    assert _det_mod_p(minor, p) != 0, "singular pivot minor mod p"
+    # the kernel vectors k, one per free column, stacked side by side make
+    # a*K = a[:, free] - a[:, pivots] * rref[:, free], row by row
+    n = len(a[0]) if a else 0
+    pivot_set = set(pivots)
+    free = [f for f in range(n) if f not in pivot_set]
+    rref_free = [[row[f] for f in free] for row in rref]
+    for row in a:
+        out = [row[f] for f in free]
+        for c, w in zip(pivots, rref_free):
+            x = row[c]
+            if x:
+                out = [y - x * z for y, z in zip(out, w)]
+        assert not any(y % p for y in out), "kernel vector not annihilated mod p"
+
+
+def _det_mod_p(a, p):
+    """Determinant mod p of a square matrix with entries reduced mod p, by
+    plain elimination with row swaps."""
+    m = [list(row) for row in a]
+    det = 1
+    for k in range(len(m)):
+        pr = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pr is None:
+            return 0
+        if pr != k:
+            m[k], m[pr] = m[pr], m[k]
+            det = -det
+        det = det * m[k][k] % p
+        inv = pow(m[k][k], p - 2, p)
+        for row in m[k + 1 :]:
+            f = row[k] * inv % p
+            if f:
+                for j in range(k, len(row)):
+                    row[j] = (row[j] - f * m[k][j]) % p
+    return det % p
+
+
+def fp_kernel(mat, ncols, p):
+    """Basis column vectors of the kernel of mat mod p in echelon form: one
+    vector per free column f, 1 at f and 0 at every other free column."""
+    rref, pivots = fp_reduce(mat, p)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f not in pivot_set:
+            v = [0] * ncols
+            v[f] = 1
+            for row, pc in zip(rref, pivots):
+                v[pc] = -row[f] % p
+            basis.append(v)
+    return basis
+
+
+def rank_p(mat, p):
+    """Rank of mat mod a prime p, certified under SELF_CHECK."""
+    return len(fp_reduce(mat, p)[1])
 
 
 def factorize(n):

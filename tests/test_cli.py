@@ -316,15 +316,21 @@ def test_a_modulus_with_two_large_prime_factors_exits_two():
     assert elapsed < 10.0
 
 
-def _dense_integer_differential(seed):
+def _dense_integer_differential(seed, ring=None):
     """Z^12 -> Z^12 in degrees 0 and 1, entries in [-50, 50], the last row
     the sum of the first two: rank 11, so the cohomology is one free rank in
-    each degree plus small torsion."""
+    each degree plus small torsion.  The same matrix over another ring when
+    ring (its JSON) is given."""
     rng = random.Random(seed)
     d = [[rng.randint(-50, 50) for _ in range(12)] for _ in range(11)]
     d.append([x + y for x, y in zip(d[0], d[1])])
     return json.dumps(
-        {"ring": {"type": "Z"}, "degrees": [0, 1], "modules": [[[]] * 12] * 2, "differentials": [d]}
+        {
+            "ring": ring or {"type": "Z"},
+            "degrees": [0, 1],
+            "modules": [[[]] * 12] * 2,
+            "differentials": [d],
+        }
     )
 
 
@@ -335,6 +341,38 @@ def test_a_dense_twelve_by_twelve_integer_differential_answers(op):
     code, report, elapsed = _timed_main(["support", op, _dense_integer_differential(1)])
     assert code == 0 and "error" not in report
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("op", ["small", "big", "foxby", "vanish", "ass"])
+def test_the_dense_twelve_by_twelve_differential_answers_over_squarefree_moduli(op):
+    reports = {}
+    for n in (2, 3, 6):
+        doc = _dense_integer_differential(1, {"type": "Z/n", "n": n})
+        code, reports[n], elapsed = _timed_main(["support", op, doc])
+        assert code == 0 and "error" not in reports[n]
+        assert elapsed < 10.0
+    if op != "vanish":
+        # Z/6 = Z/2 x Z/3, so the support over Z/6 is the union of the two
+        assert set(reports[6]["primes"]) == set(reports[2]["primes"]) | set(reports[3]["primes"])
+    else:
+        assert reports[6]["vanishes"] == (reports[2]["vanishes"] and reports[3]["vanishes"])
+
+
+def test_an_unfactorable_modulus_keeps_its_answers_and_refusals():
+    # n = 1000003 * 1000033: both factors lie past the trial-division bound,
+    # and 2 is a unit mod n, so Z/n --2--> Z/n is acyclic
+    doc = json.dumps(
+        {
+            "ring": {"type": "Z/n", "n": 1000003 * 1000033},
+            "degrees": [0, 1],
+            "modules": [[[]], [[]]],
+            "differentials": [[[2]]],
+        }
+    )
+    code, report, _elapsed = _timed_main(["support", "ass", doc])
+    assert code == 0 and report["primes"] == []
+    code, report, _elapsed = _timed_main(["support", "small", doc])
+    assert code == 2 and report["bound"] == "factor_trial"
 
 
 @pytest.mark.parametrize(

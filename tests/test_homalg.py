@@ -14,6 +14,7 @@ from ttsupport.homalg import (
     LocalNilpotentAlgebra,
     ModularIntegers,
     PresentedModule,
+    canonical_module,
     cone,
     derived_tensor_residue,
     hom_complex_h0,
@@ -137,47 +138,34 @@ def test_nonzero_square_is_caught_past_the_first_column():
     _z6_two_slot_complex([[3, 3]])
 
 
-def test_integer_cohomology_takes_three_smith_forms(monkeypatch):
+def test_integer_cohomology_takes_three_smith_forms(smith_forms):
     # Z --(3,-3)--> Z^2 --(2 2)--> Z: H^1 = ker / im = Z(1,-1) / 3Z(1,-1)
     cx = _free_complex(Z, [[[3], [-3]], [[2, 2]]])
-    calls = []
-    smith_normal_form = smith.smith_normal_form
-
-    def counting(a):
-        calls.append(a)
-        return smith_normal_form(a)
-
-    monkeypatch.setattr(smith, "smith_normal_form", counting)
-    monkeypatch.setattr(homalg, "smith_normal_form", counting)
+    del smith_forms[:]
     h = cx.cohomology(1)
     assert (h.factors, h.rank) == ((3,), 0)
     # the kernel, the kernel lattice with the image coordinates, and K/L
-    assert len(calls) <= 3
+    assert len(smith_forms) <= 3
 
 
-def test_validation_takes_one_relation_form_per_target_module(monkeypatch):
-    forms, tested = [], []
-    smith_normal_form, kills = homalg.smith_normal_form, PresentedModule._kills
-
-    def counting_forms(a):
-        forms.append(a)
-        return smith_normal_form(a)
+def test_validation_takes_one_relation_form_per_target_module(smith_forms, monkeypatch):
+    tested = []
+    kills = PresentedModule._kills
 
     def counting_columns(module, vecs):
         tested.extend(v for v in vecs if any(v))
         return kills(module, vecs)
 
-    monkeypatch.setattr(homalg, "smith_normal_form", counting_forms)
     monkeypatch.setattr(PresentedModule, "_kills", counting_columns)
     # fresh modules, so no relation form is cached before the count starts
     mods = [PresentedModule(Z6, 0, []), PresentedModule.free(Z6, 2), PresentedModule.free(Z6, 1)]
     ChainComplex(Z6, 0, mods + [PresentedModule(Z6, 1, [[3]])], [[], [[3, 3]], [[1]]])
     # slots 1 and 2 are checked for well-definedness, (1, 3) for d^2 = 0:
     # five nonzero columns in all, against the relation forms of the two
-    # nonzero targets.  The relations 6·I of the free Z/6 are their own
-    # Smith form, so only Z/3 takes one, for both of its checks
+    # nonzero targets.  6 is squarefree, so those forms are ranks mod 2 and
+    # mod 3, and no Smith form is taken
     assert len(tested) == 5
-    assert len(forms) <= 1
+    assert smith_forms == []
 
 
 @pytest.mark.parametrize(
@@ -482,6 +470,62 @@ def test_residue_dimensions_follow_the_universal_coefficient_formula(ring):
             assert derived_tensor_residue(cx, p).dims == _universal_coefficient_dims(cx, p)
             if isinstance(ring, ModularIntegers):
                 assert derived_tensor_residue(modular, p).dims == derived_tensor_residue(cx, p).dims
+
+
+# -- squarefree moduli: F_p ranks against the lattice route ----------------------
+
+
+def _lattice_canonical(module):
+    """canonical() by the lattice route: Z^g over the relation lattice."""
+    g = module.ngens
+    factors, rank = smith.quotient_invariants(smith.identity(g), module.relation_columns())
+    return canonical_module(module.ring, factors, rank)
+
+
+def _lattice_cohomology(cx, i):
+    """H^i by the lattice route: the kernel of [d_out | -R_next] cut to the
+    generators of degree i, over the image of d_in and the relations."""
+    here, r_next = cx.module(i), cx.module(i + 1).relation_columns()
+    g = here.ngens
+    if not g:
+        return canonical_module(cx.ring, (), 0)
+    big = [list(row) + [-c[r] for c in r_next] for r, row in enumerate(cx.differential(i))]
+    k_gens = [v[:g] for v in smith.kernel_basis(big, ncols=g + len(r_next))]
+    l_gens = smith.transpose(cx.differential(i - 1)) + here.relation_columns()
+    factors, rank = smith.quotient_invariants(k_gens, l_gens)
+    return canonical_module(cx.ring, factors, rank)
+
+
+def _in_relation_lattice(module, v):
+    a = smith.transpose(module.relation_columns())
+    return smith.solve_int(a, [v]) is not None
+
+
+@pytest.mark.parametrize(
+    "n, at",
+    [(2, None), (3, None), (6, None), (6, 3), (12, 3)],
+    ids=["Z/2", "Z/3", "Z/6", "Z/6-at-3", "Z/12-at-3"],
+)
+def test_squarefree_moduli_take_no_smith_form_and_agree_with_the_lattice_route(
+    n, at, smith_forms
+):
+    base = battery.instances(ModularIntegers(n), 40, battery.DEFAULT_SEED)
+    del smith_forms[:]
+    pool = []
+    for cx in base:
+        # built afresh, so that validation runs while the count is on
+        cx = localize(cx, at) if at else ChainComplex.from_json(cx.to_json())
+        pool.append(cx)
+        for p in cx.ring.prime_divisors():
+            pool += [koszul_stable(p, cx), cone(identity_blocks(cx, p), cx, cx)]
+    answers = [(cx.cohomology_all(), [m.canonical() for m in cx.modules]) for cx in pool]
+    assert smith_forms == []
+    for cx, (h, canon) in zip(pool, answers):
+        assert h == {i: _lattice_cohomology(cx, i) for i in cx.degrees()}
+        assert canon == [_lattice_canonical(m) for m in cx.modules]
+        for m in cx.modules:
+            for v in smith.identity(m.ngens) + m.relation_columns()[:2]:
+                assert m._kills([v]) == _in_relation_lattice(m, v)
 
 
 def test_derived_hom_of_the_periodic_resolution():

@@ -7,9 +7,12 @@ import time
 
 import pytest
 
+from ttsupport import smith
 from ttsupport.smith import (
     _det_unimodular,
     _verify_snf,
+    diagonal,
+    fp_kernel,
     identity,
     kernel_basis,
     lattice_basis,
@@ -17,6 +20,7 @@ from ttsupport.smith import (
     mat_vec,
     quotient_generators,
     quotient_invariants,
+    rank_p,
     smith_normal_form,
     solve_int,
     transpose,
@@ -320,3 +324,58 @@ def test_self_check_refuses_a_transform_with_determinant_two(which):
     u, v = (bad, identity(40)) if which == "U" else (identity(40), bad)
     with pytest.raises(AssertionError, match="%s not unimodular" % which):
         _verify_snf(a, zeros(40, 40), u, v)
+
+
+# -- linear algebra over F_p -----------------------------------------------------
+
+
+def test_rank_mod_p_counts_the_invariant_factors_prime_to_p():
+    rng = random.Random(11)
+    for _ in range(150):
+        a = _random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10), bound=rng.choice([3, 50]))
+        d, _u, _v = smith_normal_form(a)
+        for p in (2, 3, 5, 7):
+            assert rank_p(a, p) == sum(1 for e in diagonal(d) if e % p)
+            kernel = fp_kernel(a, len(a[0]), p)
+            assert len(kernel) == len(a[0]) - rank_p(a, p)
+            assert all(x % p == 0 for k in kernel for x in mat_vec(a, k))
+
+
+# rank 2 mod 3, with free columns: the third row is the sum of the first two
+# and the third column twice the first
+FORGE_MATRIX = [[1, 0, 2, 1], [0, 1, 0, 2], [1, 1, 2, 0]]
+
+
+def _drop_a_pivot(rref, pivots, rows):
+    return rref[:-1], pivots[:-1], rows[:-1]
+
+
+def _bend_a_kernel_vector(rref, pivots, rows):
+    free = next(c for c in range(len(rref[0])) if c not in pivots)
+    bent = [list(row) for row in rref]
+    bent[0][free] = (bent[0][free] + 1) % 3
+    return bent, pivots, rows
+
+
+def _claim_a_free_column(rref, pivots, rows):
+    free = next(c for c in range(len(rref[0])) if c not in pivots)
+    spare = next(i for i in range(len(FORGE_MATRIX)) if i not in rows)
+    extra = [1 if c == free else 0 for c in range(len(rref[0]))]
+    return rref + [extra], pivots + [free], rows + [spare]
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (_drop_a_pivot, "kernel vector not annihilated"),
+        (_bend_a_kernel_vector, "kernel vector not annihilated"),
+        (_claim_a_free_column, "singular pivot minor"),
+    ],
+    ids=["drop-pivot", "bend-kernel-vector", "extra-pivot"],
+)
+def test_a_forged_reduction_mod_p_fails_the_rank_certificate(forge, message, monkeypatch):
+    assert rank_p(FORGE_MATRIX, 3) == 2
+    honest = smith._fp_eliminate
+    monkeypatch.setattr(smith, "_fp_eliminate", lambda mat, p: forge(*honest(mat, p)))
+    with pytest.raises(AssertionError, match=message):
+        rank_p(FORGE_MATRIX, 3)
