@@ -26,18 +26,22 @@ on the flavour:
 * ``residue_nonzero(cx, p)`` tests C ⊗^L k(p) != 0.
 
 Modules share the generator count ``ngens``; the algebra behind validation
-and cohomology sits in the two module classes.  Over Z/n with n squarefree
-(``ring.field_primes``) a presented module is the product of its reductions
-mod each p | n, so it is computed from ranks over F_p, the algebra the local
-nilpotent flavour runs on too; over the other integer flavours from integer
-lattices and Smith forms.
+and cohomology sits in the two module classes.  Z/n with two or more primes
+p | n (``ring.crt_primes``) is the product of its localizations Z/p^k,
+p^k || n (CRT), so its modules and complexes are computed there: a complex
+builds and validates its localization at each p | n when it is built, and
+its cohomology, a module's ``canonical()`` and the zero test ``_kills``
+recombine the local answers.  Over a prime field F_p (``ring.field_prime``)
+a presented module is computed from ranks over F_p, the algebra the local
+nilpotent flavour runs on too; over the other integer flavours, Z/p^k
+included, from integer lattices and Smith forms.
 
 Modules and complexes are immutable, and their matrices are tuples of row
 tuples.  So each answer derived from one is computed once and kept on it: a
-presented module's relation form (a Smith form, or its rank mod each p,
-behind validation, ``canonical()`` and ``is_zero``), and a complex's
-cohomology groups, its localization at each prime and, through ``support``,
-its supports.
+presented module's relation form (a Smith form, or its rank mod p, behind
+validation, ``canonical()`` and ``is_zero``) and its localizations, and a
+complex's cohomology groups, its localization at each prime and, through
+``support``, its supports.
 
 Differentials raise degree by one.  d(a ⊗ b) = da ⊗ b + (-1)^|a| a ⊗ db is
 the sign rule used for the two-term tensor constructions below.
@@ -108,7 +112,8 @@ class IntegersLocalized(_IntegerFlavour):
     at_prime: int | None = None
 
     has_generic = True
-    field_primes = None
+    crt_primes = None
+    field_prime = None
 
     def __post_init__(self):
         object.__setattr__(self, "inverted", frozenset(self.inverted))
@@ -215,15 +220,25 @@ class ModularIntegers(_IntegerFlavour):
         return tuple(sorted(factorize(self.n)))
 
     @cached_property
-    def field_primes(self):
-        """The primes p of a squarefree n, for which Z/n is the product of
-        the fields F_p; None when n has a square factor or is too large to
-        factor."""
+    def _factors(self):
+        """factorize(n), or None when n is too large to factor."""
         try:
-            f = factorize(self.n)
+            return factorize(self.n)
         except ResourceLimitError:
             return None
-        return tuple(sorted(f)) if set(f.values()) == {1} else None
+
+    @cached_property
+    def crt_primes(self):
+        """The primes p | n when there are two or more: Z/n is then the
+        product of the Z/p^k, p^k || n.  None for a prime power and for an
+        n too large to factor."""
+        f = self._factors
+        return tuple(sorted(f)) if f and len(f) > 1 else None
+
+    @cached_property
+    def field_prime(self):
+        """n when it is prime, so that Z/n is the field F_n; else None."""
+        return self.n if self._factors == {self.n: 1} else None
 
     def is_unit_prime(self, q):
         return self.n % q != 0
@@ -283,6 +298,7 @@ class LocalNilpotentAlgebra:
     generators: tuple  # of (name, exponent >= 2) pairs
 
     has_generic = False
+    crt_primes = None
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -462,12 +478,13 @@ def canonical_module(ring, factors, rank, divisible=()):
     return CanonicalModule(tuple(sorted(stripped)), rank, div)
 
 
-def _fp_canonical(ring, dims):
-    """The Z/n module that is F_p^dims[p] at each prime p of a squarefree n:
-    its i-th largest invariant factor is the product of the p with
-    dims[p] > i."""
-    top = max(dims.values(), default=0)
-    return canonical_module(ring, [prod(p for p, d in dims.items() if d > i) for i in range(top)], 0)
+def _crt_canonical(ring, parts):
+    """The Z/n module whose localizations at the primes p | n are the
+    modules parts (CRT): its i-th largest invariant factor is the product
+    of the i-th largest factors of the parts."""
+    desc = [c.factors[::-1] for c in parts]
+    top = max(map(len, desc), default=0)
+    return canonical_module(ring, [prod(f[i] for f in desc if i < len(f)) for i in range(top)], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -562,16 +579,26 @@ class PresentedModule(_Immutable):
 
         return self._cached("form", compute)
 
-    def _fp_rank(self, p):
-        """rank_p of the explicit relations; over Z/n with p | n the
-        relations n·I vanish mod p."""
-        return self._cached(("fp_rank", p), lambda: rank_p(self.rel, p))
+    def _fp_rank(self):
+        """rank_p of the explicit relations over F_p; the relations p·I
+        vanish mod p."""
+        return self._cached("fp_rank", lambda: rank_p(self.rel, self.ring.field_prime))
+
+    def localized(self, p):
+        """The same presentation over the ring localized at p, built once:
+        over a Z/n split by CRT, the relation form lives on it."""
+        return self._cached(
+            ("localized", p), lambda: PresentedModule(self.ring.localized_at(p), self.ngens, self.rel)
+        )
 
     def canonical(self):
         def compute():
-            primes = self.ring.field_primes
+            primes = self.ring.crt_primes
             if primes:
-                return _fp_canonical(self.ring, {p: self.ngens - self._fp_rank(p) for p in primes})
+                return _crt_canonical(self.ring, [self.localized(p).canonical() for p in primes])
+            p = self.ring.field_prime
+            if p:
+                return canonical_module(self.ring, (p,) * (self.ngens - self._fp_rank()), 0)
             diag = self._form()[0]
             return canonical_module(self.ring, diag, self.ngens - len(diag))
 
@@ -593,15 +620,17 @@ class PresentedModule(_Immutable):
         return PresentedModule(self.ring, self.ngens + other.ngens, rel)
 
     def _kills(self, vecs):
-        """Whether every vector (on the generators) is zero in the module.
-        Over Z/n with n squarefree that holds iff, for each p | n, no vector
-        raises the rank of the relations mod p."""
-        primes = self.ring.field_primes
+        """Whether every vector (on the generators) is zero in the module:
+        over a Z/n split by CRT, in each localization; over F_p, iff no
+        vector raises the rank of the relations mod p."""
+        primes = self.ring.crt_primes
         if primes:
-            return all(
+            return all(self.localized(p)._kills(vecs) for p in primes)
+        p = self.ring.field_prime
+        if p:
+            return (
                 not any(x % p for v in vecs for x in v)
-                or rank_p(hstack(self.rel, transpose(vecs)), p) == self._fp_rank(p)
-                for p in primes
+                or rank_p(hstack(self.rel, transpose(vecs)), p) == self._fp_rank()
             )
         diag, u = self._form()
         return all(
@@ -614,22 +643,19 @@ class PresentedModule(_Immutable):
 
     def _homology(self, d_in, d_out, nxt):
         """ker(d_out: self -> nxt) / im(d_in), as invariant factors.  Over
-        Z/n with n squarefree, from dimensions over each F_p, p | n: with R
-        the relations of a module, Z the preimage of R_next under d_out and
-        B the span of R_here and im d_in,
+        F_p, from dimensions: with R the relations of a module, Z the
+        preimage of R_next under d_out and B the span of R_here and im d_in,
             dim Z = g - (rank_p[d_out | R_next] - rank_p R_next),
             dim B = rank_p[R_here | d_in]."""
         g = self.ngens
         if g == 0:
             return canonical_module(self.ring, (), 0)
-        primes = self.ring.field_primes
-        if primes:
-            dims = {}
-            for p in primes:
-                z = g - rank_p(hstack(d_out, nxt.rel), p) + nxt._fp_rank(p)
-                dims[p] = z - rank_p(hstack(self.rel, d_in), p)
-                assert dims[p] >= 0, "image larger than the kernel mod %d" % p
-            return _fp_canonical(self.ring, dims)
+        p = self.ring.field_prime
+        if p:
+            z = g - rank_p(hstack(d_out, nxt.rel), p) + nxt._fp_rank()
+            dim = z - rank_p(hstack(self.rel, d_in), p)
+            assert dim >= 0, "image larger than the kernel mod %d" % p
+            return canonical_module(self.ring, (p,) * dim, 0)
         k_gens = _module_kernel(d_out, nxt.relation_columns(), g)
         factors, rank = quotient_invariants(k_gens, transpose(d_in) + self.relation_columns())
         return canonical_module(self.ring, factors, rank)
@@ -675,8 +701,8 @@ class LnaModule(_Immutable):
             a = actions[name]
             if len(a) != dim or any(len(r) != dim for r in a):
                 raise InputError("action matrix shape mismatch")
-            power = identity(dim)
-            for _ in range(e):
+            power = a
+            for _ in range(e - 1):
                 power = mat_mul(power, a)
             if any(x % p for row in power for x in row):
                 raise InputError("action violates the nilpotency exponent of %s" % name)
@@ -778,7 +804,12 @@ class ChainComplex(_Immutable):
     """Bounded cochain complex.  modules[k] sits in degree min_deg + k and
     differentials[k] maps it to modules[k+1] (matrix rows = target
     generators).  Cohomology, localizations and supports are computed once
-    per complex and kept on it."""
+    per complex and kept on it.
+
+    Over a Z/n split by CRT the complex is validated through its
+    localizations, built here in increasing order of p: each checks its
+    maps and d^2 = 0, so a complex with faults at several primes is refused
+    with the first fault of the smallest such prime."""
 
     __slots__ = ("ring", "min_deg", "modules", "differentials")
 
@@ -792,16 +823,26 @@ class ChainComplex(_Immutable):
         for m in modules:
             if not isinstance(m, (PresentedModule, LnaModule)) or m.ring != ring:
                 raise InputError("module/ring mismatch in complex")
-        differentials = tuple(
-            _checked_differential(modules, k, d) for k, d in enumerate(differentials)
-        )
-        for k in range(len(differentials) - 1):
-            src, mid, far = modules[k : k + 3]
-            if src.ngens and mid.ngens and far.ngens:
-                square = mat_mul(differentials[k + 1], differentials[k])
-                if not far._kills(transpose(square)):
-                    raise InputError("d^2 != 0 between slots %d and %d" % (k, k + 2))
+        local = {
+            p: ChainComplex(
+                ring.localized_at(p), min_deg, [m.localized(p) for m in modules], differentials
+            )
+            for p in ring.crt_primes or ()
+        }
+        if local:
+            differentials = next(iter(local.values())).differentials
+        else:
+            differentials = tuple(
+                _checked_differential(modules, k, d) for k, d in enumerate(differentials)
+            )
+            for k in range(len(differentials) - 1):
+                src, mid, far = modules[k : k + 3]
+                if src.ngens and mid.ngens and far.ngens:
+                    square = mat_mul(differentials[k + 1], differentials[k])
+                    if not far._kills(transpose(square)):
+                        raise InputError("d^2 != 0 between slots %d and %d" % (k, k + 2))
         self._freeze(ring=ring, min_deg=min_deg, modules=modules, differentials=differentials)
+        self._cache.update((("localize", p), cx) for p, cx in local.items())
 
     # -- structure ----------------------------------------------------------
 
@@ -850,12 +891,15 @@ class ChainComplex(_Immutable):
     # -- cohomology ---------------------------------------------------------
 
     def cohomology(self, i):
-        return self._cached(
-            ("cohomology", i),
-            lambda: self.module(i)._homology(
+        def compute():
+            primes = self.ring.crt_primes
+            if primes:
+                return _crt_canonical(self.ring, [localize(self, p).cohomology(i) for p in primes])
+            return self.module(i)._homology(
                 self.differential(i - 1), self.differential(i), self.module(i + 1)
-            ),
-        )
+            )
+
+        return self._cached(("cohomology", i), compute)
 
     def cohomology_all(self):
         return {i: self.cohomology(i) for i in self.degrees()}
@@ -973,7 +1017,8 @@ def identity_blocks(cx, c=1):
 def localize(cx, p):
     """Localize a complex at a prime p of its ring; ring.localized_at(p)
     names the local ring and refuses primes it does not have.  Each complex
-    builds its localization at p once."""
+    builds its localization at p once: over a Z/n split by CRT, together
+    with itself."""
     ring = cx.ring.localized_at(p)
     if ring == cx.ring:
         return cx
@@ -1136,9 +1181,10 @@ def derived_tensor_residue(cx, p):
     cohomology.  For a prime it is the totalization of C with the two-term
     flat resolution (R --p--> R) of R/p, computed as an honest complex: the
     cone of p: C -> C, whose degree j is the totalization's degree j - 1
-    (all zero at a prime that is a unit of the ring).  A Z/n module lists
-    n*I among its relation columns, so over Z/n this is the restriction to
-    Z's cone under another ring tag, with the same dimensions.
+    (all zero at a prime that is a unit of the ring).  A Z/p^k module lists
+    p^k*I among its relation columns, so over Z/p^k this is the restriction
+    to Z's cone under another ring tag, with the same dimensions; over a
+    Z/n split by CRT it is the same on the localization at p.
     """
     ring = cx.ring
     if not isinstance(ring, _IntegerFlavour):
@@ -1150,6 +1196,10 @@ def derived_tensor_residue(cx, p):
         raise InputError("p must be zero or a prime")
     if ring.is_unit_prime(p):
         return ResidueOutcome(p, tuple((i, 0) for i in range(cx.min_deg - 1, cx.max_deg + 1)))
+    if ring.crt_primes:
+        # over Z/n split by CRT, the parts at the other primes q | n vanish
+        # after ⊗^L F_p
+        return derived_tensor_residue(localize(cx, p), p)
     total = cone(identity_blocks(cx, p), cx, cx)
     dims = []
     for j in total.degrees():

@@ -375,6 +375,40 @@ def test_an_unfactorable_modulus_keeps_its_answers_and_refusals():
     assert code == 2 and report["bound"] == "factor_trial"
 
 
+def _z12_complex(modules, differentials):
+    return json.dumps(
+        {
+            "ring": {"type": "Z/n", "n": 12},
+            "degrees": [0, len(modules) - 1],
+            "modules": modules,
+            "differentials": differentials,
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        # Z/12/(6) --1--> Z/12: 6 is zero mod 3 but not mod 4
+        (_z12_complex([[[6]], [[]]], [[[1]]]), "differential not well defined at slot 0"),
+        # Z/12/(4) --1--> Z/12: 4 is zero mod 4 but not mod 3
+        (_z12_complex([[[4]], [[]]], [[[1]]]), "differential not well defined at slot 0"),
+        # Z/12 --1--> Z/12 --4--> Z/12: d^2 = 4 is zero mod 4 but not mod 3
+        (_z12_complex([[[]], [[]], [[]]], [[[1]], [[4]]]), "d^2 != 0 between slots 0 and 2"),
+        # d^2 = 3 != 0 in Z/12/(4) mod 4, and slot 2 ill-defined mod 3: the
+        # localization at the smaller prime 2 is built first and refuses
+        (
+            _z12_complex([[[]], [[]], [[4]], [[]]], [[[1]], [[3]], [[1]]]),
+            "d^2 != 0 between slots 0 and 2",
+        ),
+    ],
+    ids=["ill-defined-mod-4", "ill-defined-mod-3", "square-mod-3", "faults-at-2-and-3"],
+)
+def test_a_z12_complex_with_a_fault_exits_one_naming_the_slot(doc, error):
+    code, report, _elapsed = _timed_main(["support", "small", doc])
+    assert code == 1 and report == {"error": error}
+
+
 @pytest.mark.parametrize(
     "generators",
     [[["x", 2.7]], [["x", True]], [[5, 2]], [[["x"], 2]]],

@@ -104,6 +104,22 @@ def test_lna_modules_validate_commuting_nilpotent_actions():
         LnaModule(LNA, LNA.dim, {"x": bad, "y": free.actions["y"]})
 
 
+def _shift(dim):
+    """The nilpotent Jordan block of size dim: its dim-th power is the first
+    that vanishes."""
+    return [[1 if r == c + 1 else 0 for c in range(dim)] for r in range(dim)]
+
+
+@pytest.mark.parametrize("e", [2, 3, 5])
+def test_lna_modules_refuse_exactly_the_actions_whose_e_th_power_is_nonzero(e):
+    ring = LocalNilpotentAlgebra(3, (("x", e),))
+    # the Jordan block of size e has a^(e-1) != 0 and a^e = 0
+    assert LnaModule(ring, e, {"x": _shift(e)}).dim == e
+    # one size up, a^e != 0
+    with pytest.raises(InputError, match="^action violates the nilpotency exponent of x$"):
+        LnaModule(ring, e + 1, {"x": _shift(e + 1)})
+
+
 # -- complexes and cohomology -------------------------------------------------
 
 
@@ -153,18 +169,25 @@ def test_validation_takes_one_relation_form_per_target_module(smith_forms, monke
     kills = PresentedModule._kills
 
     def counting_columns(module, vecs):
-        tested.extend(v for v in vecs if any(v))
+        tested.extend(module.ring.n for v in vecs if any(v))
         return kills(module, vecs)
 
     monkeypatch.setattr(PresentedModule, "_kills", counting_columns)
     # fresh modules, so no relation form is cached before the count starts
     mods = [PresentedModule(Z6, 0, []), PresentedModule.free(Z6, 2), PresentedModule.free(Z6, 1)]
-    ChainComplex(Z6, 0, mods + [PresentedModule(Z6, 1, [[3]])], [[], [[3, 3]], [[1]]])
-    # slots 1 and 2 are checked for well-definedness, (1, 3) for d^2 = 0:
-    # five nonzero columns in all, against the relation forms of the two
-    # nonzero targets.  6 is squarefree, so those forms are ranks mod 2 and
-    # mod 3, and no Smith form is taken
-    assert len(tested) == 5
+    mods.append(PresentedModule(Z6, 1, [[3]]))
+    ChainComplex(Z6, 0, mods, [[], [[3, 3]], [[1]]])
+    # Z/6 = Z/2 x Z/3 is validated in its two localizations and nowhere
+    # else: in each, slots 1 and 2 are checked for well-definedness and
+    # (1, 3) for d^2 = 0, five nonzero columns in all
+    assert sorted(tested) == [2] * 5 + [3] * 5
+    # against at most one relation form per nonzero target module and
+    # prime, its rank mod p, kept on its localization (a column that
+    # vanishes mod p needs none); no Smith form is taken, and the Z/6
+    # modules hold no form at all
+    formed = {(k, p) for k, m in enumerate(mods) for p in (2, 3) if m.localized(p)._cache}
+    assert formed <= {(k, p) for k in (2, 3) for p in (2, 3)}
+    assert all(m._cache.keys() == {("localized", 2), ("localized", 3)} for m in mods)
     assert smith_forms == []
 
 
@@ -472,7 +495,7 @@ def test_residue_dimensions_follow_the_universal_coefficient_formula(ring):
                 assert derived_tensor_residue(modular, p).dims == derived_tensor_residue(cx, p).dims
 
 
-# -- squarefree moduli: F_p ranks against the lattice route ----------------------
+# -- Z/n through its localizations and F_p ranks, against the lattice route ---
 
 
 def _lattice_canonical(module):
@@ -501,6 +524,22 @@ def _in_relation_lattice(module, v):
     return smith.solve_int(a, [v]) is not None
 
 
+def _assert_the_lattice_route_agrees(cx, h, canon):
+    """h and canon, the cohomology of cx and the canonical forms of its
+    modules, are those of the lattice route, and so is each module's zero
+    test on its generators, two of its relations and each generator times
+    n/p^k for every p^k || n (zero at p, not always elsewhere)."""
+    assert h == {i: _lattice_cohomology(cx, i) for i in cx.degrees()}
+    assert canon == [_lattice_canonical(m) for m in cx.modules]
+    n = cx.ring.modulus
+    cofactors = [n // p**k for p, k in smith.factorize(n).items()]
+    for m in cx.modules:
+        gens = smith.identity(m.ngens)
+        tests = gens + m.relation_columns()[:2] + [[c * x for x in v] for c in cofactors for v in gens]
+        for v in tests:
+            assert m._kills([v]) == _in_relation_lattice(m, v)
+
+
 @pytest.mark.parametrize(
     "n, at",
     [(2, None), (3, None), (6, None), (6, 3), (12, 3)],
@@ -513,19 +552,39 @@ def test_squarefree_moduli_take_no_smith_form_and_agree_with_the_lattice_route(
     del smith_forms[:]
     pool = []
     for cx in base:
-        # built afresh, so that validation runs while the count is on
-        cx = localize(cx, at) if at else ChainComplex.from_json(cx.to_json())
+        # built afresh, so that validation runs while the count is on; a
+        # Z/n complex built its own localizations with itself
+        if at:
+            cx = homalg._over_ring(cx, cx.ring.localized_at(at))
+        else:
+            cx = ChainComplex.from_json(cx.to_json())
         pool.append(cx)
         for p in cx.ring.prime_divisors():
             pool += [koszul_stable(p, cx), cone(identity_blocks(cx, p), cx, cx)]
     answers = [(cx.cohomology_all(), [m.canonical() for m in cx.modules]) for cx in pool]
     assert smith_forms == []
     for cx, (h, canon) in zip(pool, answers):
-        assert h == {i: _lattice_cohomology(cx, i) for i in cx.degrees()}
-        assert canon == [_lattice_canonical(m) for m in cx.modules]
-        for m in cx.modules:
-            for v in smith.identity(m.ngens) + m.relation_columns()[:2]:
-                assert m._kills([v]) == _in_relation_lattice(m, v)
+        _assert_the_lattice_route_agrees(cx, h, canon)
+
+
+@pytest.mark.parametrize("ring", [Z6, Z12], ids=lambda r: r.label())
+def test_z_mod_n_through_its_localizations_agrees_with_the_lattice_route(ring):
+    # Z/n computes its cohomology, canonical forms and zero tests from its
+    # localizations Z/p^k (CRT); the lattice route computes them over Z/n
+    # itself, with n*I among the relations
+    pool = list(battery.instances(ring, battery.DEFAULT_SAMPLES, battery.DEFAULT_SEED))
+    for cx in pool[:40]:
+        for p in ring.prime_divisors():
+            pool += [
+                koszul_stable(p, cx),
+                cone(identity_blocks(cx, p), cx, cx),
+                localize_by_element(cx, p),
+            ]
+    assert all(cx.ring == ring for cx in pool)
+    for cx in pool:
+        _assert_the_lattice_route_agrees(
+            cx, cx.cohomology_all(), [m.canonical() for m in cx.modules]
+        )
 
 
 def test_derived_hom_of_the_periodic_resolution():
