@@ -40,8 +40,8 @@ Modules and complexes are immutable, and their matrices are tuples of row
 tuples.  So each answer derived from one is computed once and kept on it: a
 presented module's relation form (a Smith form, or its rank mod p, behind
 validation, ``canonical()`` and ``is_zero``) and its localizations, and a
-complex's cohomology groups, its localization at each prime and, through
-``support``, its supports.
+complex's cohomology groups, its localization at each prime, the free model
+behind its residue test and, through ``support``, its supports.
 
 Differentials raise degree by one.  d(a ⊗ b) = da ⊗ b + (-1)^|a| a ⊗ db is
 the sign rule used for the two-term tensor constructions below.
@@ -49,6 +49,7 @@ the sign rule used for the two-term tensor constructions below.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import prod
 from types import MappingProxyType
 
@@ -64,14 +65,14 @@ from .smith import (
     hstack,
     identity,
     kernel_basis,
-    lattice_basis,  # unused here, but bench/test_bench.py traces it as a homalg binding
+    lattice_basis,
     mat_mul,
     mat_vec,
     quotient_generators,
     quotient_invariants,
     rank_p,
     smith_normal_form,
-    solve_int,  # unused here, but bench/test_bench.py traces it as a homalg binding
+    solve_int,
     transpose,
     zeros,
 )
@@ -217,7 +218,7 @@ class ModularIntegers(_IntegerFlavour):
         return self.n
 
     def prime_divisors(self):
-        return tuple(sorted(factorize(self.n)))
+        return tuple(sorted(self._prime_powers()))
 
     @cached_property
     def _factors(self):
@@ -226,6 +227,16 @@ class ModularIntegers(_IntegerFlavour):
             return factorize(self.n)
         except ResourceLimitError:
             return None
+
+    def _prime_powers(self):
+        """factorize(n), taken once; for an n too large to factor, factorize
+        raises its ResourceLimitError again."""
+        return factorize(self.n) if self._factors is None else self._factors
+
+    @cached_property
+    def _local_rings(self):
+        """Z/p^k for each p^k || n, one ring object per prime."""
+        return {p: ModularIntegers(p**k) for p, k in self._prime_powers().items()}
 
     @cached_property
     def crt_primes(self):
@@ -252,7 +263,7 @@ class ModularIntegers(_IntegerFlavour):
 
     def residue_modulus(self, p):
         """p-part p^k of n."""
-        f = factorize(self.n)
+        f = self._prime_powers()
         if type(p) is not int or p not in f:
             raise InputError("%r does not divide the modulus" % (p,))
         return p ** f[p]
@@ -260,7 +271,7 @@ class ModularIntegers(_IntegerFlavour):
     def coprime_part(self, x):
         """Largest divisor n' of n coprime to x; inverting x lands in Z/n'."""
         out = 1
-        for p, k in factorize(self.n).items():
+        for p, k in self._prime_powers().items():
             if x % p != 0:
                 out *= p**k
         return out
@@ -275,8 +286,9 @@ class ModularIntegers(_IntegerFlavour):
         return self.prime_divisors()
 
     def localized_at(self, p):
-        """Z/p^k, the p-part of the modulus."""
-        return ModularIntegers(self.residue_modulus(p))
+        """Z/p^k, the p-part of the modulus, the same object on every call."""
+        self.residue_modulus(p)  # refuses what does not divide n
+        return self._local_rings[p]
 
     def _koszul_stable(self, x, cx):
         if not isinstance(x, int):
@@ -411,6 +423,9 @@ def _json_key(obj, key, what):
     return obj[key]
 
 
+_ROW_TYPES = {list, tuple}
+
+
 def _json_ints(raw, what):
     """raw itself if it is a list (or tuple) of integers, else InputError."""
     if not isinstance(raw, (list, tuple)) or not all(type(x) is int for x in raw):
@@ -421,6 +436,12 @@ def _json_ints(raw, what):
 def _json_int_matrix(raw, what):
     """raw as a tuple of integer row tuples, if it is a list (or tuple) of
     rows of integers, else InputError."""
+    if type(raw) in _ROW_TYPES and set(map(type, raw)) <= _ROW_TYPES:
+        rows = tuple(map(tuple, raw))
+        if set(map(type, chain.from_iterable(rows))) <= {int}:
+            return rows
+    # row by row: the error message names what is wrong (list subclasses,
+    # which the sweep above leaves out, pass here)
     if not isinstance(raw, (list, tuple)):
         raise InputError("%s must be a list of rows of integers" % what)
     return tuple(tuple(_json_ints(row, "each row of " + what)) for row in raw)
@@ -1178,13 +1199,12 @@ def derived_tensor_residue(cx, p):
     """Derived tensor with the residue field at p over an integer flavour.
 
     For p = 0 this is C ⊗ Q, so the dimensions are the free ranks of the
-    cohomology.  For a prime it is the totalization of C with the two-term
-    flat resolution (R --p--> R) of R/p, computed as an honest complex: the
-    cone of p: C -> C, whose degree j is the totalization's degree j - 1
-    (all zero at a prime that is a unit of the ring).  A Z/p^k module lists
-    p^k*I among its relation columns, so over Z/p^k this is the restriction
-    to Z's cone under another ring tag, with the same dimensions; over a
-    Z/n split by CRT it is the same on the localization at p.
+    cohomology.  For a prime it is P ⊗ F_p, P the free model of C over Z
+    (``_free_model``), for degrees min_deg - 1 .. max_deg: dim H^j = rank P^j
+    - rank_p δ_j - rank_p δ_(j-1), each rank certified mod p (all zero at a
+    prime that is a unit of the ring).  A Z/p^k module lists p^k*I among its
+    relation columns, so over Z/p^k this is C restricted to Z; over a Z/n
+    split by CRT it is the same on the localization at p.
     """
     ring = cx.ring
     if not isinstance(ring, _IntegerFlavour):
@@ -1200,15 +1220,68 @@ def derived_tensor_residue(cx, p):
         # over Z/n split by CRT, the parts at the other primes q | n vanish
         # after ⊗^L F_p
         return derived_tensor_residue(localize(cx, p), p)
-    total = cone(identity_blocks(cx, p), cx, cx)
-    dims = []
-    for j in total.degrees():
-        h = total.cohomology(j)
-        assert h.rank == 0, "residue cohomology must be torsion"
-        # H(C ⊗^L F_p) is an F_p-vector space: p kills it
-        assert all(d == p for d in h.factors), "stray torsion in residue cohomology"
-        dims.append((j - 1, len(h.factors)))
-    return ResidueOutcome(p, tuple(dims))
+    ranks, deltas = _free_model(cx)
+    # out[k] and out[k + 1]: rank_p of δ into and out of the degree of ranks[k]
+    out = [0, *(rank_p(d, p) for d in deltas), 0]
+    dims = tuple(
+        (cx.min_deg - 1 + k, rank - out[k] - out[k + 1]) for k, rank in enumerate(ranks)
+    )
+    return ResidueOutcome(p, dims)
+
+
+def _free_model(cx):
+    """A complex P of free Z-modules quasi-isomorphic to cx restricted to Z,
+    built once per complex: (ranks, deltas), ranks[k] the rank of P in degree
+    min_deg - 1 + k and deltas[k] P's differential out of that degree.
+
+    With R_k a basis of the relation lattice of module k (modulus columns
+    included), the lifts e_k and h_k solve d_k R_k = R_(k+1) e_k and
+    d_(k+1) d_k = R_(k+2) h_k exactly; validation proved both solvable.  Then
+    P^k = Z^g_k ⊕ Z^r_(k+1) with δ_k = [[d_k, R_(k+1)], [-h_k, -e_(k+1)]]
+    is the totalization of the resolutions 0 -> Z^r_k -> Z^g_k -> M_k -> 0.
+    Both lift identities and δ^2 = 0 are asserted over Z."""
+
+    def compute():
+        n = len(cx.modules)
+        # per module k = 0 .. n-1; the two zeros padded on read as "no
+        # module" at k = n, n + 1 and, from the end, at k = -1
+        g = [m.ngens for m in cx.modules] + [0, 0]
+        # a basis of each relation lattice: the modulus columns alone are one
+        bases = [
+            lattice_basis(m.relation_columns(), m.ngens) if m.nrels else m.relation_columns()
+            for m in cx.modules
+        ] + [[], []]
+        r = [len(b) for b in bases]
+        big_r = [_from_columns(b, gk) for b, gk in zip(bases, g)]
+        minus_e, minus_h = {}, {}
+        for t in range(1, n):
+            # one exact solve against R_t: e_(t-1), then h_(t-2)
+            d = cx.differentials[t - 1]
+            rhs = [mat_vec(d, c) for c in bases[t - 1]]
+            if t >= 2:
+                before = cx.differentials[t - 2]
+                rhs += [mat_vec(d, [row[j] for row in before]) for j in range(g[t - 2])]
+            lifts = solve_int(big_r[t], rhs) if r[t] and rhs else [[] for _ in rhs]
+            assert lifts is not None, "differential does not lift to the relations"
+            assert [mat_vec(big_r[t], x) for x in lifts] == rhs, "lift identity fails"
+            minus_e[t - 1] = _from_columns([[-v for v in x] for x in lifts[: r[t - 1]]], r[t])
+            minus_h[t - 2] = _from_columns([[-v for v in x] for x in lifts[r[t - 1] :]], r[t])
+        deltas = []
+        for k in range(-1, n - 1):
+            blocks = [(0, g[k], big_r[k + 1]), (g[k + 1], g[k], minus_e.get(k + 1, []))]
+            if k >= 0:
+                blocks += [(0, 0, cx.differentials[k]), (g[k + 1], 0, minus_h.get(k, []))]
+            deltas.append(block_matrix(g[k + 1] + r[k + 2], g[k] + r[k + 1], blocks))
+        for lower, upper in zip(deltas, deltas[1:]):
+            assert not any(map(any, mat_mul(upper, lower))), "δ^2 != 0 in the free model"
+        return [g[k] + r[k + 1] for k in range(-1, n)], deltas
+
+    return cx._cached("free_model", compute)
+
+
+def _from_columns(cols, height):
+    """The height x len(cols) matrix with the given columns."""
+    return [[c[i] for c in cols] for i in range(height)]
 
 
 # ---------------------------------------------------------------------------

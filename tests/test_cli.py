@@ -334,7 +334,7 @@ def _dense_integer_differential(seed, ring=None):
     )
 
 
-@pytest.mark.parametrize("op", ["small", "big", "vanish", "ass"])
+@pytest.mark.parametrize("op", ["small", "big", "foxby", "vanish", "ass"])
 def test_a_dense_twelve_by_twelve_integer_differential_answers(op):
     # the Smith forms here are 12 x 12 with entries up to 50: transforms that
     # grow without bound would take minutes

@@ -11,11 +11,6 @@ import ttsupport
 
 SRC = Path(ttsupport.__file__).parent
 
-# homalg imports lattice_basis and solve_int without reading them:
-# bench/test_bench.py traces both as homalg bindings, so the names have to
-# stay bound there
-ALLOWED = {("homalg", "lattice_basis"), ("homalg", "solve_int")}
-
 # (reader, module, name) of each private name one module reads from another.
 # support reads homalg._over_ring: localize_support_check inverts a set of
 # primes, and no public constructor does that
@@ -119,7 +114,7 @@ def _private_reads_across_modules(trees):
 
 
 def test_no_unused_imports_and_no_unreferenced_private_functions():
-    assert sorted(_dead(_trees()) - ALLOWED) == []
+    assert sorted(_dead(_trees())) == []
 
 
 def test_an_unreferenced_private_method_is_flagged():

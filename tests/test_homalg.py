@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -54,6 +55,32 @@ def test_ring_json_round_trip():
 def test_an_empty_inverted_list_next_to_at_prime_is_the_local_ring():
     ring = IntegersLocalized(at_prime=2, inverted=[])
     assert ring == IntegersLocalized(at_prime=2) and hash(ring) == hash(IntegersLocalized(at_prime=2))
+
+
+def test_z_mod_n_factors_once_and_keeps_one_ring_per_prime(monkeypatch):
+    calls = []
+    take = homalg.factorize
+    monkeypatch.setattr(homalg, "factorize", lambda n: calls.append(n) or take(n))
+    ring = ModularIntegers(12)
+    assert ring.localized_at(2) is ring.localized_at(2) == ModularIntegers(4)
+    assert ring.prime_divisors() == (2, 3) and ring.residue_modulus(3) == 3
+    assert ring.coprime_part(2) == 3 and ring.crt_primes == (2, 3)
+    assert calls == [12]
+
+
+def test_z_mod_n_refuses_every_question_that_needs_an_unfactorable_modulus():
+    # both prime factors lie past smith.FACTOR_TRIAL_MAX
+    ring = ModularIntegers(1000000007 * 1000000009)
+    assert ring.crt_primes is None and ring.field_prime is None
+    for ask in (
+        ring.prime_divisors,
+        lambda: ring.residue_modulus(2),
+        lambda: ring.coprime_part(2),
+        lambda: ring.localized_at(2),
+    ):
+        with pytest.raises(ResourceLimitError) as info:
+            ask()
+        assert info.value.bound_name == "factor_trial"
 
 
 def test_unit_detection():
@@ -336,6 +363,31 @@ def test_constructors_refuse_entries_that_are_not_integers(build):
         build()
 
 
+class _Row(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "rel, message",
+    [
+        ("12", "complex key 'modules' must be a list of rows of integers"),
+        ([[1], "2"], "each row of complex key 'modules' must be a list of integers"),
+        ([[1], (2, None)], "each row of complex key 'modules' must be a list of integers"),
+        ([(1,), [2.0]], "each row of complex key 'modules' must be a list of integers"),
+    ],
+    ids=["string", "string-row", "none-entry", "float-entry"],
+)
+def test_presentations_are_refused_with_the_message_that_names_the_fault(rel, message):
+    with pytest.raises(InputError) as info:
+        PresentedModule(Z, 2, rel)
+    assert str(info.value) == message
+
+
+def test_presentations_from_lists_tuples_and_list_subclasses_are_row_tuples():
+    for rel in ([[1], [2]], ((1,), (2,)), [_Row([1]), (2,)], _Row([[1], [2]])):
+        assert PresentedModule(Z, 2, rel).rel == ((1,), (2,))
+
+
 def test_empty_differential_stands_for_zero_only_next_to_a_zero_module():
     zero = PresentedModule(Z6, 0, [])
     one = PresentedModule.free(Z6, 1)
@@ -445,19 +497,33 @@ def test_residue_dimensions_of_a_torsion_module():
     assert derived_tensor_residue(cx, 2).dims == ((-1, 1), (0, 1))
     assert not derived_tensor_residue(cx, 5).is_nonzero
     assert not derived_tensor_residue(cx, 0).is_nonzero
-    # at an inverted prime the zeros cover the same degrees as the cone's
+    # at an inverted prime the zeros cover the same degrees as the free model's
     inverted = module_complex(PresentedModule.cyclic(IntegersLocalized(inverted={2}), 6), 0)
     assert derived_tensor_residue(inverted, 2).dims == ((-1, 0), (0, 0))
 
 
-def test_residue_refuses_torsion_that_p_does_not_kill(monkeypatch):
-    # the cone of p^2 on Z has cohomology Z/p^2, a power of p that is not an
-    # F_p-vector space
-    honest = homalg.identity_blocks
-    monkeypatch.setattr(homalg, "identity_blocks", lambda cx, c=1: honest(cx, c * c))
-    cx = module_complex(PresentedModule.free(Z, 1), 0)
-    with pytest.raises(AssertionError, match="stray torsion"):
-        derived_tensor_residue(cx, 2)
+# complexes over Z whose free model solves one lift each: e_0 with
+# 2 * 2 = 4 * e_0 for Z/2 --2--> Z/4, and h_0 with 2 * 2 = 4 * h_0 for
+# Z --2--> Z --2--> Z/4
+FORGEABLE_LIFTS = [
+    ([[[2]], [[4]]], [[[2]]]),
+    ([[[]], [[]], [[4]]], [[[2]], [[2]]]),
+]
+
+
+def test_residue_refuses_a_forged_lift(monkeypatch):
+    honest = homalg.solve_int
+
+    def forged(a, b_cols):
+        return [[x + 1 for x in col] for col in honest(a, b_cols)]
+
+    for modules, differentials in FORGEABLE_LIFTS:
+        cx = ChainComplex(Z, 0, [PresentedModule(Z, 1, rel) for rel in modules], differentials)
+        assert derived_tensor_residue(cx, 2).is_nonzero
+        with monkeypatch.context() as patch:
+            patch.setattr(homalg, "solve_int", forged)
+            with pytest.raises(AssertionError, match="lift identity fails|δ\\^2 != 0"):
+                derived_tensor_residue(ChainComplex.from_json(cx.to_json()), 2)
 
 
 def test_residue_at_the_generic_point_counts_free_ranks():
@@ -493,6 +559,62 @@ def test_residue_dimensions_follow_the_universal_coefficient_formula(ring):
             assert derived_tensor_residue(cx, p).dims == _universal_coefficient_dims(cx, p)
             if isinstance(ring, ModularIntegers):
                 assert derived_tensor_residue(modular, p).dims == derived_tensor_residue(cx, p).dims
+
+
+def _cone_residue_dims(cx, p):
+    """dims of H(C ⊗^L F_p) from the cone of p: C -> C, whose degree j is
+    the totalization's degree j - 1: the route derived_tensor_residue took
+    before the free model, kept as a reference.  Over a Z/n split by CRT it
+    runs on the localization at p, as the residue test does."""
+    if cx.ring.crt_primes and not cx.ring.is_unit_prime(p):
+        cx = localize(cx, p)
+    total = cone(identity_blocks(cx, p), cx, cx)
+    dims = []
+    for j in total.degrees():
+        h = total.cohomology(j)
+        # H(C ⊗^L F_p) is an F_p-vector space: p kills it
+        assert h.rank == 0 and all(d == p for d in h.factors)
+        dims.append((j - 1, len(h.factors)))
+    return tuple(dims)
+
+
+@pytest.mark.parametrize(
+    "ring, count",
+    [
+        (r, battery.DEFAULT_SAMPLES)
+        for r in battery.ring_classes()
+        if not isinstance(r, LocalNilpotentAlgebra)
+    ]
+    + [
+        (IntegersLocalized(at_prime=2), 50),
+        (IntegersLocalized(at_prime=5), 50),
+        (IntegersLocalized(inverted={3}), 50),
+    ],
+    ids=lambda x: x.label() if not isinstance(x, int) else str(x),
+)
+def test_the_free_model_agrees_with_the_cone_of_p(ring, count):
+    pool = battery.instances(ring, count, battery.DEFAULT_SEED)
+    rng = random.Random(battery.DEFAULT_SEED)
+    pool += [_with_a_module_that_kills_d_squared(cx, rng) for cx in pool[:50] if cx.differentials]
+    for cx in pool:
+        for p in (2, 3, 5, 7):
+            assert derived_tensor_residue(cx, p).dims == _cone_residue_dims(cx, p)
+
+
+def _with_a_module_that_kills_d_squared(cx, rng):
+    """cx with one more module on top, reached by a random 2 x g matrix D:
+    R^2 modulo D applied to the last differential's columns and to the last
+    module's relations.  So D is well defined and D·d vanishes only modulo
+    the new relations, where the battery's complexes have d^2 = 0 over Z:
+    the free model solves a nonzero lift h_k."""
+    last, d = cx.modules[-1], cx.differentials[-1]
+    top = [[rng.randint(-3, 3) for _ in range(last.ngens)] for _ in range(2)]
+    cols = [[row[j] for row in d] for j in range(cx.modules[-2].ngens)]
+    images = [smith.mat_vec(top, c) for c in cols + last.relation_columns()[: last.nrels]]
+    rel = [[v[i] for v in images] for i in range(2)]
+    return ChainComplex(
+        cx.ring, cx.min_deg, [*cx.modules, PresentedModule(cx.ring, 2, rel)], [*cx.differentials, top]
+    )
 
 
 # -- Z/n through its localizations and F_p ranks, against the lattice route ---

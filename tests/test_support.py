@@ -288,15 +288,16 @@ def test_a_longer_test_sequence_is_answered_apart_and_agrees(ring):
         assert small_support(cx) is default
 
 
-# Smith forms taken by the seed-42 batch below, counted when complexes over
-# Z/n with two or more primes began to be computed through their
-# localizations Z/p^k alone; 1,221 before that, when modules over Z/n with
-# n squarefree began to take F_p ranks instead; 1,668 before that,
-# when the residue test began to run on Z/n complexes directly and the
+# Smith forms taken by the seed-42 batch below, counted when the residue
+# test began to take F_p ranks of a free model built once per complex; 1,069
+# before that, when complexes over Z/n with two or more primes began to be
+# computed through their localizations Z/p^k alone; 1,221 before that, when
+# modules over Z/n with n squarefree began to take F_p ranks instead; 1,668
+# before that, when the residue test began to run on Z/n complexes directly and the
 # Koszul step at a nilpotent to return C itself; 2,203 before that, and
 # 3,870 before each module's relation form and each complex's cohomology,
 # localizations and supports were computed once
-BATCH_SMITH_FORMS = 1069
+BATCH_SMITH_FORMS = 602
 
 
 def test_the_supports_of_a_seeded_batch_take_a_bounded_number_of_smith_forms(smith_forms):
@@ -325,20 +326,18 @@ def test_foxby_support_over_z_mod_n_restricts_nothing_to_the_integers(ring, monk
 
 
 @pytest.mark.parametrize("ring", [Z6, Z12], ids=lambda r: r.label())
-def test_foxby_support_over_z_mod_n_takes_its_residue_cones_over_the_localizations(
-    ring, monkeypatch
-):
+def test_foxby_support_over_z_mod_n_models_its_localizations_alone(ring, monkeypatch):
     # the parts of Z/n at the primes q != p vanish after ⊗^L F_p, so the
-    # cone of p is taken over Z/p^k alone
+    # free model is built over Z/p^k alone
     rings = []
-    take = homalg.cone
+    build = homalg._free_model
 
-    def counting(f_blocks, src, tgt):
-        rings.append(src.ring)
-        return take(f_blocks, src, tgt)
+    def counting(cx):
+        rings.append(cx.ring)
+        return build(cx)
 
     pool = battery.instances(ring, 10, battery.DEFAULT_SEED)
     small = [small_support(cx) for cx in pool]
-    monkeypatch.setattr(homalg, "cone", counting)
+    monkeypatch.setattr(homalg, "_free_model", counting)
     assert [foxby_support(cx) for cx in pool] == small
     assert rings and {r.n for r in rings} == {ring.residue_modulus(p) for p in (2, 3)}
