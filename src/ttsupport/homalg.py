@@ -34,14 +34,15 @@ its cohomology, a module's ``canonical()`` and the zero test ``_kills``
 recombine the local answers.  Over a prime field F_p (``ring.field_prime``)
 a presented module is computed from ranks over F_p, the algebra the local
 nilpotent flavour runs on too; over the other integer flavours, Z/p^k
-included, from integer lattices and Smith forms.
+included, from Smith forms, a complex's cohomology from the diagonals of
+its free model over Z.
 
 Modules and complexes are immutable, and their matrices are tuples of row
 tuples.  So each answer derived from one is computed once and kept on it: a
 presented module's relation form (a Smith form, or its rank mod p, behind
 validation, ``canonical()`` and ``is_zero``) and its localizations, and a
-complex's cohomology groups, its localization at each prime, the free model
-behind its residue test and, through ``support``, its supports.
+complex's cohomology groups, its localization at each prime, its free model
+and that model's Smith diagonals, and, through ``support``, its supports.
 
 Differentials raise degree by one.  d(a ⊗ b) = da ⊗ b + (-1)^|a| a ⊗ db is
 the sign rule used for the two-term tensor constructions below.
@@ -49,8 +50,8 @@ the sign rule used for the two-term tensor constructions below.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from math import prod
+from itertools import chain, combinations, product
+from math import gcd, prod
 from types import MappingProxyType
 
 from .errors import InputError, ResourceLimitError
@@ -69,7 +70,6 @@ from .smith import (
     mat_mul,
     mat_vec,
     quotient_generators,
-    quotient_invariants,
     rank_p,
     smith_normal_form,
     solve_int,
@@ -163,10 +163,9 @@ class IntegersLocalized(_IntegerFlavour):
         by the free ranks alone."""
         seen = set()
         for mat in (*(m.rel for m in cx.modules), *cx.differentials):
-            for row in mat:
-                for v in row:
-                    if v:
-                        seen.update(factorize(v))
+            for v in chain.from_iterable(mat):
+                if v:
+                    seen.update(factorize(v))
         for i in cx.degrees():
             for f in cx.cohomology(i).factors:
                 seen.update(factorize(f))
@@ -257,8 +256,6 @@ class ModularIntegers(_IntegerFlavour):
     def is_unit(self, x):
         if not isinstance(x, int):
             raise InputError("ring elements here are integers")
-        from math import gcd
-
         return gcd(x, self.n) == 1
 
     def residue_modulus(self, p):
@@ -326,17 +323,11 @@ class LocalNilpotentAlgebra:
 
     def monomials(self):
         """Exponent tuples of the monomial basis, lexicographic."""
-        out = [()]
-        for _name, e in self.generators:
-            out = [m + (i,) for m in out for i in range(e)]
-        return sorted(out)
+        return list(product(*(range(e) for _n, e in self.generators)))
 
     @property
     def dim(self):
-        d = 1
-        for _n, e in self.generators:
-            d *= e
-        return d
+        return prod(e for _n, e in self.generators)
 
     def multiplication_matrix(self, name):
         """Matrix of multiplication by the generator on the monomial basis."""
@@ -589,7 +580,7 @@ class PresentedModule(_Immutable):
         diag the nonzero invariant factors: v lies in the relation lattice
         iff divide_diagonal(diag, U·v) is not None.  Without explicit
         relations A is modulus·I (or has no columns), already a Smith form,
-        and U = I is given as None.  Only the lattice route takes it."""
+        and U = I is given as None."""
 
         def compute():
             if not self.nrels:
@@ -662,24 +653,29 @@ class PresentedModule(_Immutable):
         """Whether d carries the relations of src into those of self."""
         return self._kills([mat_vec(d, col) for col in src.relation_columns()])
 
-    def _homology(self, d_in, d_out, nxt):
-        """ker(d_out: self -> nxt) / im(d_in), as invariant factors.  Over
-        F_p, from dimensions: with R the relations of a module, Z the
-        preimage of R_next under d_out and B the span of R_here and im d_in,
-            dim Z = g - (rank_p[d_out | R_next] - rank_p R_next),
-            dim B = rank_p[R_here | d_in]."""
+    def _homology(self, cx, i):
+        """H^i(cx), self its module in degree i.  Over F_p, from dimensions:
+        with R the relations of a module, Z the preimage of R_next under d_i
+        and B the span of R_here and im d_(i-1),
+            dim Z = g - (rank_p[d_i | R_next] - rank_p R_next),
+            dim B = rank_p[R_here | d_(i-1)].
+        Else from the free model P: ker δ_i is pure in P^i, so H^i is
+        Z^(rank P^i - rank δ_i - rank δ_(i-1)) ⊕ the torsion of coker δ_(i-1)."""
         g = self.ngens
         if g == 0:
             return canonical_module(self.ring, (), 0)
         p = self.ring.field_prime
         if p:
-            z = g - rank_p(hstack(d_out, nxt.rel), p) + nxt._fp_rank()
-            dim = z - rank_p(hstack(self.rel, d_in), p)
+            nxt = cx.module(i + 1)
+            z = g - rank_p(hstack(cx.differential(i), nxt.rel), p) + nxt._fp_rank()
+            dim = z - rank_p(hstack(self.rel, cx.differential(i - 1)), p)
             assert dim >= 0, "image larger than the kernel mod %d" % p
             return canonical_module(self.ring, (p,) * dim, 0)
-        k_gens = _module_kernel(d_out, nxt.relation_columns(), g)
-        factors, rank = quotient_invariants(k_gens, transpose(d_in) + self.relation_columns())
-        return canonical_module(self.ring, factors, rank)
+        k = i - cx.min_deg + 1  # ranks[k] = rank P^i, deltas[k] = δ_i
+        into, out = _smith_diagonal(cx, k - 1), _smith_diagonal(cx, k)
+        rank = _free_model(cx)[0][k] - len(into) - len(out)
+        assert not (rank and self.ring.modulus), "free rank over Z/n"
+        return canonical_module(self.ring, into, rank)
 
     def to_json(self):
         return [list(row) for row in self.rel]
@@ -727,13 +723,10 @@ class LnaModule(_Immutable):
                 power = mat_mul(power, a)
             if any(x % p for row in power for x in row):
                 raise InputError("action violates the nilpotency exponent of %s" % name)
-        names = [n for n, _e in ring.generators]
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                ab = mat_mul(actions[names[i]], actions[names[j]])
-                ba = mat_mul(actions[names[j]], actions[names[i]])
-                if any((x - y) % p for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)):
-                    raise InputError("generator actions do not commute")
+        for a, b in combinations(actions.values(), 2):
+            ab, ba = mat_mul(a, b), mat_mul(b, a)
+            if any((x - y) % p for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)):
+                raise InputError("generator actions do not commute")
         self._freeze(ring=ring, dim=dim, actions=MappingProxyType(actions))
 
     @classmethod
@@ -768,15 +761,15 @@ class LnaModule(_Immutable):
                 return False
         return True
 
-    def _homology(self, d_in, d_out, nxt):
-        """ker(d_out) / im(d_in) mod p, with the induced generator actions."""
+    def _homology(self, cx, i):
+        """H^i(cx) = ker(d_i) / im(d_(i-1)) mod p, with the induced actions."""
         p = self.ring.p
         g = self.dim
         if g == 0:
             return self.ring.zero_module()
-        ker = fp_kernel(d_out, g, p)
-        cols = [[x % p for x in col] for col in transpose(d_in)] + ker
-        # the pivot columns of [im d_in | ker]: a basis of the image, then the
+        ker = fp_kernel(cx.differential(i), g, p)
+        cols = [[x % p for x in col] for col in transpose(cx.differential(i - 1))] + ker
+        # the pivot columns of [im d_(i-1) | ker]: a basis of the image, then the
         # kernel vectors that extend it greedily to a basis of the kernel
         _rref, pivots = fp_reduce(transpose(cols), p)
         first_ker = len(cols) - len(ker)
@@ -916,9 +909,7 @@ class ChainComplex(_Immutable):
             primes = self.ring.crt_primes
             if primes:
                 return _crt_canonical(self.ring, [localize(self, p).cohomology(i) for p in primes])
-            return self.module(i)._homology(
-                self.differential(i - 1), self.differential(i), self.module(i + 1)
-            )
+            return self.module(i)._homology(self, i)
 
         return self._cached(("cohomology", i), compute)
 
@@ -963,13 +954,6 @@ class ChainComplex(_Immutable):
             self.min_deg,
             self.max_deg,
         )
-
-
-def _module_kernel(phi, tgt_cols, amb):
-    """Generators of {x in Z^amb : phi x in span(tgt_cols)}: the first amb
-    coordinates of the kernel of [phi | -T], T the matrix of tgt_cols."""
-    big = hstack(phi, [[-c[r] for c in tgt_cols] for r in range(len(phi))])
-    return [v[:amb] for v in kernel_basis(big, ncols=amb + len(tgt_cols))]
 
 
 def _checked_differential(modules, k, d):
@@ -1043,10 +1027,10 @@ def localize(cx, p):
     ring = cx.ring.localized_at(p)
     if ring == cx.ring:
         return cx
-    return cx._cached(("localize", p), lambda: _over_ring(cx, ring))
+    return cx._cached(("localize", p), lambda: over_ring(cx, ring))
 
 
-def _over_ring(cx, ring, kill=0):
+def over_ring(cx, ring, kill=0):
     """cx with its presented modules moved over ring; kill > 0 adds the
     relation kill * e_i on every generator e_i."""
     mods = []
@@ -1067,7 +1051,7 @@ def localize_by_element(cx, x):
     if n2 == 1:
         return zero_complex(ring, cx.min_deg)
     # kill the part of the modulus that x inverts
-    return _over_ring(cx, ring, n2)
+    return over_ring(cx, ring, n2)
 
 
 def restrict_to_integers(cx):
@@ -1076,7 +1060,7 @@ def restrict_to_integers(cx):
     ring = cx.ring
     if not isinstance(ring, ModularIntegers):
         raise InputError("integer restriction starts from Z/n")
-    return _over_ring(cx, IntegersLocalized(), ring.n)
+    return over_ring(cx, IntegersLocalized(), ring.n)
 
 
 def restrict_modulus(cx, n):
@@ -1084,7 +1068,7 @@ def restrict_modulus(cx, n):
     ring = cx.ring
     if not isinstance(ring, ModularIntegers) or n % ring.n:
         raise InputError("restriction needs the old modulus to divide the new one")
-    return _over_ring(cx, ModularIntegers(n), ring.n)
+    return over_ring(cx, ModularIntegers(n), ring.n)
 
 
 # ---------------------------------------------------------------------------
@@ -1176,7 +1160,7 @@ def _koszul_symbolic(x, cx):
         for q in live:
             divis[q] = divis.get(q, 0) + below.rank
         out[i] = canonical_module(ring, factors, 0, divis.items())
-    return SymbolicComplex(ring, {i: m for i, m in out.items()})
+    return SymbolicComplex(ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -1199,12 +1183,10 @@ def derived_tensor_residue(cx, p):
     """Derived tensor with the residue field at p over an integer flavour.
 
     For p = 0 this is C ⊗ Q, so the dimensions are the free ranks of the
-    cohomology.  For a prime it is P ⊗ F_p, P the free model of C over Z
-    (``_free_model``), for degrees min_deg - 1 .. max_deg: dim H^j = rank P^j
-    - rank_p δ_j - rank_p δ_(j-1), each rank certified mod p (all zero at a
-    prime that is a unit of the ring).  A Z/p^k module lists p^k*I among its
-    relation columns, so over Z/p^k this is C restricted to Z; over a Z/n
-    split by CRT it is the same on the localization at p.
+    cohomology.  For a prime it is P ⊗ F_p, P the free model of C restricted
+    to Z (``_free_model``), for degrees min_deg - 1 .. max_deg: dim H^j =
+    rank P^j - rank_p δ_j - rank_p δ_(j-1), each rank certified mod p (all
+    zero at a prime that is a unit of the ring).
     """
     ring = cx.ring
     if not isinstance(ring, _IntegerFlavour):
@@ -1277,6 +1259,19 @@ def _free_model(cx):
         return [g[k] + r[k + 1] for k in range(-1, n)], deltas
 
     return cx._cached("free_model", compute)
+
+
+def _smith_diagonal(cx, k):
+    """The nonzero Smith diagonal of the free model's δ_k, once per complex;
+    a zero δ takes no Smith form."""
+
+    def compute():
+        deltas = _free_model(cx)[1]
+        if k >= len(deltas) or not any(map(any, deltas[k])):
+            return ()
+        return tuple(e for e in diagonal(smith_normal_form(deltas[k])[0]) if e)
+
+    return cx._cached(("smith_diagonal", k), compute)
 
 
 def _from_columns(cols, height):
@@ -1415,9 +1410,11 @@ def _free_resolution(s_cx, cutoff, gens_bound):
             amb,
             [(0, 0, s_cx.differential(i)), (0, sg, minus_f), (s_up.ngens, sg, d_up)],
         )
-        # module-level kernel: the image must vanish in S^{i+1} ⊕ P^{i+2}
+        # module-level kernel: the kernel of [phi | -T], T the relation columns
+        # of S^{i+1} ⊕ P^{i+2}, cut to its first amb coordinates
         tgt_cols = s_up.direct_sum(PresentedModule.free(ring, r_upup)).relation_columns()
-        k_gens = _module_kernel(phi, tgt_cols, amb)
+        big = hstack(phi, [[-c[r] for c in tgt_cols] for r in range(len(phi))])
+        k_gens = [v[:amb] for v in kernel_basis(big, ncols=amb + len(tgt_cols))]
         src_cols = s_i.direct_sum(PresentedModule.free(ring, r_up)).relation_columns()
         gens = quotient_generators(k_gens, src_cols)
         if len(gens) > gens_bound:

@@ -22,13 +22,13 @@ from .errors import InputError
 from .homalg import (
     IntegersLocalized,
     ModularIntegers,
-    _over_ring,
     cone,
     hom_complex_h0,
     identity_blocks,
     koszul_stable,
     localize,
     localize_by_element,
+    over_ring,
     restrict_modulus,
     restrict_to_integers,
 )
@@ -237,7 +237,7 @@ def localize_support_check(cx, invert):
     if not isinstance(ring, IntegersLocalized) or ring.at_prime is not None:
         raise InputError("localization check is for the plain integer flavours")
     invert = frozenset(invert)
-    localized = _over_ring(cx, IntegersLocalized(inverted=ring.inverted | invert))
+    localized = over_ring(cx, IntegersLocalized(inverted=ring.inverted | invert))
     before = small_support(cx)
     after = small_support(localized)
     sample = set(candidate_primes(cx)) | invert

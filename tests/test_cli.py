@@ -336,11 +336,21 @@ def _dense_integer_differential(seed, ring=None):
 
 @pytest.mark.parametrize("op", ["small", "big", "foxby", "vanish", "ass"])
 def test_a_dense_twelve_by_twelve_integer_differential_answers(op):
-    # the Smith forms here are 12 x 12 with entries up to 50: transforms that
-    # grow without bound would take minutes
-    code, report, elapsed = _timed_main(["support", op, _dense_integer_differential(1)])
-    assert code == 0 and "error" not in report
-    assert elapsed < 10.0
+    # the Smith forms here are 12 x 12 with entries up to 50, and over Z/p^k
+    # those of the free model's 24 x 12 and 12 x 24 differentials, p^k*I
+    # stacked on the matrix: transforms that grow without bound would take
+    # minutes.  Z/3 runs as the other factor of Z/12.
+    reports = {}
+    for n in (0, 3, 4, 8, 12):
+        doc = _dense_integer_differential(1, {"type": "Z/n", "n": n} if n else None)
+        code, reports[n], elapsed = _timed_main(["support", op, doc])
+        assert code == 0 and "error" not in reports[n]
+        assert elapsed < 10.0
+    if op != "vanish":
+        # Z/12 = Z/4 x Z/3, so the support over Z/12 is the union of the two
+        assert set(reports[12]["primes"]) == set(reports[4]["primes"]) | set(reports[3]["primes"])
+    else:
+        assert reports[12]["vanishes"] == (reports[4]["vanishes"] and reports[3]["vanishes"])
 
 
 @pytest.mark.parametrize("op", ["small", "big", "foxby", "vanish", "ass"])

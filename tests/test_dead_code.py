@@ -11,11 +11,6 @@ import ttsupport
 
 SRC = Path(ttsupport.__file__).parent
 
-# (reader, module, name) of each private name one module reads from another.
-# support reads homalg._over_ring: localize_support_check inverts a set of
-# primes, and no public constructor does that
-CROSS_MODULE_ALLOWED = {("support", "homalg", "_over_ring")}
-
 
 def _trees():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
@@ -117,6 +112,13 @@ def test_no_unused_imports_and_no_unreferenced_private_functions():
     assert sorted(_dead(_trees())) == []
 
 
+def test_homalg_takes_no_lattice_quotient():
+    # integer cohomology is read off the Smith diagonals of the free model;
+    # the lattice route (kernel, span coordinates, quotient) lives on only as
+    # the reference in the tests
+    assert "quotient_invariants" not in _reads(_trees()["homalg"])
+
+
 def test_an_unreferenced_private_method_is_flagged():
     tree = ast.parse(
         "class A:\n"
@@ -135,7 +137,7 @@ def test_an_unreferenced_private_method_is_flagged():
 
 
 def test_no_module_reads_another_modules_private_names():
-    assert sorted(_private_reads_across_modules(_trees()) - CROSS_MODULE_ALLOWED) == []
+    assert sorted(_private_reads_across_modules(_trees())) == []
 
 
 def test_a_private_read_across_modules_is_flagged():

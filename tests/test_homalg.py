@@ -565,10 +565,12 @@ def _cone_residue_dims(cx, p):
     """dims of H(C ⊗^L F_p) from the cone of p: C -> C, whose degree j is
     the totalization's degree j - 1: the route derived_tensor_residue took
     before the free model, kept as a reference.  Over a Z/n split by CRT it
-    runs on the localization at p, as the residue test does."""
+    runs on the localization at p, as the residue test does.  The cone's
+    cohomology is checked against the lattice route on the way."""
     if cx.ring.crt_primes and not cx.ring.is_unit_prime(p):
         cx = localize(cx, p)
     total = cone(identity_blocks(cx, p), cx, cx)
+    _assert_the_lattice_cohomology(total)
     dims = []
     for j in total.degrees():
         h = total.cohomology(j)
@@ -597,6 +599,7 @@ def test_the_free_model_agrees_with_the_cone_of_p(ring, count):
     rng = random.Random(battery.DEFAULT_SEED)
     pool += [_with_a_module_that_kills_d_squared(cx, rng) for cx in pool[:50] if cx.differentials]
     for cx in pool:
+        _assert_the_lattice_cohomology(cx)
         for p in (2, 3, 5, 7):
             assert derived_tensor_residue(cx, p).dims == _cone_residue_dims(cx, p)
 
@@ -641,6 +644,14 @@ def _lattice_cohomology(cx, i):
     return canonical_module(cx.ring, factors, rank)
 
 
+def _assert_the_lattice_cohomology(cx):
+    """cx.cohomology(i), read off the free model's Smith diagonals over the
+    integer flavours without field_prime, is the lattice route's in degrees
+    min_deg - 1 .. max_deg + 1."""
+    for i in range(cx.min_deg - 1, cx.max_deg + 2):
+        assert cx.cohomology(i) == _lattice_cohomology(cx, i)
+
+
 def _in_relation_lattice(module, v):
     a = smith.transpose(module.relation_columns())
     return smith.solve_int(a, [v]) is not None
@@ -677,7 +688,7 @@ def test_squarefree_moduli_take_no_smith_form_and_agree_with_the_lattice_route(
         # built afresh, so that validation runs while the count is on; a
         # Z/n complex built its own localizations with itself
         if at:
-            cx = homalg._over_ring(cx, cx.ring.localized_at(at))
+            cx = homalg.over_ring(cx, cx.ring.localized_at(at))
         else:
             cx = ChainComplex.from_json(cx.to_json())
         pool.append(cx)

@@ -288,16 +288,18 @@ def test_a_longer_test_sequence_is_answered_apart_and_agrees(ring):
         assert small_support(cx) is default
 
 
-# Smith forms taken by the seed-42 batch below, counted when the residue
-# test began to take F_p ranks of a free model built once per complex; 1,069
-# before that, when complexes over Z/n with two or more primes began to be
-# computed through their localizations Z/p^k alone; 1,221 before that, when
-# modules over Z/n with n squarefree began to take F_p ranks instead; 1,668
-# before that, when the residue test began to run on Z/n complexes directly and the
-# Koszul step at a nilpotent to return C itself; 2,203 before that, and
-# 3,870 before each module's relation form and each complex's cohomology,
-# localizations and supports were computed once
-BATCH_SMITH_FORMS = 602
+# Smith forms taken by the seed-42 batch below, counted when cohomology over
+# Z, its localizations and Z/p^k began to be read off the Smith diagonals of
+# the free model built once per complex; 602 before that, when the residue
+# test began to take F_p ranks of that free model; 1,069 before that, when
+# complexes over Z/n with two or more primes began to be computed through
+# their localizations Z/p^k alone; 1,221 before that, when modules over Z/n
+# with n squarefree began to take F_p ranks instead; 1,668 before that, when
+# the residue test began to run on Z/n complexes directly and the Koszul step
+# at a nilpotent to return C itself; 2,203 before that, and 3,870 before each
+# module's relation form and each complex's cohomology, localizations and
+# supports were computed once
+BATCH_SMITH_FORMS = 349
 
 
 def test_the_supports_of_a_seeded_batch_take_a_bounded_number_of_smith_forms(smith_forms):
