@@ -10,16 +10,18 @@ the chosen presentation with randomized covers.
 """
 
 import random
+from functools import reduce
+from operator import or_
 
 from .errors import InputError
 from .frames import HOM_SEARCH_MAX, FiniteFrame, FrameHom, frame_homs, set_label
-from .poset import FinitePoset
+from .poset import FinitePoset, bits_of
 from .spectral import SpectralSpace
 
 
 def thomason_frame(space):
     """Frame of Thomason (= up-) sets of a finite spectral space."""
-    return FiniteFrame.from_sets(space.thomason_sets())
+    return FiniteFrame.from_sets(space.thomason_sets(), space.order.up_set_masks())
 
 
 def localizing_frame(space):
@@ -57,9 +59,6 @@ class SupportDatum:
                 complements[v] = bousfield.complement(self.gamma(v))
         self.complements = dict(complements)
 
-    def gamma_of_set(self, s):
-        return self.gamma(set_label(frozenset(s)))
-
     @classmethod
     def from_json(cls, obj):
         """gamma is a list of [sorted point list, element] pairs; complements
@@ -84,8 +83,13 @@ class SupportDatum:
         for points, _element in gamma:
             if frozenset(points) not in thomason:
                 raise InputError("gamma set %s is not a Thomason set" % set_label(points))
-        gamma = {set_label(frozenset(points)): element for points, element in gamma}
-        comp_by_element = dict(comps)
+        gamma = _pairs_once(
+            ((set_label(frozenset(points)), element) for points, element in gamma),
+            "the Thomason set %s is listed twice in gamma, with %r and %r",
+        )
+        comp_by_element = _pairs_once(
+            map(tuple, comps), "the element %r is listed twice in complements, with %r and %r"
+        )
         complements = {v: comp_by_element.get(g) for v, g in gamma.items()}
         return cls(space, bous, gamma, complements)
 
@@ -101,6 +105,16 @@ class SupportDatum:
                 {(self.gamma(v), self.complements[v]) for v in self.tframe.elements}
             ),
         }
+
+
+def _pairs_once(pairs, refusal):
+    """The (key, value) pairs as a dict; a key listed twice must come with
+    one value."""
+    out = {}
+    for key, value in pairs:
+        if out.setdefault(key, value) != value:
+            raise InputError(refusal % (key, out[key], value))
+    return out
 
 
 def check_complements(datum):
@@ -146,38 +160,50 @@ def construct_eta(datum, samples=50, seed=0):
     b = datum.bousfield
     lframe, llabels = localizing_frame(space)
     order = space.order
+    # point sets as masks over the points, values as masks of b: gamma and
+    # the recorded complement of each Thomason set
+    points = {label: order.mask_of(s) for label, s in llabels.items()}
+    thomason = {v: order.mask_of(s) for v, s in datum.tlabels.items()}
+    gamma = {thomason[v]: b._mask[datum.gamma(v)] for v in thomason}
+    complement = {thomason[v]: b._mask[datum.complements[v]] for v in thomason}
 
     def pair_value(v, u):
-        return b.meet(datum.gamma_of_set(v), datum.complements[set_label(frozenset(u))])
+        return gamma[v] & complement[u]
 
-    mapping = {}
-    for label in lframe.elements:
-        s = llabels[label]
-        mapping[label] = b.join_many(
-            pair_value(order.up_set(p), order.up_set(p) - {p}) for p in sorted(s)
-        )
-    eta = FrameHom(lframe, b, mapping)
+    up = order._up
+    singleton = [pair_value(u, u & ~(1 << p)) for p, u in enumerate(up)]
+    value = {
+        label: reduce(or_, [singleton[p] for p in bits_of(points[label])], 0)
+        for label in lframe.elements
+    }
+    eta = FrameHom(lframe, b, {label: b._element[v] for label, v in value.items()})
+    of_set = {points[label]: v for label, v in value.items()}
     for v in datum.tframe.elements:
-        if eta(set_label(datum.tlabels[v])) != datum.gamma(v):
+        if of_set[thomason[v]] != gamma[thomason[v]]:
             raise InputError("eta does not extend gamma at %s" % v)
 
+    # random covers by differences V minus U of Thomason sets, drawn in the
+    # order of space.localising_basic_opens(): each as (V minus U, value)
     rng = random.Random(seed)
-    pairs = space.localising_basic_opens()
+    ups = order.up_set_masks()
+    pairs = [(v & ~u, pair_value(v, u)) for v in ups for u in ups]
     cover_checks = 0
     for label in sorted(lframe.elements):
-        s = llabels[label]
-        usable = [t for t in pairs if t[2] <= s]
+        s = points[label]
+        usable = [t for t in pairs if not t[0] & ~s]
         tried = 0
         found = 0
         while found < samples and tried < samples * 20:
             tried += 1
-            take = rng.sample(usable, min(len(usable), rng.randint(1, len(s) + 2) if s else 1))
-            union = frozenset().union(*(t[2] for t in take)) if take else frozenset()
+            take = rng.sample(usable, min(len(usable), rng.randint(1, s.bit_count() + 2) if s else 1))
+            union = cover = 0
+            for piece, piece_value in take:
+                union |= piece
+                cover |= piece_value
             if union != s:
                 continue
             found += 1
-            value = b.join_many(pair_value(t[0], t[1]) for t in take)
-            if value != mapping[label]:
+            if cover != value[label]:
                 raise InputError(
                     "eta value depends on the chosen cover at %s" % label
                 )
@@ -188,13 +214,17 @@ def construct_eta(datum, samples=50, seed=0):
 def eta_is_unique(datum, eta_result, bound=HOM_SEARCH_MAX):
     """Exhaustive search over frame homs out of the localizing frame that
     extend gamma; True when the constructed eta is the only one."""
+    # each Thomason set's position in the localizing frame, and its gamma
+    lframe = eta_result.frame
+    position = {x: i for i, x in enumerate(lframe.elements)}
+    gamma = [
+        (position[set_label(datum.tlabels[v])], datum.bousfield._mask[datum.gamma(v)])
+        for v in datum.tframe.elements
+    ]
     matches = [
         h
-        for h in frame_homs(eta_result.frame, datum.bousfield, bound=bound)
-        if all(
-            h(set_label(datum.tlabels[v])) == datum.gamma(v)
-            for v in datum.tframe.elements
-        )
+        for h in frame_homs(lframe, datum.bousfield, bound=bound)
+        if all(h._image[i] == g for i, g in gamma)
     ]
     return len(matches) == 1 and matches[0].mapping == eta_result.hom.mapping
 

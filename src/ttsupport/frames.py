@@ -10,6 +10,9 @@ map is an order-isomorphism onto the down-sets of J, which decides both
 """
 
 import weakref
+from functools import reduce
+from itertools import product
+from operator import and_, mul, or_
 
 from .errors import InputError, ResourceLimitError
 from .poset import FinitePoset, bits_of, unions_of
@@ -24,10 +27,15 @@ def set_label(s):
 
 
 class FiniteFrame:
-    # _mask: element -> mask over J; _element: the inverse; _irreducible: the
-    # masks of the join-irreducibles, in element order (bit t of a mask
-    # stands for the t-th of them)
-    __slots__ = ("order", "bottom", "top", "_mask", "_element", "_irreducible", "_primes", "_assembly")
+    # _mask: element -> mask over J; _masks: the masks in element order;
+    # _element: mask -> element; _irreducible: the masks of the
+    # join-irreducibles, in element order (bit t of a mask stands for the
+    # t-th of them); _primes: the masks of the primes, in label order;
+    # _pairs: see _pair_layout
+    __slots__ = (
+        "order", "bottom", "top", "_mask", "_masks", "_element", "_irreducible", "_primes",
+        "_pairs", "_assembly",
+    )
 
     def __init__(self, order):
         if not isinstance(order, FinitePoset):
@@ -58,23 +66,67 @@ class FiniteFrame:
         ):
             raise InputError(_refusal(order))
         self._mask = dict(zip(els, masks))
+        self._masks = tuple(masks)
         self._element = element
         self._irreducible = irreducible
-        self._primes = self._assembly = None
+        self._primes = self._pairs = self._assembly = None
+
+    def _pair_layout(self):
+        """What checking a self-map at every pair (x, y) at once needs, built
+        once per frame.  The map's values are packed w bits apart, and slot
+        x*N + y of an N*N-slot int stands for the pair.  Slot sets are ints
+        with the low bit of each slot set, so multiplying one by a value
+        writes the value into its slots.  Returns each mask's position, the
+        slot of each element in a row, the slots of each element's row, the
+        first slot of every row, the slots of each meet, the full slots of
+        the pairs x <= y and the element masks packed in a row."""
+        if self._pairs is None:
+            masks = self._masks
+            n, w = len(masks), max(1, max(masks).bit_length())
+            position = {m: i for i, m in enumerate(masks)}
+            meet_slots, leq = [0] * n, 0
+            for i, a in enumerate(masks):
+                for j, b in enumerate(masks):
+                    meet_slots[position[a & b]] |= 1 << w * (i * n + j)
+                    if not a & ~b:
+                        leq |= (1 << w) - 1 << w * (i * n + j)
+            units = [1 << w * j for j in range(n)]
+            self._pairs = (
+                position,
+                units,
+                [sum(units) << w * n * i for i in range(n)],
+                sum(1 << w * n * i for i in range(n)),
+                meet_slots,
+                leq,
+                sum(map(mul, masks, units)),
+            )
+        return self._pairs
 
     @classmethod
-    def from_sets(cls, sets):
+    def from_sets(cls, sets, masks=None):
         """Frame of a family of sets ordered by inclusion (the family must be
         closed under the induced meets/joins, which the validator enforces).
-        Two different sets with one label are refused."""
-        labels = {}
-        for s in map(frozenset, sets):
-            if labels.setdefault(set_label(s), s) != s:
-                raise InputError("two sets share the label %s" % set_label(s))
+        Two different sets with one label are refused.  masks, when given,
+        holds each set's bitmask over some numbering of the points."""
+        sets = [frozenset(s) for s in sets]
+        if masks is None:
+            bit = {p: 1 << i for i, p in enumerate(set().union(*sets))}
+            masks = [sum(bit[p] for p in s) for s in sets]
+        labels, mask = {}, {}
+        for s, m in zip(sets, masks):
+            label = set_label(s)
+            if labels.setdefault(label, s) != s:
+                raise InputError("two sets share the label %s" % label)
+            mask[label] = m
         names = sorted(labels)
-        bit = {p: 1 << i for i, p in enumerate(set().union(*labels.values()))}
-        masks = [sum(bit[p] for p in labels[a]) for a in names]
-        up = [sum(1 << j for j, n in enumerate(masks) if not m & ~n) for m in masks]
+        masks = [mask[a] for a in names]
+        # the sets containing a set are those containing each of its points
+        containing = [0] * max(masks, default=0).bit_length()
+        for j, m in enumerate(masks):
+            for i in bits_of(m):
+                containing[i] |= 1 << j
+        everything = (1 << len(names)) - 1
+        up = [reduce(and_, map(containing.__getitem__, bits_of(m)), everything) for m in masks]
         frame = cls(FinitePoset.from_masks(names, up))
         return frame, labels
 
@@ -131,29 +183,35 @@ class FiniteFrame:
         """Prime elements p != top: x ∧ y <= p forces x <= p or y <= p.  In a
         distributive lattice these are the meet-irreducibles, the elements
         with exactly one upper cover."""
+        return [self._element[p] for p in self._prime_masks()]
+
+    def _prime_masks(self):
         if self._primes is None:
             up = self.order._up
             principal = set(up)
             self._primes = tuple(
-                sorted(x for i, x in enumerate(self.elements) if (up[i] ^ 1 << i) in principal)
+                self._mask[x]
+                for x in sorted(x for i, x in enumerate(self.elements) if (up[i] ^ 1 << i) in principal)
             )
-        return list(self._primes)
+        return self._primes
 
     def min_primes(self, x):
         """Minimal primes above x."""
-        above = [self._mask[p] for p in self.primes() if self.leq(x, p)]
-        return sorted(
-            self._element[p] for p in above if not any(q != p and not q & ~p for q in above)
-        )
+        return sorted(self._element[p] for p in self._min_primes(self._mask[x]))
+
+    def _min_primes(self, x):
+        above = [p for p in self._prime_masks() if not x & ~p]
+        return [p for p in above if not any(q != p and not q & ~p for q in above)]
 
     def essential_primes(self, x):
         """Primes in min_primes(x) whose removal changes the meet.  Empty
         when x is not even the meet of its minimal primes."""
-        mins = self.min_primes(x)
-        if self.meet_many(mins) != x:
+        m, top = self._mask[x], self._mask[self.top]
+        mins = self._min_primes(m)
+        if reduce(and_, mins, top) != m:
             return []
         return sorted(
-            p for p in mins if self.meet_many(q for q in mins if q != p) != x
+            self._element[p] for p in mins if reduce(and_, [q for q in mins if q != p], top) != m
         )
 
     def is_isomorphic_to(self, other):
@@ -199,7 +257,8 @@ class FrameHom:
     """A map of frames preserving bottom, top, binary meets and binary joins
     (for finite frames this is full frame-hom strength)."""
 
-    __slots__ = ("source", "target", "mapping")
+    # _image: the target mask of each source element, in source element order
+    __slots__ = ("source", "target", "mapping", "_image")
 
     def __init__(self, source, target, mapping):
         if set(mapping) != set(source.elements):
@@ -210,11 +269,13 @@ class FrameHom:
             raise InputError("hom does not preserve bottom")
         if mapping[source.top] != target.top:
             raise InputError("hom does not preserve top")
-        # every pair's meet and join, on the masks of both frames
+        # every pair's meet and join, on the masks of both frames; meet and
+        # join are symmetric, so the pairs (b, a) after (a, b) add nothing,
+        # and the first failing pair is the same
         image = {source._mask[x]: target._mask[mapping[x]] for x in source.elements}
         pairs = list(image.items())
-        for a, fa in pairs:
-            for b, fb in pairs:
+        for k, (a, fa) in enumerate(pairs):
+            for b, fb in pairs[k:]:
                 if image[a & b] != fa & fb:
                     raise InputError("hom does not preserve meets")
                 if image[a | b] != fa | fb:
@@ -222,6 +283,7 @@ class FrameHom:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
+        self._image = tuple(image.values())
 
     def __call__(self, x):
         return self.mapping[x]
@@ -274,21 +336,36 @@ def validate_nucleus(frame, table):
     strays = [x for x in frame.elements if table[x] not in mask]
     if strays:
         return False, ["value %r at %r is not a frame element" % (table[x], x) for x in strays]
-    image = {mask[x]: mask[table[x]] for x in frame.elements}
+    image = [mask[table[x]] for x in frame.elements]
+    # all pairs at once on the packed layout: slot (x, y) of `left` holds
+    # j(x), of `right` j(y) and of `meets` j(x ∧ y)
+    position, units, row_slots, column_slots, meet_slots, leq, own = frame._pair_layout()
+    packed = sum(map(mul, image, units))
+    left = sum(map(mul, image, row_slots))
+    right = packed * column_slots
+    meets = sum(map(mul, image, meet_slots))
+    if (
+        not own & ~packed
+        and all(image[position[t]] == t for t in image)
+        and not left & ~right & leq
+        and meets == left & right
+    ):
+        return True, []
     # visit in the frame's element order, so the report lists failures in it
-    rows = [(x, mask[x], mask[table[x]]) for x in frame.elements]
+    by_mask = dict(zip(frame._masks, image))
+    rows = list(zip(frame.elements, frame._masks, image))
     report = []
     for x, mx, tx in rows:
         if mx & ~tx:
             report.append("not inflationary at %r" % x)
-        if image[tx] != tx:
+        if by_mask[tx] != tx:
             report.append("not idempotent at %r" % x)
         for y, my, ty in rows:
             if not mx & ~my and tx & ~ty:
                 report.append("not monotone on (%r, %r)" % (x, y))
-            if image[mx & my] != tx & ty:
+            if by_mask[mx & my] != tx & ty:
                 report.append("does not preserve the meet of (%r, %r)" % (x, y))
-    return not report, report
+    return False, report
 
 
 def closed_nucleus(frame, x):
@@ -300,42 +377,43 @@ def open_nucleus(frame, x):
 
 
 def _sublocales(frame):
-    """Fixed-point sets of all nuclei, as the closed sets of "contains top,
-    closed under meets, contains x -> s for every x" (Picado-Pultr, Frames
-    and Locales, III), enumerated by Ganter's NextClosure over the sorted
-    elements."""
-    els = sorted(frame.elements)
-    masks = [frame._mask[x] for x in els]
-    bit = {m: 1 << i for i, m in enumerate(masks)}
-    # set masks over the sorted elements: the meets of s with each element,
-    # and all x -> s at once
-    meet = [[bit[a & b] for b in masks] for a in masks]
-    implies = [sum({bit[frame._implies(x, y)] for x in masks}) for y in masks]
-    top = bit[frame._mask[frame.top]]
+    """Fixed-point sets of all nuclei, as masks over the frame's element
+    positions: the closed sets of "contains top, closed under meets,
+    contains x -> s for every x" (Picado-Pultr, Frames and Locales, III),
+    enumerated by Ganter's NextClosure.
+
+    The closure of A is the set of meets of the x -> a, a in A: those
+    contain top (a -> a) and A (top -> a), and y -> (meet of M) is the meet
+    of the y -> m, with y -> (x -> a) = (y ∧ x) -> a."""
+    masks = frame._masks
+    bit_of = {m: 1 << i for i, m in enumerate(masks)}
+    top = frame._mask[frame.top]
+    # all x -> a at once, as a set mask over the positions; x -> a depends
+    # only on x minus a
+    implied = {}
+    implies = []
+    for a in masks:
+        out = 0
+        for x in masks:
+            outside = x & ~a
+            if outside not in implied:
+                implied[outside] = bit_of[frame._implies(x, a)]
+            out |= implied[outside]
+        implies.append(out)
 
     def close(mask):
-        mask |= top
-        members = bits_of(mask)
-        todo = list(members)
-        while todo:
-            s = todo.pop()
-            row = meet[s]
-            new = implies[s]
-            for u in members:
-                new |= row[u]
-            new &= ~mask
-            if new:
-                mask |= new
-                added = bits_of(new)
-                members += added
-                todo += added
-        return mask
+        found = {top}
+        for i in bits_of(reduce(or_, map(implies.__getitem__, bits_of(mask)), 0)):
+            g = masks[i]
+            if g not in found:
+                found |= {f & g for f in found}
+        return sum(map(bit_of.__getitem__, found))
 
-    full = (1 << len(els)) - 1
+    full = (1 << len(masks)) - 1
     closed = close(0)
     found = [closed]
     while closed != full:
-        for i in reversed(range(len(els))):
+        for i in reversed(range(len(masks))):
             bit = 1 << i
             if closed & bit:
                 continue
@@ -344,7 +422,7 @@ def _sublocales(frame):
                 closed = candidate
                 found.append(closed)
                 break
-    return [frozenset(x for i, x in enumerate(els) if s >> i & 1) for s in found]
+    return found
 
 
 class AssemblyResult:
@@ -381,35 +459,41 @@ def assembly(frame, max_size=ASSEMBLY_MAX):
 
 
 def _build_assembly(frame):
-    by_label = {}
+    els, masks = frame.elements, frame._masks
+    top = frame._mask[frame.top]
+    # x goes to the meet of the fixed points above it: with the values
+    # packed w bits apart, a fixed point f is written into the slots of the
+    # elements below it, and all slots are met at once
+    w, n = top.bit_length() or 1, len(masks)
+    slot = (1 << w) - 1
+    below = [sum(1 << w * j for j in bits_of(d)) for d in frame.order._down]
+    everything = sum(slot << w * j for j in range(n))
+    by_label, by_values = {}, {}
     for s in _sublocales(frame):
-        nu = Nucleus(
-            frame, {x: frame.meet_many(t for t in s if frame.leq(x, t)) for x in frame.elements}
-        )
+        values = everything
+        for i in bits_of(s):
+            values &= masks[i] * below[i] | everything & ~(slot * below[i])
+        table = {x: frame._element[values >> w * j & slot] for j, x in enumerate(els)}
+        nu = Nucleus(frame, table)
         if nu.label in by_label:
             raise InputError("two nuclei share the label %s" % nu.label)
         by_label[nu.label] = nu
-    # nu <= mu pointwise iff each mask of mu's table contains nu's: with a
-    # table's masks packed side by side into one int, that is one test
-    mask = frame._mask
-    width = mask[frame.top].bit_length()
-    packed = {
-        a: sum(mask[nu.table[x]] << width * i for i, x in enumerate(frame.elements))
-        for a, nu in by_label.items()
-    }
+        by_values[values] = nu.label
+    # nu <= mu pointwise iff each slot of mu's packed values contains nu's:
+    # one test
+    packed = {a: v for v, a in by_values.items()}
     names = sorted(by_label)
     up = [sum(1 << j for j, b in enumerate(names) if not packed[a] & ~packed[b]) for a in names]
     nframe = FiniteFrame(FinitePoset.from_masks(names, up))
+
     # closed and open nuclei are among those just validated: look them up
-    by_table = {tuple(nu.table[y] for y in frame.elements): a for a, nu in by_label.items()}
+    def label_of(name, op, x):
+        values = sum(op(frame._mask[x], m) << w * j for j, m in enumerate(masks))
+        assert values in by_values, "y |-> %s(%r, y) is not a sublocale nucleus" % (name, x)
+        return by_values[values]
 
-    def label_of(op, x):
-        table = tuple(op(x, y) for y in frame.elements)
-        assert table in by_table, "y |-> %s(%r, y) is not a sublocale nucleus" % (op.__name__, x)
-        return by_table[table]
-
-    alpha = FrameHom(frame, nframe, {x: label_of(frame.join, x) for x in frame.elements})
-    alpha_complement = {x: label_of(frame.heyting, x) for x in frame.elements}
+    alpha = FrameHom(frame, nframe, {x: label_of("join", or_, x) for x in els})
+    alpha_complement = {x: label_of("heyting", frame._implies, x) for x in els}
     for x in frame.elements:
         assert nframe.complement(alpha(x)) == alpha_complement[x], (
             "open nucleus is not the complement of the closed one"
@@ -436,7 +520,7 @@ def frame_of(space):
     """Frame of opens (= down-sets) of a finite spectral space, with set
     labels.  The frame is built once per space; the labels come as a copy."""
     if space._frame is None:
-        space._frame = FiniteFrame.from_sets(space.opens())
+        space._frame = FiniteFrame.from_sets(space.opens(), space.order.down_set_masks())
     frame, labels = space._frame
     return frame, dict(labels)
 
@@ -469,27 +553,25 @@ def frame_homs(source, target, bound=HOM_SEARCH_MAX):
             bound_value=bound,
         )
     out = []
-    tgt = list(target.elements)
-
-    def rec(i, assignment):
-        if i == len(joinirr):
-            mapping = {
-                x: target.join_many(assignment[j] for j in joinirr if source.leq(j, x))
-                for x in source.elements
-            }
-            if any(mapping[j] != assignment[j] for j in joinirr):
-                return  # the same map arises from its own restriction
-            try:
-                out.append(FrameHom(source, target, mapping))
-            except InputError:
-                pass
-            return
-        for t in tgt:
-            assignment[joinirr[i]] = t
-            rec(i + 1, assignment)
-        del assignment[joinirr[i]]
-
-    rec(0, {})
+    # the images of the join-irreducibles, the first varying slowest; each
+    # element goes to the join of the images of the join-irreducibles below
+    # it, the bits of its mask
+    below = [bits_of(m) for m in source._masks]
+    below_irreducible = [bits_of(j) for j in source._irreducible]
+    for assignment in product([target._mask[t] for t in target.elements], repeat=len(joinirr)):
+        if any(
+            reduce(or_, map(assignment.__getitem__, js)) != a
+            for js, a in zip(below_irreducible, assignment)
+        ):
+            continue  # the same map arises from its own restriction
+        mapping = {
+            x: target._element[reduce(or_, map(assignment.__getitem__, js), 0)]
+            for x, js in zip(source.elements, below)
+        }
+        try:
+            out.append(FrameHom(source, target, mapping))
+        except InputError:
+            pass
     return out
 
 
@@ -505,17 +587,19 @@ def universal_factorization(asm, phi, check_unique=False):
     if phi.source is not frame:
         raise InputError("phi must start at the assembled frame's base")
     target = phi.target
-    comp = {}
-    for x in frame.elements:
-        c = target.complement(phi(x))
-        if c is None:
+    # phi and the complements of its values, as masks of the target
+    image = dict(zip(frame.elements, phi._image))
+    top = target._mask[target.top]
+    comp = []
+    for x, m in image.items():
+        if top & ~m not in target._element:
             raise InputError("phi is not complemented at %r" % x)
-        comp[x] = c
+        comp.append(top & ~m)
     mapping = {}
     for label, nu in asm.nuclei.items():
-        mapping[label] = target.join_many(
-            target.meet(phi(nu(x)), comp[x]) for x in frame.elements
-        )
+        mapping[label] = target._element[
+            reduce(or_, [image[nu.table[x]] & c for x, c in zip(frame.elements, comp)], 0)
+        ]
     psi = FrameHom(asm.frame, target, mapping)
     for x in frame.elements:
         assert psi(asm.alpha(x)) == phi(x), "factorization triangle failed"

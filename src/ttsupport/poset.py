@@ -182,10 +182,7 @@ class FinitePoset:
         """All up-sets (up true) or down-sets, built once and sorted by
         point set: (masks, frozensets)."""
         if up not in self._families:
-            pairs = sorted(
-                ((m, self.set_of(m)) for m in unions_of(self._up if up else self._down)),
-                key=lambda pair: (len(pair[1]), tuple(sorted(pair[1]))),
-            )
+            pairs = union_family(self._up if up else self._down, self.elements)
             self._families[up] = (tuple(m for m, _s in pairs), tuple(s for _m, s in pairs))
         return self._families[up]
 
@@ -193,25 +190,7 @@ class FinitePoset:
         """Isomorphism invariant: lexicographically smallest relation matrix
         over all relabellings.  Only relabellings compatible with the
         (|down-set|, |up-set|) profile of each element are tried."""
-        n = len(self.elements)
-        up = self._up
-        profile = [(self._down[i].bit_count(), up[i].bit_count()) for i in range(n)]
-        groups = {}
-        for i in range(n):
-            groups.setdefault(profile[i], []).append(i)
-        # the n*n matrix read row by row as one binary number: the smallest
-        # number is the lexicographically smallest matrix
-        best = None
-        for order in _grouped_orders([groups[k] for k in sorted(groups)]):
-            code = 0
-            for i in order:
-                row = up[i]
-                for j in order:
-                    code = code << 1 | row >> j & 1
-            if best is None or code < best:
-                best = code
-        bits = tuple(best >> k & 1 for k in reversed(range(n * n)))
-        return (n, tuple(sorted(profile)), bits)
+        return _canonical_key(self._up, self._down)
 
     def is_isomorphic_to(self, other):
         return (
@@ -277,6 +256,19 @@ def unions_of(masks, stop=None):
     return found
 
 
+def union_family(masks, labels):
+    """All unions of the masks, the empty union included, as (mask, set of
+    labels) pairs sorted by (size, sorted labels); bit i of a mask stands
+    for labels[i].  Each set is the union of a smaller one and a mask's."""
+    found = {0: frozenset()}
+    for m in masks:
+        piece = frozenset(labels[i] for i in bits_of(m))
+        for f, s in list(found.items()):
+            if f | m not in found:
+                found[f | m] = s | piece
+    return sorted(found.items(), key=lambda pair: (len(pair[1]), sorted(pair[1])))
+
+
 def _grouped_orders(groups):
     """All element orderings that permute only within each group."""
     if not groups:
@@ -288,6 +280,33 @@ def _grouped_orders(groups):
             yield perm + tail
 
 
+def _canonical_key(up, down):
+    """canonical_key of the order with these up- and down-masks."""
+    n = len(up)
+    profile = [(down[i].bit_count(), up[i].bit_count()) for i in range(n)]
+    groups = {}
+    for i in range(n):
+        groups.setdefault(profile[i], []).append(i)
+    # the n*n matrix read row by row as one binary number: the smallest
+    # number is the lexicographically smallest matrix.  An order is dropped
+    # at the first row where its code exceeds that prefix of the best code.
+    best = None
+    for order in _grouped_orders([groups[k] for k in sorted(groups)]):
+        code, rest = 0, n * n
+        for i in order:
+            row = up[i]
+            for j in order:
+                code = code << 1 | row >> j & 1
+            rest -= n
+            if best is not None and code > best >> rest:
+                break
+        else:
+            best = code
+    bits = tuple(best >> k & 1 for k in reversed(range(n * n)))
+    return (n, tuple(sorted(profile)), bits)
+
+
+# layer n of the enumeration, once built
 _ENUM_CACHE = {}
 
 
@@ -296,33 +315,38 @@ def enumerate_posets(n):
 
     Built by extending each (n-1)-point poset with a fresh point attached to
     every compatible (down-set, up-set) pair, then deduplicating by canonical
-    key.  Deterministic output order.
+    key.  The key is read off each candidate's masks; only the first
+    candidate of each class becomes a (validated) FinitePoset.  Enumeration
+    resumes from the largest layer already built.  Deterministic output
+    order.
     """
     if not isinstance(n, int) or not 1 <= n <= ENUMERATION_MAX:
         raise InputError("enumerate_posets requires 1 <= n <= %d" % ENUMERATION_MAX)
-    if n in _ENUM_CACHE:
-        return list(_ENUM_CACHE[n])
-    layer = [FinitePoset(("p0",), {("p0", "p0")})]
-    for k in range(2, n + 1):
+    if not _ENUM_CACHE:
+        _ENUM_CACHE[1] = (FinitePoset(("p0",), {("p0", "p0")}),)
+    k = max(k for k in _ENUM_CACHE if k <= n)
+    while k < n:
+        k += 1
         new = {}
         fresh = 1 << (k - 1)
-        for base in layer:
-            up = base._up
-            elements = base.elements + ("p%d" % (k - 1),)
+        elements = tuple("p%d" % i for i in range(k))
+        for base in _ENUM_CACHE[k - 1]:
+            up, down = base._up, base._down
             for d in base.down_set_masks():
+                # transitivity through the new point needs d <= u pointwise:
+                # u inside the up-set of every point of d
+                below = fresh - 1
+                for a in bits_of(d):
+                    below &= up[a]
                 for u in base.up_set_masks():
-                    if d & u:
+                    if d & u or u & ~below:
                         continue
-                    # transitivity through the new point needs d <= u pointwise
-                    if any(u & ~up[a] for a in bits_of(d)):
-                        continue
-                    ups = [m | fresh if d >> a & 1 else m for a, m in enumerate(up)]
-                    p = FinitePoset.from_masks(elements, ups + [u | fresh])
-                    key = p.canonical_key()
+                    ups = tuple(m | fresh if d >> a & 1 else m for a, m in enumerate(up))
+                    downs = tuple(m | fresh if u >> b & 1 else m for b, m in enumerate(down))
+                    key = _canonical_key(ups + (u | fresh,), downs + (d | fresh,))
                     if key not in new:
-                        new[key] = p
-        layer = [new[k2] for k2 in sorted(new)]
-        _ENUM_CACHE[k] = list(layer)
-    assert len(layer) == _POSET_COUNTS[n - 1], "poset enumeration miscounted"
-    _ENUM_CACHE[n] = list(layer)
-    return list(layer)
+                        new[key] = ups + (u | fresh,)
+        layer = tuple(FinitePoset.from_masks(elements, new[key]) for key in sorted(new))
+        assert len(layer) == _POSET_COUNTS[k - 1], "poset enumeration miscounted"
+        _ENUM_CACHE[k] = layer
+    return list(_ENUM_CACHE[n])

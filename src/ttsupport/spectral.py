@@ -9,7 +9,7 @@ bitmasks (see poset.py); the API takes and returns frozensets of labels.
 """
 
 from .errors import InputError
-from .poset import FinitePoset, bits_of, unions_of
+from .poset import FinitePoset, bits_of, union_family
 
 
 class SpectralSpace:
@@ -64,10 +64,11 @@ class SpectralSpace:
     def skula_opens(self):
         """Topology generated by the opens together with the closeds.
 
-        Computed by closing { opens } ∪ { closeds } under finite
-        intersection and then arbitrary union, once per space.  For a finite
-        T0 space this is the discrete topology; the generic construction is
-        kept so the discreteness is a checked fact and not an assumption.
+        Computed once per space by generate_topology, as the unions of the
+        smallest Skula open of each point: the intersection of the opens and
+        closeds containing it.  For a finite T0 space this is the discrete
+        topology; it is generated, not assumed, so the discreteness is a
+        checked fact.
         """
         if self._skula is None:
             self._skula = tuple(generate_topology(self.opens() + self.closeds(), self.points))
@@ -167,14 +168,18 @@ def _full(order):
 
 def generate_topology(subbasis, universe):
     """All unions of finite intersections of the subbasis sets (plus the
-    whole space as the empty intersection).  Sorted for determinism."""
+    whole space as the empty intersection).  Sorted for determinism.
+
+    Every point p has a smallest open U_p: the intersection of the subbasis
+    sets containing p (the whole space when none does).  On a finite set an
+    open is a union of finite intersections, each of which contains U_p for
+    each of its points p, so the opens are exactly the unions of the U_p.
+    """
     points = sorted(set(universe))
     bit = {p: 1 << i for i, p in enumerate(points)}
-    basis = {(1 << len(points)) - 1}
+    smallest = [(1 << len(points)) - 1] * len(points)
     for s in subbasis:
         m = sum(bit.get(p, 0) for p in set(s))
-        basis |= {b & m for b in basis}
-    # bit i stands for the i-th sorted point, so sorting (size, bits) sorts
-    # the sets by (size, sorted points)
-    ordered = sorted((m.bit_count(), bits_of(m)) for m in unions_of(basis))
-    return [frozenset(points[i] for i in bits) for _size, bits in ordered]
+        for i in bits_of(m):
+            smallest[i] &= m
+    return [s for _m, s in union_family(smallest, points)]

@@ -86,6 +86,17 @@ def test_eta_exists_for_every_complemented_datum_on_small_spaces():
             assert eta_is_unique(datum, result)
 
 
+def test_eta_draws_the_pinned_covers_on_small_spaces():
+    # the number of sampled covers that hit their set, per space up to three
+    # points in enumeration order, pins the random draws
+    checks = [
+        construct_eta(canonical_datum(SpectralSpace(order)), seed=42).cover_checks
+        for n in range(1, 4)
+        for order in enumerate_posets(n)
+    ]
+    assert checks == [100, 200, 200, 400, 400, 400, 400, 384]
+
+
 def test_non_complemented_data_are_rejected():
     # identity gamma into the non-Boolean frame of Thomason sets: the middle
     # element has no complement

@@ -1,7 +1,9 @@
 """Command-line interface: contracts, formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import random
 import subprocess
@@ -244,6 +246,68 @@ def test_well_formed_datum_is_checked():
     code, out = _run("axioms", "check", json.dumps(DATUM))
     assert code == 0
     assert json.loads(out) == {"complemented": True, "witnesses": []}
+
+
+ANTICHAIN2 = json.dumps({"elements": ["a", "b"], "leq": []})
+
+
+@pytest.mark.parametrize(
+    "field, entry, name",
+    [
+        # a second complement for the element {a}
+        ("complements", ["{a}", "{}"], "the element '{a}'"),
+        # a second gamma value for the Thomason set {a}
+        ("gamma", [["a"], "{b}"], "the Thomason set {a}"),
+    ],
+    ids=["complements", "gamma"],
+)
+@pytest.mark.parametrize("first", [True, False], ids=["leading", "trailing"])
+def test_a_datum_listing_one_key_with_two_values_exits_one_naming_it(field, entry, name, first):
+    code, datum = _run("axioms", "canonical", ANTICHAIN2)
+    assert code == 0
+    doc = json.loads(datum)
+    doc[field] = [entry] + doc[field] if first else doc[field] + [entry]
+    code, out = _run("axioms", "check", json.dumps(doc))
+    assert code == 1
+    assert "%s is listed twice" % name in json.loads(out)["error"]
+
+
+def test_a_datum_repeating_an_entry_with_its_own_value_is_accepted():
+    code, datum = _run("axioms", "canonical", ANTICHAIN2)
+    assert code == 0
+    doc = json.loads(datum)
+    doc["gamma"].append(doc["gamma"][0])
+    doc["complements"].append(doc["complements"][0])
+    code, out = _run("axioms", "check", json.dumps(doc))
+    assert code == 0
+    assert json.loads(out) == {"complemented": True, "witnesses": []}
+
+
+# the six-point antichain with gamma evaluation at the point a: gamma(V) is
+# "1" exactly when a is in V
+ANTICHAIN6_AT_A = json.dumps(
+    {
+        "space": {"elements": list("abcdef"), "leq": []},
+        "bousfield": {"elements": ["0", "1"], "leq": [["0", "1"]]},
+        "gamma": [
+            [list(points), "1" if "a" in points else "0"]
+            for k in range(7)
+            for points in itertools.combinations("abcdef", k)
+        ],
+        "complements": [["0", "1"], ["1", "0"]],
+    }
+)
+
+
+def test_eta_on_the_six_point_antichain_keeps_its_pinned_answer():
+    code, out = _run("--samples", "2000", "axioms", "eta", ANTICHAIN6_AT_A)
+    assert code == 0
+    report = json.loads(out)
+    assert report["exists"] and report["unique"] and len(report["map"]) == 64
+    assert all((value == "1") == ("a" in label) for label, value in report["map"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ec274089ed5f51e4d2524f54a08133844532f6f08e59b224d1e5d3f78962b569"
+    )
 
 
 ANTICHAIN5 = json.dumps({"elements": list("abcde"), "leq": []})

@@ -587,8 +587,10 @@ def test_an_assembly_missing_a_closed_nucleus_fails_loudly(monkeypatch):
     original = frames_module._sublocales
 
     def without_closed_a(frame):
-        # the fixed points of y |-> a v y; the other three nuclei still form a chain
-        return [s for s in original(frame) if s != {"a", "1"}]
+        # the fixed points of y |-> a v y, as a mask over the element
+        # positions; the other three nuclei still form a chain
+        closed_a = sum(1 << frame.elements.index(x) for x in ("a", "1"))
+        return [s for s in original(frame) if s != closed_a]
 
     monkeypatch.setattr(frames_module, "_sublocales", without_closed_a)
     frame = FiniteFrame(FinitePoset.from_pairs(["0", "a", "1"], [("0", "a"), ("a", "1")]))

@@ -1,7 +1,10 @@
 """Finite posets: construction, JSON, and isomorphism-class enumeration."""
 
+import hashlib
+
 import pytest
 
+from ttsupport import poset as poset_module
 from ttsupport.errors import InputError
 from ttsupport.poset import FinitePoset, enumerate_posets
 
@@ -84,3 +87,62 @@ def test_relations_that_are_not_partial_orders_are_refused():
         FinitePoset.from_masks(["a", "b", "c"], [0b011, 0b110, 0b100])
     with pytest.raises(InputError, match="past the elements"):
         FinitePoset.from_masks(["a"], [0b11])
+
+
+# sha256 of repr() of the (elements, up-masks) sequence of enumerate_posets(n)
+# and of its canonical keys, for n = 1..6; the benchmark's pinned answers for
+# the spaces rest on both
+ENUMERATION_DIGESTS = {
+    1: (
+        "5064cf6e3527928b78d12e516a14d6fcc576e506e7697d734cbd1a0e96d8256f",
+        "d3b978f925d8b9c916c1a567f6bcf7405bef6061fa4bc59e691ea53fc3e432f0",
+    ),
+    2: (
+        "d42d72d8d50d14ab3d08d4c83fbd43294d60b46a1537daefd1a3bb86104f171e",
+        "8198d85ea9149e8aa98252872d2682fc01a4674f4365420fad4225b1f8e5ca1d",
+    ),
+    3: (
+        "ec8787144e3837fe070100a88a210a3ab40c41bbf2f9178e2dbaba914b52d383",
+        "2f43d71f968d7d099b86426da5feac94cf7bc8e491e35119a13c8e3d81a36645",
+    ),
+    4: (
+        "5bb14b001fa14d9067d801f20070959f4aeaa8f3a57b066db69d4c7b36928f54",
+        "bed02889ef1890f209ddda9cfe9ef248503a93f72ec1312da41980bad10a2437",
+    ),
+    5: (
+        "e6c9e7333d09a31b775e6d6074687f1f716c100f5c9c1dcd0c1bdf21445b25c6",
+        "97921ba28e2dddcbd93c2d3f2bcfa0d322abc2390081d02a16bd97eb8aa5f4bf",
+    ),
+    6: (
+        "4ebaabf8413add632b982b41224f7345569ef855dae739bbdf684947aafeaff4",
+        "bdf0bc7aeaf70a5e1f44184e6b4b2141c6d32f240ee50dd9710be51edec997df",
+    ),
+}
+
+
+def _sha(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def test_enumeration_and_canonical_keys_match_their_pinned_digests():
+    for n, (orders, keys) in ENUMERATION_DIGESTS.items():
+        posets = enumerate_posets(n)
+        assert _sha([(p.elements, p._up) for p in posets]) == orders
+        assert _sha([p.canonical_key() for p in posets]) == keys
+
+
+def test_a_cold_enumeration_builds_one_poset_per_class_and_resumes(monkeypatch):
+    built = []
+    original = FinitePoset._set_order
+
+    def counting(self, elements, up):
+        built.append(len(elements))
+        return original(self, elements, up)
+
+    monkeypatch.setattr(poset_module, "_ENUM_CACHE", {})
+    monkeypatch.setattr(FinitePoset, "_set_order", counting)
+    assert len(enumerate_posets(4)) == 16
+    assert len(built) == 1 + 2 + 5 + 16
+    # the six-point layer starts from the cached four-point one
+    assert len(enumerate_posets(6)) == 318
+    assert len(built) == 405 and built.count(6) == 318

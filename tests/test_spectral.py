@@ -134,6 +134,20 @@ def test_generate_topology_agrees_with_the_literal_closure_on_seeded_subbases():
         assert generate_topology(subbasis, universe) == _literal_topology(subbasis, universe)
 
 
+def test_generate_topology_agrees_with_the_literal_closure_on_every_skula_subbasis():
+    # the opens and closeds of every space up to six points and of its
+    # Hochster dual, as skula_opens passes them
+    checked = 0
+    for n in range(1, 7):
+        for order in enumerate_posets(n):
+            for space in (SpectralSpace(order), SpectralSpace(order.opposite())):
+                subbasis = space.opens() + space.closeds()
+                expected = _literal_topology(subbasis, space.points)
+                assert generate_topology(subbasis, space.points) == expected
+                checked += 1
+    assert checked == 2 * 405
+
+
 def _literal_isolated(space, subset):
     return {p for p in subset if any(v & subset == {p} for v in space.opens())}
 
