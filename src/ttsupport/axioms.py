@@ -21,7 +21,7 @@ from .spectral import SpectralSpace
 
 def thomason_frame(space):
     """Frame of Thomason (= up-) sets of a finite spectral space."""
-    return FiniteFrame.from_sets(space.thomason_sets(), space.order.up_set_masks())
+    return FiniteFrame.from_sets(space.thomason_sets())
 
 
 def localizing_frame(space):
@@ -182,11 +182,9 @@ def construct_eta(datum, samples=50, seed=0):
         if of_set[thomason[v]] != gamma[thomason[v]]:
             raise InputError("eta does not extend gamma at %s" % v)
 
-    # random covers by differences V minus U of Thomason sets, drawn in the
-    # order of space.localising_basic_opens(): each as (V minus U, value)
+    # random covers by the basic opens V minus U, each with its value
     rng = random.Random(seed)
-    ups = order.up_set_masks()
-    pairs = [(v & ~u, pair_value(v, u)) for v in ups for u in ups]
+    pairs = [(v & ~u, pair_value(v, u)) for v, u in space._localising_pairs()]
     cover_checks = 0
     for label in sorted(lframe.elements):
         s = points[label]

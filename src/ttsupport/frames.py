@@ -12,7 +12,7 @@ map is an order-isomorphism onto the down-sets of J, which decides both
 import weakref
 from functools import reduce
 from itertools import product
-from operator import and_, mul, or_
+from operator import and_, or_
 
 from .errors import InputError, ResourceLimitError
 from .poset import FinitePoset, bits_of, unions_of
@@ -30,11 +30,10 @@ class FiniteFrame:
     # _mask: element -> mask over J; _masks: the masks in element order;
     # _element: mask -> element; _irreducible: the masks of the
     # join-irreducibles, in element order (bit t of a mask stands for the
-    # t-th of them); _primes: the masks of the primes, in label order;
-    # _pairs: see _pair_layout
+    # t-th of them); _primes: the masks of the primes, in label order
     __slots__ = (
         "order", "bottom", "top", "_mask", "_masks", "_element", "_irreducible", "_primes",
-        "_pairs", "_assembly",
+        "_assembly",
     )
 
     def __init__(self, order):
@@ -69,57 +68,20 @@ class FiniteFrame:
         self._masks = tuple(masks)
         self._element = element
         self._irreducible = irreducible
-        self._primes = self._pairs = self._assembly = None
-
-    def _pair_layout(self):
-        """What checking a self-map at every pair (x, y) at once needs, built
-        once per frame.  The map's values are packed w bits apart, and slot
-        x*N + y of an N*N-slot int stands for the pair.  Slot sets are ints
-        with the low bit of each slot set, so multiplying one by a value
-        writes the value into its slots.  Returns each mask's position, the
-        slot of each element in a row, the slots of each element's row, the
-        first slot of every row, the slots of each meet, the full slots of
-        the pairs x <= y and the element masks packed in a row."""
-        if self._pairs is None:
-            masks = self._masks
-            n, w = len(masks), max(1, max(masks).bit_length())
-            position = {m: i for i, m in enumerate(masks)}
-            meet_slots, leq = [0] * n, 0
-            for i, a in enumerate(masks):
-                for j, b in enumerate(masks):
-                    meet_slots[position[a & b]] |= 1 << w * (i * n + j)
-                    if not a & ~b:
-                        leq |= (1 << w) - 1 << w * (i * n + j)
-            units = [1 << w * j for j in range(n)]
-            self._pairs = (
-                position,
-                units,
-                [sum(units) << w * n * i for i in range(n)],
-                sum(1 << w * n * i for i in range(n)),
-                meet_slots,
-                leq,
-                sum(map(mul, masks, units)),
-            )
-        return self._pairs
+        self._primes = self._assembly = None
 
     @classmethod
-    def from_sets(cls, sets, masks=None):
+    def from_sets(cls, sets):
         """Frame of a family of sets ordered by inclusion (the family must be
         closed under the induced meets/joins, which the validator enforces).
-        Two different sets with one label are refused.  masks, when given,
-        holds each set's bitmask over some numbering of the points."""
-        sets = [frozenset(s) for s in sets]
-        if masks is None:
-            bit = {p: 1 << i for i, p in enumerate(set().union(*sets))}
-            masks = [sum(bit[p] for p in s) for s in sets]
-        labels, mask = {}, {}
-        for s, m in zip(sets, masks):
-            label = set_label(s)
-            if labels.setdefault(label, s) != s:
-                raise InputError("two sets share the label %s" % label)
-            mask[label] = m
+        Two different sets with one label are refused."""
+        labels = {}
+        for s in map(frozenset, sets):
+            if labels.setdefault(set_label(s), s) != s:
+                raise InputError("two sets share the label %s" % set_label(s))
         names = sorted(labels)
-        masks = [mask[a] for a in names]
+        bit = {p: 1 << i for i, p in enumerate(set().union(*labels.values()))}
+        masks = [sum(bit[p] for p in labels[a]) for a in names]
         # the sets containing a set are those containing each of its points
         containing = [0] * max(masks, default=0).bit_length()
         for j, m in enumerate(masks):
@@ -337,20 +299,6 @@ def validate_nucleus(frame, table):
     if strays:
         return False, ["value %r at %r is not a frame element" % (table[x], x) for x in strays]
     image = [mask[table[x]] for x in frame.elements]
-    # all pairs at once on the packed layout: slot (x, y) of `left` holds
-    # j(x), of `right` j(y) and of `meets` j(x ∧ y)
-    position, units, row_slots, column_slots, meet_slots, leq, own = frame._pair_layout()
-    packed = sum(map(mul, image, units))
-    left = sum(map(mul, image, row_slots))
-    right = packed * column_slots
-    meets = sum(map(mul, image, meet_slots))
-    if (
-        not own & ~packed
-        and all(image[position[t]] == t for t in image)
-        and not left & ~right & leq
-        and meets == left & right
-    ):
-        return True, []
     # visit in the frame's element order, so the report lists failures in it
     by_mask = dict(zip(frame._masks, image))
     rows = list(zip(frame.elements, frame._masks, image))
@@ -365,7 +313,7 @@ def validate_nucleus(frame, table):
                 report.append("not monotone on (%r, %r)" % (x, y))
             if by_mask[mx & my] != tx & ty:
                 report.append("does not preserve the meet of (%r, %r)" % (x, y))
-    return False, report
+    return not report, report
 
 
 def closed_nucleus(frame, x):
@@ -520,7 +468,7 @@ def frame_of(space):
     """Frame of opens (= down-sets) of a finite spectral space, with set
     labels.  The frame is built once per space; the labels come as a copy."""
     if space._frame is None:
-        space._frame = FiniteFrame.from_sets(space.opens(), space.order.down_set_masks())
+        space._frame = FiniteFrame.from_sets(space.opens())
     frame, labels = space._frame
     return frame, dict(labels)
 

@@ -77,17 +77,19 @@ class SpectralSpace:
     def localising_basic_opens(self):
         """Triples (V, U, V minus U) over all Thomason pairs.  The sets
         V \\ U form the basic opens of the Skula topology of the dual."""
-        thomason = self.thomason_sets()
-        out = []
-        for v in thomason:
-            for u in thomason:
-                out.append((v, u, v - u))
-        return out
+        set_of = self.order.set_of
+        return [(set_of(v), set_of(u), set_of(v & ~u)) for v, u in self._localising_pairs()]
+
+    def _localising_pairs(self):
+        """The Thomason pairs (V, U) as masks, V varying slowest, both in
+        the order of thomason_sets()."""
+        thomason = self.order.up_set_masks()
+        return [(v, u) for v in thomason for u in thomason]
 
     def visible_points(self):
         """Points p with {p} = V \\ U for Thomason V, U."""
-        singletons = {t[2] for t in self.localising_basic_opens() if len(t[2]) == 1}
-        return frozenset(next(iter(s)) for s in singletons)
+        pieces = {v & ~u for v, u in self._localising_pairs()}
+        return self.order.set_of(sum(t for t in pieces if t and not t & (t - 1)))
 
     def isolated_points(self, subset=None):
         """Isolated points of the subspace: p with {p} open in the subspace

@@ -74,6 +74,13 @@ def test_visible_points_of_finite_spaces_are_all_points():
         assert space.visible_points() == set(space.points)
 
 
+def test_localising_basic_opens_are_the_thomason_differences_in_order():
+    for order in enumerate_posets(3):
+        space = SpectralSpace(order)
+        thomason = space.thomason_sets()
+        assert space.localising_basic_opens() == [(v, u, v - u) for v in thomason for u in thomason]
+
+
 def test_cb_rank_strips_isolated_points_round_by_round():
     assert CHAIN2.cb_rank() == 2
     assert A2.cb_rank() == 1
