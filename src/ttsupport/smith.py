@@ -3,18 +3,26 @@ arithmetic; over a prime field F_p, row reduction, kernels and ranks.
 
 Matrices are lists of rows of Python ints (arbitrary precision).  Everything
 here is exact; there is no floating point anywhere in the package.  Under
-SELF_CHECK every Smith form is certified by its transforms and every F_p
-rank by a nonsingular minor and a full set of kernel vectors.
+SELF_CHECK every Smith form computed is certified by its transforms and every
+F_p rank by a nonsingular minor and a full set of kernel vectors.  The last
+SMITH_MEMO certified Smith forms are kept, keyed by the matrix's content, and
+a repeated matrix gets fresh copies of its kept form.
 """
 
 import operator
 
 from .errors import InputError, ResourceLimitError
 
-# Every Smith form re-verifies U*A*V == D, the divisibility chain and
+# Every Smith form computed verifies U*A*V == D, the divisibility chain and
 # unimodularity paperwork.  The inputs this package sees are tiny, so the
 # self-check is kept on unconditionally.
 SELF_CHECK = True
+
+# How many certified Smith forms smith_normal_form keeps: a localization over
+# Z has its parent's differentials, and a solve or a kernel often follows a
+# form of the same matrix.  A small bound keeps the memory flat.
+SMITH_MEMO = 8
+_memo = {}  # content of A -> (D, U, V) as tuples of row tuples, least recent first
 
 # Largest trial divisor in factorize: a larger remaining part may not be
 # prime, so it is refused instead of trial-dividing without end.
@@ -115,8 +123,30 @@ def smith_normal_form(a):
     """Return (d, u, v) with u*a*v == d in Smith normal form.
 
     d is diagonal with nonnegative entries satisfying d[0] | d[1] | ... ;
-    u and v are unimodular.
+    u and v are unimodular.  The lists are the caller's own: a matrix whose
+    form is kept gets fresh copies of it, and only forms certified under
+    SELF_CHECK are kept.
     """
+    key = tuple(map(tuple, a))
+    form = _memo.pop(key, None)
+    if form is None:
+        d, u, v = _smith_form(a)
+        if SELF_CHECK:
+            _keep(key, (tuple(map(tuple, d)), tuple(map(tuple, u)), tuple(map(tuple, v))))
+        return d, u, v
+    _keep(key, form)
+    d, u, v = form
+    return list(map(list, d)), list(map(list, u)), list(map(list, v))
+
+
+def _keep(key, form):
+    _memo[key] = form
+    if len(_memo) > SMITH_MEMO:
+        del _memo[next(iter(_memo))]
+
+
+def _smith_form(a):
+    """smith_normal_form's (d, u, v), computed and certified under SELF_CHECK."""
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):

@@ -28,7 +28,7 @@ from ttsupport.homalg import (
     ring_from_json,
     zero_complex,
 )
-from ttsupport.support import localization_functor, torsion_functor
+from ttsupport.support import candidate_primes, localization_functor, torsion_functor
 
 Z = IntegersLocalized()
 Z4 = ModularIntegers(4)
@@ -602,6 +602,27 @@ def test_the_free_model_agrees_with_the_cone_of_p(ring, count):
         _assert_the_lattice_cohomology(cx)
         for p in (2, 3, 5, 7):
             assert derived_tensor_residue(cx, p).dims == _cone_residue_dims(cx, p)
+
+
+@pytest.mark.parametrize(
+    "ring, count",
+    [
+        (Z, battery.DEFAULT_SAMPLES),
+        (IntegersLocalized(at_prime=2), 50),
+        (IntegersLocalized(at_prime=5), 50),
+        (IntegersLocalized(inverted={3}), 50),
+    ],
+    ids=lambda x: x.label() if not isinstance(x, int) else str(x),
+)
+def test_each_localization_reads_its_parents_smith_forms_and_agrees_with_the_lattice_route(
+    ring, count
+):
+    # a localization over Z has its parent's differentials and free model,
+    # so the Smith forms of its deltas are those the parent's cohomology took
+    for cx in battery.instances(ring, count, battery.DEFAULT_SEED):
+        cx.cohomology_all()
+        for q in candidate_primes(cx):
+            _assert_the_lattice_cohomology(localize(cx, q))
 
 
 def _with_a_module_that_kills_d_squared(cx, rng):

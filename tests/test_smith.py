@@ -51,18 +51,71 @@ def test_normal_form_postconditions_on_random_matrices():
                     assert d[i][j] == 0
 
 
-def test_normal_forms_and_transforms_are_pinned_on_seeded_matrices():
+def test_normal_forms_and_transforms_are_pinned_on_seeded_matrices(computed_smith_forms):
     # the pivot choice fixes (D, U, V), not only D; entries of absolute
-    # value 1 and ties are common at the smaller bounds
+    # value 1 and ties are common at the smaller bounds.  Each form is taken
+    # cold, then read back from the kept forms: both give the pinned hash
     rng = random.Random(11)
-    digest = hashlib.sha256()
+    cold, warm = hashlib.sha256(), hashlib.sha256()
     for _ in range(300):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         a = _random_matrix(rng, rows, cols, bound=rng.choice([1, 3, 50]))
-        digest.update(json.dumps(smith_normal_form(a)).encode())
-    assert digest.hexdigest() == (
-        "e8b2c700272afb8deb4769f2dce496a102c3513616ee16ab6467e488a8bac6e7"
-    )
+        smith._memo.clear()
+        cold.update(json.dumps(smith_normal_form(a)).encode())
+        warm.update(json.dumps(smith_normal_form(a)).encode())
+    assert len(computed_smith_forms) == 300
+    pinned = "e8b2c700272afb8deb4769f2dce496a102c3513616ee16ab6467e488a8bac6e7"
+    assert cold.hexdigest() == warm.hexdigest() == pinned
+
+
+# -- the kept Smith forms ----------------------------------------------------------
+
+
+def test_a_caller_that_changes_its_form_or_its_matrix_changes_no_kept_form():
+    a = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    expected = json.dumps(smith_normal_form(a))
+    for _ in range(2):
+        form = smith_normal_form(a)
+        assert json.dumps(form) == expected
+        for mat in form:
+            mat[0][0] += 1
+            mat.append([7])
+    a[0][0] = 3
+    assert smith_normal_form(a) == smith._smith_form([list(row) for row in a])
+    a[0][0] = 2
+    assert json.dumps(smith_normal_form(a)) == expected
+
+
+def test_only_forms_certified_under_self_check_are_kept(computed_smith_forms, monkeypatch):
+    certified = []
+    verify = smith._verify_snf
+    monkeypatch.setattr(smith, "_verify_snf", lambda *args: (certified.append(args), verify(*args)))
+    a = [[2, 4], [6, 8]]
+    monkeypatch.setattr(smith, "SELF_CHECK", False)
+    unchecked = smith_normal_form(a)
+    assert smith._memo == {} and certified == []
+    monkeypatch.setattr(smith, "SELF_CHECK", True)
+    for _ in range(2):
+        assert smith_normal_form(a) == unchecked
+        assert len(computed_smith_forms) == 2 and len(certified) == 1
+
+
+def test_the_kept_forms_never_exceed_their_bound_and_the_least_recent_goes(
+    computed_smith_forms,
+):
+    mats = [[[k + 2, k]] for k in range(smith.SMITH_MEMO + 3)]
+    for a in mats[: smith.SMITH_MEMO]:
+        smith_normal_form(a)
+    smith_normal_form(mats[0])  # read back: now the most recent
+    for a in mats[smith.SMITH_MEMO :]:
+        smith_normal_form(a)
+        assert len(smith._memo) <= smith.SMITH_MEMO
+    del computed_smith_forms[:]
+    smith_normal_form(mats[0])
+    smith_normal_form(mats[-1])
+    assert computed_smith_forms == []
+    smith_normal_form(mats[1])
+    assert computed_smith_forms == [mats[1]]
 
 
 def test_normal_form_fixed_oracle():
