@@ -16,6 +16,7 @@ from .spectral import SpectralSpace
 from .frames import ASSEMBLY_MAX, FiniteFrame, assembly, frame_of, sigma
 from .homalg import ChainComplex, ModularIntegers
 from .support import (
+    SupportDescriptor,
     big_support,
     detect_vanishing,
     foxby_support,
@@ -184,12 +185,8 @@ def _cmd_support(args):
             h = cx.cohomology(i)
             if not h.is_zero:
                 union |= weakly_associated(h)
-        return {
-            "primes": sorted((prime_label(p) for p in union if p != 0), key=str),
-            "generic": 0 in union,
-            "cofinite": False,
-            "exceptions": [],
-        }
+        desc = SupportDescriptor(generic=0 in union, explicit=frozenset(union - {0}))
+        return _descriptor_report(desc)
     if op == "suite":
         if not isinstance(cx.ring, ModularIntegers):
             raise InputError("the property suite runs over Z/n complexes")

@@ -30,17 +30,17 @@ and cohomology sits in the two module classes.  Z/n with two or more primes
 p | n (``ring.crt_primes``) is the product of its localizations Z/p^k,
 p^k || n (CRT), so its modules and complexes are computed there: a complex
 builds and validates its localization at each p | n when it is built, and
-its cohomology, a module's ``canonical()`` and the zero test ``_kills``
-recombine the local answers.  Over a prime field F_p (``ring.field_prime``)
-a presented module is computed from ranks over F_p, the algebra the local
-nilpotent flavour runs on too; over the other integer flavours, Z/p^k
-included, from Smith forms, a complex's cohomology from the diagonals of
-its free model over Z.
+its cohomology and a module's ``canonical()`` recombine the local answers.
+Over a prime field F_p (``ring.field_prime``) a presented module is computed
+from ranks over F_p, the algebra the local nilpotent flavour runs on too;
+over the other integer flavours, Z/p^k included, from Smith forms, a
+complex's cohomology from the diagonals of its free model over Z.
 
 Modules and complexes are immutable, and their matrices are tuples of row
 tuples.  So each answer derived from one is computed once and kept on it: a
-presented module's relation form (a Smith form, or its rank mod p, behind
-validation, ``canonical()`` and ``is_zero``) and its localizations, and a
+presented module's relation form (a Smith form and a basis of the relations,
+or their rank mod p, behind validation, ``canonical()``, ``is_zero`` and the
+free model) and its localizations, and a
 complex's cohomology groups, its localization at each prime, its free model
 and that model's Smith diagonals, and, through ``support``, its supports.
 
@@ -66,13 +66,12 @@ from .smith import (
     hstack,
     identity,
     kernel_basis,
-    lattice_basis,
+    lattice_form,
     mat_mul,
     mat_vec,
     quotient_generators,
     rank_p,
     smith_normal_form,
-    solve_int,
     transpose,
     zeros,
 )
@@ -315,6 +314,8 @@ class LocalNilpotentAlgebra:
         gens = tuple((n, e) for n, e in self.generators)
         if not all(type(n) is str and type(e) is int for n, e in gens):
             raise InputError("generator names must be strings and exponents integers")
+        if not gens:
+            raise InputError("a local nilpotent ring needs at least one generator")
         if any(e < 2 for _n, e in gens):
             raise InputError("nilpotency exponents must be >= 2")
         if len({n for n, _e in gens}) != len(gens):
@@ -576,20 +577,23 @@ class PresentedModule(_Immutable):
         return cols
 
     def _form(self):
-        """(diag, U) of one Smith form U·A·V = D of the relation columns A,
-        diag the nonzero invariant factors: v lies in the relation lattice
-        iff divide_diagonal(diag, U·v) is not None.  Without explicit
-        relations A is modulus·I (or has no columns), already a Smith form,
-        and U = I is given as None."""
+        """``lattice_form`` of the relation columns A: (diag, U, basis).
+        Without explicit relations A is modulus·I (or has no columns), its
+        own Smith form and basis, and U = I is given as None."""
 
         def compute():
             if not self.nrels:
                 m = self.ring.modulus
-                return ((m,) * self.ngens if m else ()), None
-            d, u, _v = smith_normal_form(transpose(self.relation_columns()))
-            return tuple(e for e in diagonal(d) if e != 0), u
+                return ((m,) * self.ngens if m else ()), None, self.relation_columns()
+            return lattice_form(self.relation_columns())
 
         return self._cached("form", compute)
+
+    def _coordinates(self, vecs):
+        """Each vector's coordinates y in the form's basis U^-1·D (so
+        U·v = D·y), None for one outside the relation lattice."""
+        diag, u, _basis = self._form()
+        return [divide_diagonal(diag, v if u is None else mat_vec(u, v)) for v in vecs]
 
     def _fp_rank(self):
         """rank_p of the explicit relations over F_p; the relations p·I
@@ -633,21 +637,15 @@ class PresentedModule(_Immutable):
 
     def _kills(self, vecs):
         """Whether every vector (on the generators) is zero in the module:
-        over a Z/n split by CRT, in each localization; over F_p, iff no
-        vector raises the rank of the relations mod p."""
-        primes = self.ring.crt_primes
-        if primes:
-            return all(self.localized(p)._kills(vecs) for p in primes)
+        over F_p, iff no vector raises the rank of the relations mod p; else
+        iff each has coordinates in the relation form's basis."""
         p = self.ring.field_prime
         if p:
             return (
                 not any(x % p for v in vecs for x in v)
                 or rank_p(hstack(self.rel, transpose(vecs)), p) == self._fp_rank()
             )
-        diag, u = self._form()
-        return all(
-            divide_diagonal(diag, v if u is None else mat_vec(u, v)) is not None for v in vecs
-        )
+        return None not in self._coordinates(vecs)
 
     def _accepts(self, d, src):
         """Whether d carries the relations of src into those of self."""
@@ -718,9 +716,10 @@ class LnaModule(_Immutable):
             a = actions[name]
             if len(a) != dim or any(len(r) != dim for r in a):
                 raise InputError("action matrix shape mismatch")
+            # a nilpotent dim x dim matrix has a^dim = 0, so a^min(e, dim) decides
             power = a
-            for _ in range(e - 1):
-                power = mat_mul(power, a)
+            for _ in range(min(e, dim) - 1):
+                power = [[x % p for x in row] for row in mat_mul(power, a)]
             if any(x % p for row in power for x in row):
                 raise InputError("action violates the nilpotency exponent of %s" % name)
         for a, b in combinations(actions.values(), 2):
@@ -1216,9 +1215,10 @@ def _free_model(cx):
     built once per complex: (ranks, deltas), ranks[k] the rank of P in degree
     min_deg - 1 + k and deltas[k] P's differential out of that degree.
 
-    With R_k a basis of the relation lattice of module k (modulus columns
-    included), the lifts e_k and h_k solve d_k R_k = R_(k+1) e_k and
-    d_(k+1) d_k = R_(k+2) h_k exactly; validation proved both solvable.  Then
+    With R_k the basis of module k's relation form (modulus columns
+    included), the lifts e_k and h_k are the coordinates that solve
+    d_k R_k = R_(k+1) e_k and d_(k+1) d_k = R_(k+2) h_k; they exist as cx
+    passed validation, and are unique as R_k has full rank.  Then
     P^k = Z^g_k ⊕ Z^r_(k+1) with δ_k = [[d_k, R_(k+1)], [-h_k, -e_(k+1)]]
     is the totalization of the resolutions 0 -> Z^r_k -> Z^g_k -> M_k -> 0.
     Both lift identities and δ^2 = 0 are asserted over Z."""
@@ -1228,24 +1228,20 @@ def _free_model(cx):
         # per module k = 0 .. n-1; the two zeros padded on read as "no
         # module" at k = n, n + 1 and, from the end, at k = -1
         g = [m.ngens for m in cx.modules] + [0, 0]
-        # a basis of each relation lattice: the modulus columns alone are one
-        bases = [
-            lattice_basis(m.relation_columns(), m.ngens) if m.nrels else m.relation_columns()
-            for m in cx.modules
-        ] + [[], []]
+        bases = [m._form()[2] for m in cx.modules] + [[], []]
         r = [len(b) for b in bases]
         big_r = [_from_columns(b, gk) for b, gk in zip(bases, g)]
         minus_e, minus_h = {}, {}
         for t in range(1, n):
-            # one exact solve against R_t: e_(t-1), then h_(t-2)
+            # coordinates in R_t: e_(t-1), then h_(t-2)
             d = cx.differentials[t - 1]
             rhs = [mat_vec(d, c) for c in bases[t - 1]]
             if t >= 2:
                 before = cx.differentials[t - 2]
                 rhs += [mat_vec(d, [row[j] for row in before]) for j in range(g[t - 2])]
-            lifts = solve_int(big_r[t], rhs) if r[t] and rhs else [[] for _ in rhs]
-            assert lifts is not None, "differential does not lift to the relations"
-            assert [mat_vec(big_r[t], x) for x in lifts] == rhs, "lift identity fails"
+            lifts = cx.modules[t]._coordinates(rhs)
+            exact = None not in lifts and [mat_vec(big_r[t], x) for x in lifts] == rhs
+            assert exact, "lift identity fails"
             minus_e[t - 1] = _from_columns([[-v for v in x] for x in lifts[: r[t - 1]]], r[t])
             minus_h[t - 2] = _from_columns([[-v for v in x] for x in lifts[r[t - 1] :]], r[t])
         deltas = []

@@ -341,35 +341,33 @@ def solve_int(a, b_cols):
     return xs
 
 
-def _span_coordinates(gens, l_cols):
-    """One Smith form U*A*V = D of the matrix A whose columns are gens.
-
-    Returns (basis, coords): the first r = rank(A) columns of A*V = U^-1*D,
-    a basis of the lattice K that gens span, and the coordinates in it of
-    each column l of l_cols, read off U*l = D*c.  Asserts that L lies in K.
-    """
+def lattice_form(gens):
+    """(diag, u, basis) of one Smith form U*A*V = D of the matrix A whose
+    columns are gens: diag its nonzero invariant factors and basis the first
+    r = len(diag) columns of A*V = U^-1*D, a basis of the lattice K that
+    gens span.  A column l lies in K iff divide_diagonal(diag, U*l) is not
+    None, and that is its coordinates in basis.  Without gens u is None."""
     if not gens:
-        assert not any(any(l) for l in l_cols), "L not inside K"
-        return [], [[] for _ in l_cols]
+        return (), None, []
     a = transpose(gens)
     d, u, v = smith_normal_form(a)
-    diag = [e for e in diagonal(d) if e != 0]
-    coords = [divide_diagonal(diag, mat_vec(u, l)) for l in l_cols]
-    assert None not in coords, "L not inside K"
-    return transpose(mat_mul(a, [row[: len(diag)] for row in v])), coords
+    diag = tuple(e for e in diagonal(d) if e != 0)
+    return diag, u, transpose(mat_mul(a, [row[: len(diag)] for row in v]))
 
 
 def lattice_basis(gens, ambient_dim):
     """Basis (list of column vectors) of the lattice spanned by the given
     column vectors inside Z^ambient_dim."""
-    return _span_coordinates(gens, [])[0]
+    return lattice_form(gens)[2]
 
 
 def _quotient_form(k_gens, l_gens):
     """(basis, diag, u): a basis of the lattice K that k_gens span, and the
     diagonal and U of one Smith form U*C*V = D of the coordinates C of
     l_gens in that basis (diag = [] and u = None when C has no entries)."""
-    basis, coords = _span_coordinates(k_gens, l_gens)
+    k_diag, k_u, basis = lattice_form(k_gens)
+    coords = [divide_diagonal(k_diag, l if k_u is None else mat_vec(k_u, l)) for l in l_gens]
+    assert None not in coords, "L not inside K"
     if not basis or not coords:
         return basis, [], None
     d, u, _v = smith_normal_form(transpose(coords))

@@ -500,6 +500,28 @@ def test_local_nilpotent_generators_must_be_named_by_strings_with_integer_expone
     assert report == {"error": "generator names must be strings and exponents integers"}
 
 
+@pytest.mark.parametrize(
+    "op, module",
+    [
+        ("small", {"dim": 1, "actions": {}}),
+        ("vanish", {"dim": 1, "actions": {}}),
+        ("big", {"dim": 2000, "actions": {}}),
+    ],
+    ids=["small", "vanish", "big-dim-2000"],
+)
+def test_a_local_nilpotent_ring_without_generators_exits_one(op, module):
+    # no Koszul elements to tensor with, and no action to bound a module's dim
+    doc = {
+        "ring": {"type": "local_nilpotent", "p": 2, "generators": []},
+        "degrees": [0, 0],
+        "modules": [module],
+        "differentials": [],
+    }
+    code, report, _elapsed = _timed_main(["support", op, json.dumps(doc)])
+    assert code == 1
+    assert report == {"error": "a local nilpotent ring needs at least one generator"}
+
+
 def _z6_over(ring):
     """Z/6 in degree 0 over the ring {"type": "Z", **ring}."""
     return json.dumps(

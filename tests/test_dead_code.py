@@ -115,8 +115,11 @@ def test_no_unused_imports_and_no_unreferenced_private_functions():
 def test_homalg_takes_no_lattice_quotient():
     # integer cohomology is read off the Smith diagonals of the free model;
     # the lattice route (kernel, span coordinates, quotient) lives on only as
-    # the reference in the tests
-    assert "quotient_invariants" not in _reads(_trees()["homalg"])
+    # the reference in the tests.  The free model's bases and lifts are each
+    # module's relation form and coordinates in it, not a second basis and
+    # solve
+    reads = _reads(_trees()["homalg"])
+    assert not {"quotient_invariants", "lattice_basis", "solve_int"} & reads
 
 
 def test_an_unreferenced_private_method_is_flagged():

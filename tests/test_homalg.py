@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -145,6 +146,16 @@ def test_lna_modules_refuse_exactly_the_actions_whose_e_th_power_is_nonzero(e):
     # one size up, a^e != 0
     with pytest.raises(InputError, match="^action violates the nilpotency exponent of x$"):
         LnaModule(ring, e + 1, {"x": _shift(e + 1)})
+
+
+def test_a_huge_nilpotency_exponent_is_checked_within_a_second():
+    # a nilpotent 1 x 1 action is zero, so a^1 decides, not a^(10^9)
+    ring = LocalNilpotentAlgebra(2, (("x", 10**9),))
+    start = time.perf_counter()
+    assert LnaModule(ring, 1, {"x": [[0]]}).dim == 1
+    with pytest.raises(InputError, match="^action violates the nilpotency exponent of x$"):
+        LnaModule(ring, 1, {"x": [[1]]})
+    assert time.perf_counter() - start < 1.0
 
 
 # -- complexes and cohomology -------------------------------------------------
@@ -512,16 +523,16 @@ FORGEABLE_LIFTS = [
 
 
 def test_residue_refuses_a_forged_lift(monkeypatch):
-    honest = homalg.solve_int
+    honest = PresentedModule._coordinates
 
-    def forged(a, b_cols):
-        return [[x + 1 for x in col] for col in honest(a, b_cols)]
+    def forged(module, vecs):
+        return [[x + 1 for x in y] for y in honest(module, vecs)]
 
     for modules, differentials in FORGEABLE_LIFTS:
         cx = ChainComplex(Z, 0, [PresentedModule(Z, 1, rel) for rel in modules], differentials)
         assert derived_tensor_residue(cx, 2).is_nonzero
         with monkeypatch.context() as patch:
-            patch.setattr(homalg, "solve_int", forged)
+            patch.setattr(PresentedModule, "_coordinates", forged)
             with pytest.raises(AssertionError, match="lift identity fails|δ\\^2 != 0"):
                 derived_tensor_residue(ChainComplex.from_json(cx.to_json()), 2)
 

@@ -289,9 +289,11 @@ def test_a_longer_test_sequence_is_answered_apart_and_agrees(ring):
         assert small_support(cx) is default
 
 
-# Smith forms taken by the seed-42 batch below, counted when cohomology over
-# Z, its localizations and Z/p^k began to be read off the Smith diagonals of
-# the free model built once per complex; 602 before that, when the residue
+# Smith forms taken by the seed-42 batch below, counted when the free model
+# began to read its bases and lifts off each module's one relation form; 349
+# before that, when cohomology over Z, its localizations and Z/p^k began to
+# be read off the Smith diagonals of the free model built once per complex;
+# 602 before that, when the residue
 # test began to take F_p ranks of that free model; 1,069 before that, when
 # complexes over Z/n with two or more primes began to be computed through
 # their localizations Z/p^k alone; 1,221 before that, when modules over Z/n
@@ -300,11 +302,11 @@ def test_a_longer_test_sequence_is_answered_apart_and_agrees(ring):
 # at a nilpotent to return C itself; 2,203 before that, and 3,870 before each
 # module's relation form and each complex's cohomology, localizations and
 # supports were computed once
-BATCH_SMITH_FORMS = 349
+BATCH_SMITH_FORMS = 224
 # Of those, the forms computed: the others are read back from the forms that
 # smith_normal_form keeps, mostly a localization's over Z of its parent's
-# differentials
-BATCH_SMITH_COMPUTED = 224
+# differentials; 224 before the free model stopped solving its lifts
+BATCH_SMITH_COMPUTED = 155
 
 
 def test_the_supports_of_a_seeded_batch_take_a_bounded_number_of_smith_forms(
