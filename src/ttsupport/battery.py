@@ -187,8 +187,16 @@ def instances(ring, count, seed):
 # the criteria
 
 
-def _row(ident, name, passed, detail):
-    return {"id": ident, "name": name, "passed": bool(passed), "detail": detail}
+def _row(ident, name, bad, detail):
+    """The one place a battery row is built: it passes exactly when no case
+    is bad, and then reports detail; otherwise it names the first three bad
+    cases."""
+    return {
+        "id": ident,
+        "name": name,
+        "passed": not bad,
+        "detail": "failed on %s" % bad[:3] if bad else detail,
+    }
 
 
 def _spaces(max_points):
@@ -214,27 +222,29 @@ def criterion_nucleus_count(spaces, **_kw):
         for space, _psi, _iso, asm in spaces
         if len(asm.nuclei) != 2 ** len(space.points)
     ]
-    return _row(
-        1,
-        "nucleus count 2^n",
-        not bad,
-        "%d spaces checked" % len(spaces) if not bad else "failed on %s" % bad[:3],
-    )
+    return _row(1, "nucleus count 2^n", bad, "%d spaces checked" % len(spaces))
 
 
 def criterion_sigma_iso(spaces, **_kw):
     bad = [repr(space.order) for space, _psi, is_iso, _asm in spaces if not is_iso]
-    return _row(
-        2,
-        "sigma isomorphism",
-        not bad,
-        "%d spaces checked" % len(spaces) if not bad else "failed on %s" % bad[:3],
-    )
+    return _row(2, "sigma isomorphism", bad, "%d spaces checked" % len(spaces))
 
 
-def _weakly_scattered_conditions(space, frame):
-    """Four of the five independently computed equivalent conditions; the
-    fifth, sigma being an isomorphism, comes with the space pool."""
+def _disagreements(spaces, conditions):
+    """Each pool space whose conditions(space, is_iso, assembly) do not all
+    agree, with those conditions."""
+    bad = []
+    for space, _psi, is_iso, asm in spaces:
+        conds = conditions(space, is_iso, asm)
+        if len(set(conds)) != 1:
+            bad.append((repr(space.order), conds))
+    return bad
+
+
+def _weakly_scattered_conditions(space, is_iso, asm):
+    """The five equivalent conditions: sigma being an isomorphism, from the
+    space pool, and four computed independently of it."""
+    frame = asm.base
     cond_b = space.is_weakly_scattered()
     cond_c = all(
         space.closure(space.weakly_isolated_points(c)) == c
@@ -247,45 +257,39 @@ def _weakly_scattered_conditions(space, frame):
         for x in frame.elements
         if x != top
     )
-    return cond_b, cond_c, cond_d, cond_e
+    return is_iso, cond_b, cond_c, cond_d, cond_e
+
+
+def _scattered_conditions(space, _is_iso, asm):
+    return (
+        space.is_scattered(),
+        space.is_weakly_scattered() and space.is_t_half(),
+        space.cb_rank() is not None,
+        asm.frame.is_boolean(),
+    )
 
 
 def criterion_weakly_scattered_equivalences(spaces, **_kw):
-    bad = []
-    for space, _psi, is_iso, asm in spaces:
-        conds = (is_iso,) + _weakly_scattered_conditions(space, asm.base)
-        if len(set(conds)) != 1:
-            bad.append((repr(space.order), conds))
     return _row(
         3,
         "weakly-scattered equivalences",
-        not bad,
-        "%d spaces, 5 conditions each" % len(spaces) if not bad else "failed on %s" % bad[:2],
+        _disagreements(spaces, _weakly_scattered_conditions),
+        "%d spaces, 5 conditions each" % len(spaces),
     )
 
 
 def criterion_scattered_equivalences(spaces, **_kw):
-    bad = []
-    for space, _psi, _iso, asm in spaces:
-        conds = (
-            space.is_scattered(),
-            space.is_weakly_scattered() and space.is_t_half(),
-            space.cb_rank() is not None,
-            asm.frame.is_boolean(),
-        )
-        if len(set(conds)) != 1:
-            bad.append((repr(space.order), conds))
     return _row(
         4,
         "scattered equivalences",
-        not bad,
-        "%d spaces, 4 conditions each" % len(spaces) if not bad else "failed on %s" % bad[:2],
+        _disagreements(spaces, _scattered_conditions),
+        "%d spaces, 4 conditions each" % len(spaces),
     )
 
 
-def criterion_zset_maximality(zset_max=ZSET_POSET_BOUND, **_kw):
+def criterion_zset_maximality(**_kw):
     checked, bad = 0, []
-    for space in _spaces(zset_max):
+    for space in _spaces(ZSET_POSET_BOUND):
         thomason = space.thomason_sets()
         for p in space.points:
             z = space.z_set(p)
@@ -297,48 +301,49 @@ def criterion_zset_maximality(zset_max=ZSET_POSET_BOUND, **_kw):
             checked += 1
             if not ok:
                 bad.append((repr(space.order), p))
-    return _row(
-        5,
-        "Z(p) maximality",
-        not bad,
-        "%d point checks" % checked if not bad else "failed on %s" % bad[:3],
-    )
+    return _row(5, "Z(p) maximality", bad, "%d point checks" % checked)
 
 
 def _all_instances(seed, samples):
     return [(ring, instances(ring, samples, seed)) for ring in ring_classes()]
 
 
+def _pool_row(ident, name, pool, fails):
+    """The row of a check that runs on each complex of the pool: a bad case
+    is (ring label, index) of a complex on which fails is true."""
+    bad = [
+        (ring.label(), k)
+        for ring, batch in pool
+        for k, cx in enumerate(batch)
+        if fails(cx)
+    ]
+    return _row(ident, name, bad, "%d instances" % sum(len(batch) for _ring, batch in pool))
+
+
 def criterion_vanishing(pool, **_kw):
-    checked, bad = 0, []
-    for ring, batch in pool:
-        for k, cx in enumerate(batch):
-            checked += 1
-            if detect_vanishing(cx) != cx.is_acyclic():
-                bad.append((ring.label(), k))
-    return _row(
+    return _pool_row(
         6,
         "empty support iff acyclic",
-        not bad,
-        "%d instances" % checked if not bad else "failed on %s" % bad[:3],
+        pool,
+        lambda cx: detect_vanishing(cx) != cx.is_acyclic(),
     )
 
 
 def criterion_noetherian_agreement(pool, **_kw):
-    checked, bad = 0, []
-    for ring, batch in pool:
-        if not ring.has_generic:
-            continue
-        for k, cx in enumerate(batch):
-            checked += 1
-            if small_support(cx) != foxby_support(cx):
-                bad.append((ring.label(), k))
-    return _row(
+    return _pool_row(
         7,
         "small equals residue-field support over Z",
-        not bad,
-        "%d instances" % checked if not bad else "failed on %s" % bad[:3],
+        [(ring, batch) for ring, batch in pool if ring.has_generic],
+        lambda cx: small_support(cx) != foxby_support(cx),
     )
+
+
+def _bottom_primes_escape_support(cx):
+    """Whether a weakly associated prime of the lowest nonzero cohomology of
+    cx lies outside its small support."""
+    ass = _bottom_cohomology_primes(cx)
+    supp = small_support(cx)
+    return not all(supp.contains(p) for p in ass)
 
 
 def _bottom_cohomology_primes(cx):
@@ -350,19 +355,11 @@ def _bottom_cohomology_primes(cx):
 
 
 def criterion_weak_associated_inclusion(pool, **_kw):
-    checked, bad = 0, []
-    for ring, batch in pool:
-        for k, cx in enumerate(batch):
-            ass = _bottom_cohomology_primes(cx)
-            supp = small_support(cx)
-            checked += 1
-            if not all(supp.contains(p) for p in ass):
-                bad.append((ring.label(), k))
-    return _row(
+    return _pool_row(
         8,
         "bottom weakly-associated primes inside support",
-        not bad,
-        "%d instances" % checked if not bad else "failed on %s" % bad[:3],
+        pool,
+        _bottom_primes_escape_support,
     )
 
 
@@ -390,20 +387,17 @@ def criterion_property_suite(pool, seed=DEFAULT_SEED, **_kw):
     return _row(
         9,
         "torsion/localization property suite",
-        not bad,
-        "%d suites, %d orthogonality pairs" % (checked, ortho_checked)
-        if not bad
-        else "failed on %s" % bad[:3],
+        bad,
+        "%d suites, %d orthogonality pairs" % (checked, ortho_checked),
     )
 
 
 def criterion_eta_factorization(seed=DEFAULT_SEED, **_kw):
-    checked, bad = 0, []
+    bad = []
     data = [canonical_datum(space) for space in _spaces(3)]
     finite = [r for r in ring_classes() if not r.has_generic] + [IntegersLocalized(at_prime=2)]
     data.extend(canonical_datum(spec(ring).space) for ring in finite)
     for datum in data:
-        checked += 1
         reason = None
         try:
             result = construct_eta(datum, seed=seed)
@@ -414,17 +408,12 @@ def criterion_eta_factorization(seed=DEFAULT_SEED, **_kw):
         if not ok:
             where = repr(datum.space.order)
             bad.append(where if reason is None else "%s (%s)" % (where, reason))
-    return _row(
-        10,
-        "eta exists and is unique",
-        not bad,
-        "%d data" % checked if not bad else "failed on %s" % bad[:3],
-    )
+    return _row(10, "eta exists and is unique", bad, "%d data" % len(data))
 
 
 def criterion_snf_selfcheck(seed=DEFAULT_SEED, count=1000, **_kw):
     rng = random.Random("%s|snf" % seed)
-    checked, bad = 0, []
+    bad = []
     for k in range(count):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         a = [
@@ -432,42 +421,30 @@ def criterion_snf_selfcheck(seed=DEFAULT_SEED, count=1000, **_kw):
             for _ in range(rows)
         ]
         d, u, v = smith_normal_form(a)
-        checked += 1
         if mat_mul(mat_mul(u, a), v) != d:
             bad.append(k)
             continue
         diag = [d[i][i] for i in range(min(rows, cols))]
-        for i in range(len(diag) - 1):
-            if diag[i] == 0 and diag[i + 1] != 0:
-                bad.append(k)
-            elif diag[i] != 0 and diag[i + 1] % diag[i]:
-                bad.append(k)
-    return _row(
-        11,
-        "Smith form self-check",
-        not bad,
-        "%d matrices" % checked if not bad else "failed on indices %s" % bad[:3],
-    )
+        if any((x == 0 and y != 0) or (x != 0 and y % x) for x, y in zip(diag, diag[1:])):
+            bad.append(k)
+    return _row(11, "Smith form self-check", bad, "%d matrices" % count)
 
 
 def criterion_generator_determinism(pool, seed=DEFAULT_SEED, samples=DEFAULT_SAMPLES, **_kw):
     """The instance stream itself is reproducible: the run's pool, after
-    every other criterion has used it, matches a fresh draw.  Byte-identical
-    output of the command-line suite is asserted on top of this in the test
-    suite."""
+    every other criterion has used it, matches a fresh draw, ring class by
+    ring class.  Byte-identical output of the command-line suite is asserted
+    on top of this in the test suite."""
 
-    def dump(batches):
-        return json.dumps(
-            [[cx.to_json() for cx in batch] for _ring, batch in batches], sort_keys=True
-        )
+    def dump(batch):
+        return json.dumps([cx.to_json() for cx in batch], sort_keys=True)
 
-    same = dump(pool) == dump(_all_instances(seed, samples))
-    return _row(
-        12,
-        "seeded reproducibility",
-        same,
-        "instance streams identical for seed %s" % seed,
-    )
+    bad = [
+        ring.label()
+        for (ring, batch), (_ring, fresh) in zip(pool, _all_instances(seed, samples))
+        if dump(batch) != dump(fresh)
+    ]
+    return _row(12, "seeded reproducibility", bad, "instance streams identical for seed %s" % seed)
 
 
 CRITERIA = (
@@ -486,17 +463,9 @@ CRITERIA = (
 )
 
 
-def run_battery(
-    seed=DEFAULT_SEED,
-    samples=DEFAULT_SAMPLES,
-    max_poset=POSET_BOUND,
-    zset_max=ZSET_POSET_BOUND,
-):
+def run_battery(seed=DEFAULT_SEED, samples=DEFAULT_SAMPLES):
     if samples < 1:
         raise InputError("need at least one sample per ring")
-    spaces = _space_pool(max_poset)
+    spaces = _space_pool(POSET_BOUND)
     pool = _all_instances(seed, samples)
-    return [
-        fn(seed=seed, samples=samples, zset_max=zset_max, spaces=spaces, pool=pool)
-        for fn in CRITERIA
-    ]
+    return [fn(seed=seed, samples=samples, spaces=spaces, pool=pool) for fn in CRITERIA]

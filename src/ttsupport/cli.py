@@ -36,14 +36,22 @@ def _load(arg):
     text = arg
     if not arg.lstrip().startswith(("{", "[")):
         try:
-            with open(arg) as fh:
+            with open(arg, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise InputError("cannot read %s: %s" % (arg, exc.strerror))
+        except UnicodeDecodeError as exc:
+            raise InputError("cannot read %s: not UTF-8 text (byte %d: %s)" % (arg, exc.start, exc.reason))
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("malformed JSON at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg))
+    except RecursionError:
+        raise InputError("malformed JSON: nested too deeply to parse")
+    except ValueError as exc:
+        # an integer past the conversion digit limit; the text after ";"
+        # only tells how to raise the limit in Python
+        raise InputError("malformed JSON: %s" % str(exc).split(";")[0])
 
 
 def _check_size(obj, bound, name, what):
@@ -106,13 +114,12 @@ def _cmd_spectral(args):
         return {p: sorted(space.z_set(p)) for p in space.points}
     if op == "cbrank":
         return {"rank": space.cb_rank()}
-    if op == "scattered":
-        return {
-            "scattered": space.is_scattered(),
-            "weakly_scattered": space.is_weakly_scattered(),
-            "t_half": space.is_t_half(),
-        }
-    raise InputError("unknown spectral operation %r" % op)
+    # the parser's choices leave only "scattered"
+    return {
+        "scattered": space.is_scattered(),
+        "weakly_scattered": space.is_weakly_scattered(),
+        "t_half": space.is_t_half(),
+    }
 
 
 def _frame_input(obj, args):
@@ -147,16 +154,15 @@ def _cmd_frames(args):
         return {"primes": sorted(frame.primes())}
     if op == "boolean":
         return {"boolean": frame.is_boolean()}
-    if op == "essential":
-        return [
-            {
-                "element": x,
-                "min_primes": sorted(frame.min_primes(x)),
-                "essential": sorted(frame.essential_primes(x)),
-            }
-            for x in sorted(frame.elements)
-        ]
-    raise InputError("unknown frames operation %r" % op)
+    # the parser's choices leave only "essential"
+    return [
+        {
+            "element": x,
+            "min_primes": sorted(frame.min_primes(x)),
+            "essential": sorted(frame.essential_primes(x)),
+        }
+        for x in sorted(frame.elements)
+    ]
 
 
 def _descriptor_report(desc):
@@ -187,17 +193,16 @@ def _cmd_support(args):
                 union |= weakly_associated(h)
         desc = SupportDescriptor(generic=0 in union, explicit=frozenset(union - {0}))
         return _descriptor_report(desc)
-    if op == "suite":
-        if not isinstance(cx.ring, ModularIntegers):
-            raise InputError("the property suite runs over Z/n complexes")
-        v = {min(cx.ring.prime_divisors())}
-        results = main1_property_suite(cx, v, other=cx, scalar=2)
-        return {
-            "v": sorted(prime_label(p) for p in v),
-            "properties": results,
-            "all_passed": all(results.values()),
-        }
-    raise InputError("unknown support operation %r" % op)
+    # the parser's choices leave only "suite"
+    if not isinstance(cx.ring, ModularIntegers):
+        raise InputError("the property suite runs over Z/n complexes")
+    v = {min(cx.ring.prime_divisors())}
+    results = main1_property_suite(cx, v, other=cx, scalar=2)
+    return {
+        "v": sorted(prime_label(p) for p in v),
+        "properties": results,
+        "all_passed": all(results.values()),
+    }
 
 
 def _cmd_axioms(args):
@@ -221,10 +226,9 @@ def _cmd_axioms(args):
             "unique": unique,
             "map": [[x, result.hom(x)] for x in sorted(result.frame.elements)],
         }
-    if op == "supportive":
-        ok, reason = is_supportive(datum, samples=args.samples, seed=args.seed)
-        return {"supportive": ok, "reason": reason}
-    raise InputError("unknown axioms operation %r" % op)
+    # the parser's choices leave only "supportive"
+    ok, reason = is_supportive(datum, samples=args.samples, seed=args.seed)
+    return {"supportive": ok, "reason": reason}
 
 
 def _cmd_suite(args):

@@ -1297,9 +1297,11 @@ def hom_complex_h0(s_cx, t_cx, window=(0, 0), gens_bound=HOM_GENS_MAX):
     window, via a truncated degreewise-free resolution of S.
 
     The modulus splits into prime-power blocks; each block is resolved and
-    the block answers are summed.  The truncation depth is chosen from the
-    window, so the answer is certified exact unless the generator-count
-    bound is hit, in which case the result says so instead of guessing.
+    the block answers are recombined by CRT into invariant-factor form, as
+    cohomology does.  The truncation depth is chosen from the window, so the
+    answer is certified exact unless the generator-count bound is hit, in
+    which case the result recombines the blocks it finished and says so
+    instead of guessing.
     """
     ring = s_cx.ring
     if not isinstance(ring, ModularIntegers) or t_cx.ring != ring:
@@ -1307,22 +1309,17 @@ def hom_complex_h0(s_cx, t_cx, window=(0, 0), gens_bound=HOM_GENS_MAX):
     lo_k, hi_k = window
     if lo_k > hi_k:
         raise InputError("empty window")
-    totals = {k: CanonicalModule() for k in range(lo_k, hi_k + 1)}
     primes = ring.prime_divisors()  # a modulus too large to factor is no window problem
+    blocks, note = [], ""
     try:
         for p in primes:
-            sp = localize(s_cx, p)
-            tp = localize(t_cx, p)
-            block = _hom_block(sp, tp, lo_k, hi_k, gens_bound)
-            for k, cm in block.items():
-                old = totals[k]
-                totals[k] = CanonicalModule(
-                    tuple(sorted(old.factors + cm.factors)), old.rank + cm.rank, ()
-                )
+            blocks.append(_hom_block(localize(s_cx, p), localize(t_cx, p), lo_k, hi_k, gens_bound))
     except ResourceLimitError as exc:
         note = "%s: the %s bound %d was hit" % (exc, exc.bound_name, exc.bound_value)
-        return HomExtResult((lo_k, hi_k), tuple(sorted(totals.items())), False, note)
-    return HomExtResult((lo_k, hi_k), tuple(sorted(totals.items())), True)
+    groups = tuple(
+        (k, _crt_canonical(ring, [block[k] for block in blocks])) for k in range(lo_k, hi_k + 1)
+    )
+    return HomExtResult((lo_k, hi_k), groups, not note, note)
 
 
 def _hom_block(s_cx, t_cx, lo_k, hi_k, gens_bound):

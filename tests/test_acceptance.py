@@ -9,6 +9,7 @@ import time
 import pytest
 
 from ttsupport import battery, frames
+from ttsupport.smith import identity, zeros
 
 SEED = battery.DEFAULT_SEED
 SAMPLES = battery.DEFAULT_SAMPLES
@@ -52,7 +53,7 @@ def test_04_the_four_scattered_conditions_agree(spaces):
 
 
 def test_05_z_sets_are_the_largest_thomason_sets_missing_their_point():
-    row = battery.criterion_zset_maximality(zset_max=6)
+    row = battery.criterion_zset_maximality()
     assert row["passed"], row["detail"]
 
 
@@ -131,3 +132,101 @@ def test_the_battery_builds_each_input_once(monkeypatch):
     # one assembly per space with at most 4 points; one batch per ring class
     # for the pool and one more for criterion 12's reproducibility check
     assert calls == {"assembly": 24, "instances": 14}
+
+
+# every row reports its failure through battery._row: a failing row names its
+# first three bad cases
+
+
+@pytest.fixture(scope="module")
+def small_pool():
+    return battery._all_instances(SEED, 2)
+
+
+@pytest.fixture(scope="module")
+def small_spaces():
+    return battery._space_pool(3)
+
+
+def test_a_failing_vanishing_row_names_the_first_three_instances(monkeypatch, small_pool):
+    monkeypatch.setattr(battery, "detect_vanishing", lambda cx: not cx.is_acyclic())
+    row = battery.criterion_vanishing(pool=small_pool)
+    assert not row["passed"]
+    assert row["detail"] == "failed on [('Z', 0), ('Z', 1), ('Z/4', 0)]"
+
+
+def test_a_failing_agreement_row_checks_only_the_rings_with_a_generic_point(monkeypatch, small_pool):
+    row = battery.criterion_noetherian_agreement(pool=small_pool)
+    assert row["passed"] and row["detail"] == "2 instances"
+    monkeypatch.setattr(battery, "foxby_support", lambda cx: None)
+    row = battery.criterion_noetherian_agreement(pool=small_pool)
+    assert not row["passed"]
+    assert row["detail"] == "failed on [('Z', 0), ('Z', 1)]"
+
+
+def test_a_failing_inclusion_row_names_the_instance(monkeypatch, small_pool):
+    monkeypatch.setattr(battery, "_bottom_cohomology_primes", lambda cx: frozenset({"nowhere"}))
+    row = battery.criterion_weak_associated_inclusion(pool=small_pool[:1])
+    assert not row["passed"]
+    assert row["detail"] == "failed on [('Z', 0), ('Z', 1)]"
+
+
+def _flip_sigma(spaces, which):
+    return [
+        (space, psi, not iso if k in which else iso, asm)
+        for k, (space, psi, iso, asm) in enumerate(spaces)
+    ]
+
+
+def test_one_wrong_verdict_fails_the_weakly_scattered_row_on_that_space(small_spaces):
+    row = battery.criterion_weakly_scattered_equivalences(spaces=_flip_sigma(small_spaces, {2}))
+    assert not row["passed"]
+    order = repr(small_spaces[2][0].order)
+    assert row["detail"] == "failed on %s" % [(order, (False, True, True, True, True))]
+
+
+def test_a_failing_scattered_row_names_three_spaces(small_spaces):
+    class NotBoolean:
+        def is_boolean(self):
+            return False
+
+    class Assembly:
+        frame = NotBoolean()
+
+    # every space up to 3 points is scattered, so a frame of nuclei that is
+    # not Boolean disagrees on each of them
+    row = battery.criterion_scattered_equivalences(
+        spaces=[(space, psi, iso, Assembly()) for space, psi, iso, _asm in small_spaces]
+    )
+    assert not row["passed"]
+    assert row["detail"] == "failed on %s" % [
+        (repr(space.order), (True, True, True, False)) for space, *_rest in small_spaces[:3]
+    ]
+
+
+def test_a_failing_sigma_row_lists_the_spaces(small_spaces):
+    row = battery.criterion_sigma_iso(spaces=_flip_sigma(small_spaces, {1, 4}))
+    assert not row["passed"]
+    assert row["detail"] == "failed on %s" % [repr(small_spaces[k][0].order) for k in (1, 4)]
+
+
+def test_a_failing_smith_row_lists_matrix_indices(monkeypatch):
+    def zero_form(a):
+        rows, cols = len(a), len(a[0])
+        return zeros(rows, cols), identity(rows), identity(cols)
+
+    monkeypatch.setattr(battery, "smith_normal_form", zero_form)
+    row = battery.criterion_snf_selfcheck(count=5)
+    assert not row["passed"]
+    assert row["detail"] == "failed on [0, 1, 2]"
+
+
+def test_a_batch_from_another_seed_fails_reproducibility_naming_its_ring(small_pool):
+    pool = list(small_pool)
+    ring, _batch = pool[2]
+    pool[2] = (ring, battery.instances(ring, 2, SEED + 1))
+    row = battery.criterion_generator_determinism(pool=pool, seed=SEED, samples=2)
+    assert not row["passed"]
+    assert row["detail"] == "failed on ['Z/6']"
+    row = battery.criterion_generator_determinism(pool=small_pool, seed=SEED, samples=2)
+    assert row["passed"] and row["detail"] == "instance streams identical for seed 42"

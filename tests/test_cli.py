@@ -88,6 +88,32 @@ def test_malformed_input_gives_structured_error_and_exit_one():
     assert "error" in json.loads(out)
 
 
+def test_json_nested_past_the_recursion_limit_exits_one(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out = _run("support", "small", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": "malformed JSON: nested too deeply to parse"}
+
+
+def test_an_integer_past_the_conversion_digit_limit_exits_one(tmp_path):
+    doc = Z6_COMPLEX.replace('"n": 6', '"n": %s' % ("7" * 5000))
+    path = tmp_path / "long.json"
+    path.write_text(doc)
+    code, out = _run("support", "small", str(path))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error.startswith("malformed JSON:") and "4300 digits" in error
+
+
+def test_a_file_that_is_not_utf8_exits_one(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out = _run("support", "small", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": "cannot read %s: not UTF-8 text (byte 0: invalid start byte)" % path}
+
+
 @pytest.mark.parametrize(
     "change, key",
     [

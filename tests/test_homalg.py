@@ -804,12 +804,15 @@ def test_derived_hom_answers_at_the_generator_bound():
 
 # pinned on the seed-42 battery: Hom groups between consecutive instances
 # over each Z/n, and from the torsion part at p to the localization away from
-# p as in the orthogonality check of battery criterion 9
-HOM_BATCH_SHA256 = "d45ab4dfdf94051027c0bcce73df5ac9679ee0e85708f5ca1ba34b757adc5c86"
+# p as in the orthogonality check of battery criterion 9.  Re-pinned when the
+# blocks at the primes p | n were first recombined into invariant-factor form:
+# over Z/6, pair 5 (s, t) in degree 0 went from (2, 2, 3, 3, 3) to (3, 6, 6)
+HOM_BATCH_SHA256 = "f95ec651d3f8c56018f7cbf0f5c4b4da57540166ad4fd21b30b1eb6e6843eeeb"
 
 
-def test_derived_hom_of_the_battery_batch_is_pinned():
-    rows = []
+@pytest.fixture(scope="module")
+def hom_batch():
+    out = []
     for n in battery.MODULI:
         ring = ModularIntegers(n)
         batch = battery.instances(ring, 12, battery.DEFAULT_SEED)
@@ -818,12 +821,33 @@ def test_derived_hom_of_the_battery_batch_is_pinned():
                 (torsion_functor(s, {p}), localization_functor(t, {p}))
                 for p in ring.prime_divisors()
             ]
-            for first, second in pairs:
-                res = hom_complex_h0(first, second, window=(-2, 2))
-                rows.append([[[k, list(g.factors), g.rank] for k, g in res.groups], res.certified])
+            out.extend(hom_complex_h0(first, second, window=(-2, 2)) for first, second in pairs)
+    return out
+
+
+def test_derived_hom_of_the_battery_batch_is_pinned(hom_batch):
+    rows = [
+        [[[k, list(g.factors), g.rank] for k, g in res.groups], res.certified]
+        for res in hom_batch
+    ]
     assert len(rows) == 132
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == HOM_BATCH_SHA256
+
+
+def test_derived_hom_groups_of_the_battery_batch_are_in_invariant_factor_form(hom_batch):
+    for res in hom_batch:
+        for _k, g in res.groups:
+            assert all(b % a == 0 for a, b in zip(g.factors, g.factors[1:])), g
+
+
+def test_derived_hom_h0_of_a_cyclic_module_is_its_canonical_form():
+    # Hom(Z/12, Z/12) = Z/12, the same answer cohomology gives, not Z/3 + Z/4
+    m = module_complex(PresentedModule.cyclic(Z12, 12))
+    res = hom_complex_h0(m, m)
+    assert res.certified
+    assert res.groups == ((0, m.cohomology(0)),)
+    assert res.groups[0][1].factors == (12,)
 
 
 def test_derived_hom_refuses_a_modulus_it_cannot_factor():
