@@ -28,12 +28,12 @@ def set_label(s):
 
 class FiniteFrame:
     # _mask: element -> mask over J; _masks: the masks in element order;
-    # _element: mask -> element; _irreducible: the masks of the
-    # join-irreducibles, in element order (bit t of a mask stands for the
-    # t-th of them); _primes: the masks of the primes, in label order
+    # _element: mask -> element; _irreducible: the join-irreducibles' masks
+    # in element order (bit t of a mask stands for the t-th); _primes: the
+    # primes' masks in label order; _implication: x -> y keyed by x minus y
     __slots__ = (
         "order", "bottom", "top", "_mask", "_masks", "_element", "_irreducible", "_primes",
-        "_assembly",
+        "_assembly", "_implication",
     )
 
     def __init__(self, order):
@@ -69,6 +69,7 @@ class FiniteFrame:
         self._element = element
         self._irreducible = irreducible
         self._primes = self._assembly = None
+        self._implication = {}
 
     @classmethod
     def from_sets(cls, sets):
@@ -127,7 +128,10 @@ class FiniteFrame:
     def _implies(self, x, y):
         # the join-irreducibles j whose down-set meets x only inside y
         outside = x & ~y
-        return sum(1 << t for t, j in enumerate(self._irreducible) if not j & outside)
+        table = self._implication
+        if outside not in table:
+            table[outside] = sum(1 << t for t, j in enumerate(self._irreducible) if not j & outside)
+        return table[outside]
 
     def complement(self, x):
         """The complement of x when it exists (unique in a distributive
@@ -217,31 +221,38 @@ def _refusal(order):
 
 class FrameHom:
     """A map of frames preserving bottom, top, binary meets and binary joins
-    (for finite frames this is full frame-hom strength)."""
+    (for finite frames this is full frame-hom strength).
+
+    Meets are checked against every prime m only: by Birkhoff each y is a
+    meet of primes, the top (the empty meet) is kept by the top check, and
+    for y = y' ∧ m, f(x ∧ y) = f(x ∧ y') ∧ f(m) = f(x) ∧ f(y') ∧ f(m) =
+    f(x) ∧ f(y) by induction on y'.  Dually for joins, against every
+    join-irreducible and the bottom.  Only a failure walks the pairs."""
 
     # _image: the target mask of each source element, in source element order
     __slots__ = ("source", "target", "mapping", "_image")
 
     def __init__(self, source, target, mapping):
-        if set(mapping) != set(source.elements):
+        if mapping.keys() != source._mask.keys():
             raise InputError("hom mapping must be defined on exactly the source")
-        if not set(mapping.values()) <= set(target.elements):
+        if not target._mask.keys() >= set(mapping.values()):
             raise InputError("hom image leaves the target")
         if mapping[source.bottom] != target.bottom:
             raise InputError("hom does not preserve bottom")
         if mapping[source.top] != target.top:
             raise InputError("hom does not preserve top")
-        # every pair's meet and join, on the masks of both frames; meet and
-        # join are symmetric, so the pairs (b, a) after (a, b) add nothing,
-        # and the first failing pair is the same
         image = {source._mask[x]: target._mask[mapping[x]] for x in source.elements}
-        pairs = list(image.items())
-        for k, (a, fa) in enumerate(pairs):
-            for b, fb in pairs[k:]:
-                if image[a & b] != fa & fb:
-                    raise InputError("hom does not preserve meets")
-                if image[a | b] != fa | fb:
-                    raise InputError("hom does not preserve joins")
+        if not _keeps_pairs(image, source._prime_masks(), source._irreducible):
+            # the first failing pair names the law; the pairs (b, a) repeat
+            # (a, b), and pairs with bottom (mask 0) or top always hold
+            top = source._mask[source.top]
+            pairs = [(a, fa) for a, fa in image.items() if 0 < a < top]
+            for k, (a, fa) in enumerate(pairs):
+                for b, fb in pairs[k:]:
+                    if image[a & b] != fa & fb:
+                        raise InputError("hom does not preserve meets")
+                    if image[a | b] != fa | fb:
+                        raise InputError("hom does not preserve joins")
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
@@ -258,6 +269,21 @@ class FrameHom:
 
     def is_isomorphism(self):
         return self.is_injective() and self.is_surjective()
+
+
+def _keeps_pairs(image, meets, joins=()):
+    """Whether image keeps each x ∧ m, m in meets, and x ∨ j, j in joins."""
+    for m in meets:
+        fm = image[m]
+        for a, fa in image.items():
+            if image[a & m] != fa & fm:
+                return False
+    for j in joins:
+        fj = image[j]
+        for a, fa in image.items():
+            if image[a | j] != fa | fj:
+                return False
+    return True
 
 
 class Nucleus:
@@ -290,8 +316,14 @@ class Nucleus:
 
 
 def validate_nucleus(frame, table):
-    """Check the four nucleus axioms at every x and every pair (x, y), on the
-    frame's masks; returns (ok, report)."""
+    """Check the four nucleus axioms on the frame's masks; (ok, report).
+
+    The verdict needs inflation and idempotence at every x and ν(x ∧ m) =
+    ν(x) ∧ ν(m) at every x and prime m.  By Birkhoff each y is a meet of
+    primes; the top (the empty meet) is kept as inflation makes ν(top) = top,
+    and for y = y' ∧ m, ν(x ∧ y) = ν(x ∧ y') ∧ ν(m) = ν(x) ∧ ν(y') ∧ ν(m) =
+    ν(x) ∧ ν(y) by induction on y'.  So x <= y gives ν(x) = ν(x) ∧ ν(y):
+    monotone.  Only a failure checks all four at every x and pair (x, y)."""
     if set(table) != set(frame.elements):
         return False, ["table must be defined on exactly the frame"]
     mask = frame._mask
@@ -301,6 +333,9 @@ def validate_nucleus(frame, table):
     image = [mask[table[x]] for x in frame.elements]
     # visit in the frame's element order, so the report lists failures in it
     by_mask = dict(zip(frame._masks, image))
+    settled = all(not mx & ~tx and by_mask[tx] == tx for mx, tx in by_mask.items())
+    if settled and _keeps_pairs(by_mask, frame._prime_masks()):
+        return True, []
     rows = list(zip(frame.elements, frame._masks, image))
     report = []
     for x, mx, tx in rows:
@@ -336,26 +371,25 @@ def _sublocales(frame):
     masks = frame._masks
     bit_of = {m: 1 << i for i, m in enumerate(masks)}
     top = frame._mask[frame.top]
-    # all x -> a at once, as a set mask over the positions; x -> a depends
-    # only on x minus a
-    implied = {}
-    implies = []
-    for a in masks:
-        out = 0
-        for x in masks:
-            outside = x & ~a
-            if outside not in implied:
-                implied[outside] = bit_of[frame._implies(x, a)]
-            out |= implied[outside]
-        implies.append(out)
+    # all x -> a at once, as a set mask over the positions, keyed by a's bit
+    implies = {bit_of[a]: sum({bit_of[frame._implies(x, a)] for x in masks}) for a in masks}
 
     def close(mask):
-        found = {top}
-        for i in bits_of(reduce(or_, map(implies.__getitem__, bits_of(mask)), 0)):
-            g = masks[i]
-            if g not in found:
-                found |= {f & g for f in found}
-        return sum(map(bit_of.__getitem__, found))
+        generators = 0
+        while mask:
+            low = mask & -mask
+            generators |= implies[low]
+            mask ^= low
+        # the meets of the generators met so far, as masks and as positions
+        found, reached = [top], bit_of[top]
+        while generators:
+            g = masks[(generators & -generators).bit_length() - 1]
+            for f in found[:]:
+                if not reached & bit_of[f & g]:
+                    reached |= bit_of[f & g]
+                    found.append(f & g)
+            generators &= ~reached
+        return reached
 
     full = (1 << len(masks)) - 1
     closed = close(0)

@@ -190,7 +190,7 @@ class FinitePoset:
         """Isomorphism invariant: lexicographically smallest relation matrix
         over all relabellings.  Only relabellings compatible with the
         (|down-set|, |up-set|) profile of each element are tried."""
-        return _canonical_key(self._up, self._down)
+        return _canonical_key(self._up, self._down, {})
 
     def is_isomorphic_to(self, other):
         return (
@@ -280,8 +280,9 @@ def _grouped_orders(groups):
             yield perm + tail
 
 
-def _canonical_key(up, down):
-    """canonical_key of the order with these up- and down-masks."""
+def _canonical_key(up, down, rows):
+    """canonical_key of the order with these up- and down-masks; rows keeps
+    each relabelling's permuted up-mask rows, for reuse across calls."""
     n = len(up)
     profile = [(down[i].bit_count(), up[i].bit_count()) for i in range(n)]
     groups = {}
@@ -293,10 +294,15 @@ def _canonical_key(up, down):
     best = None
     for order in _grouped_orders([groups[k] for k in sorted(groups)]):
         code, rest = 0, n * n
+        permuted = rows.setdefault(order, {})
         for i in order:
             row = up[i]
-            for j in order:
-                code = code << 1 | row >> j & 1
+            if row not in permuted:
+                bits = 0
+                for j in order:
+                    bits = bits << 1 | row >> j & 1
+                permuted[row] = bits
+            code = code << n | permuted[row]
             rest -= n
             if best is not None and code > best >> rest:
                 break
@@ -327,7 +333,7 @@ def enumerate_posets(n):
     k = max(k for k in _ENUM_CACHE if k <= n)
     while k < n:
         k += 1
-        new = {}
+        new, rows = {}, {}
         fresh = 1 << (k - 1)
         elements = tuple("p%d" % i for i in range(k))
         for base in _ENUM_CACHE[k - 1]:
@@ -343,7 +349,7 @@ def enumerate_posets(n):
                         continue
                     ups = tuple(m | fresh if d >> a & 1 else m for a, m in enumerate(up))
                     downs = tuple(m | fresh if u >> b & 1 else m for b, m in enumerate(down))
-                    key = _canonical_key(ups + (u | fresh,), downs + (d | fresh,))
+                    key = _canonical_key(ups + (u | fresh,), downs + (d | fresh,), rows)
                     if key not in new:
                         new[key] = ups + (u | fresh,)
         layer = tuple(FinitePoset.from_masks(elements, new[key]) for key in sorted(new))

@@ -341,8 +341,9 @@ def _literal_validate_nucleus(frame, table):
     return not report, report
 
 
-def test_nucleus_validation_agrees_with_the_literal_axioms_on_every_self_map():
-    # element orders as enumerated, not sorted, so the report order is tested
+def _enumerated_frames():
+    """The frames among the posets up to 5 points, with their element orders
+    as enumerated, not sorted, so that the order of reports is tested."""
     small = []
     for n in range(1, 6):
         for order in enumerate_posets(n):
@@ -350,6 +351,11 @@ def test_nucleus_validation_agrees_with_the_literal_axioms_on_every_self_map():
                 small.append(FiniteFrame(order))
             except InputError:
                 pass
+    return small
+
+
+def test_nucleus_validation_agrees_with_the_literal_axioms_on_every_self_map():
+    small = _enumerated_frames()
     maps = nuclei = 0
     for frame in small:
         els = frame.elements
@@ -361,6 +367,65 @@ def test_nucleus_validation_agrees_with_the_literal_axioms_on_every_self_map():
             nuclei += expected[0]
     assert len(small) == 8 and maps == 1 + 4 + 27 + 2 * 4**4 + 3 * 5**5
     assert nuclei == sum(len(assembly(frame).nuclei) for frame in small)
+
+
+def test_nucleus_validation_agrees_with_the_literal_axioms_next_to_every_nucleus():
+    # every nucleus of the 4-point pool, and next to it one table per element
+    # with that element's value moved to the next element in element order
+    tables = failing = 0
+    for space in _small_spaces(4):
+        frame, _ = frame_of(space)
+        els = frame.elements
+        following = dict(zip(els, els[1:] + els[:1]))
+        for nu in assembly(frame).nuclei.values():
+            variants = [nu.table] + [{**nu.table, x: following[nu.table[x]]} for x in els]
+            for table in variants:
+                expected = _literal_validate_nucleus(frame, table)
+                assert validate_nucleus(frame, table) == expected
+                tables += 1
+                failing += not expected[0]
+    # 306 nuclei and 2,416 moved tables, of which 51 are nuclei again
+    assert tables == 2722 and failing == 2365
+
+
+def _literal_hom_refusal(source, target, mapping):
+    """Reference for FrameHom on a map keeping bottom and top: the law broken
+    by the first pair (x, y), in element order, whose meet or join the map
+    does not keep, with meets looked at first; None for a frame hom."""
+    for x in source.elements:
+        for y in source.elements:
+            if mapping[source.meet(x, y)] != target.meet(mapping[x], mapping[y]):
+                return "hom does not preserve meets"
+            if mapping[source.join(x, y)] != target.join(mapping[x], mapping[y]):
+                return "hom does not preserve joins"
+    return None
+
+
+def test_frame_homs_agree_with_the_literal_pair_check_on_every_map():
+    small = _enumerated_frames()
+    maps = 0
+    refusals = set()
+    for source in small:
+        inner = [x for x in source.elements if x not in (source.bottom, source.top)]
+        for target in small:
+            if source.bottom == source.top and target.bottom != target.top:
+                continue  # no map keeps both bottom and top
+            homs = 0
+            for values in product(target.elements, repeat=len(inner)):
+                mapping = dict(zip(inner, values))
+                mapping[source.bottom], mapping[source.top] = target.bottom, target.top
+                expected = _literal_hom_refusal(source, target, mapping)
+                try:
+                    FrameHom(source, target, mapping)
+                except InputError as exc:
+                    assert str(exc) == expected
+                    refusals.add(expected)
+                else:
+                    assert expected is None
+                    homs += 1
+                maps += 1
+            assert homs == len(frame_homs(source, target))
+    assert maps == 1897 and len(refusals) == 2
 
 
 def test_assembly_order_is_the_literal_pointwise_order():
