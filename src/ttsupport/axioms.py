@@ -14,7 +14,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import InputError
-from .frames import HOM_SEARCH_MAX, FiniteFrame, FrameHom, frame_homs, set_label
+from .frames import FiniteFrame, FrameHom, frame_homs, set_label
 from .poset import FinitePoset, bits_of
 from .spectral import SpectralSpace
 
@@ -209,7 +209,7 @@ def construct_eta(datum, samples=50, seed=0):
     return EtaResult(eta, lframe, llabels, cover_checks)
 
 
-def eta_is_unique(datum, eta_result, bound=HOM_SEARCH_MAX):
+def eta_is_unique(datum, eta_result):
     """Exhaustive search over frame homs out of the localizing frame that
     extend gamma; True when the constructed eta is the only one."""
     # each Thomason set's position in the localizing frame, and its gamma
@@ -221,7 +221,7 @@ def eta_is_unique(datum, eta_result, bound=HOM_SEARCH_MAX):
     ]
     matches = [
         h
-        for h in frame_homs(lframe, datum.bousfield, bound=bound)
+        for h in frame_homs(lframe, datum.bousfield)
         if all(h._image[i] == g for i, g in gamma)
     ]
     return len(matches) == 1 and matches[0].mapping == eta_result.hom.mapping
@@ -241,13 +241,11 @@ def is_supportive(datum, samples=20, seed=0):
 
 
 def canonical_datum(space):
-    """The tautological datum: Bousfield frame = all subsets of the point
-    set, gamma = inclusion of Thomason sets, complements = set complements."""
+    """The tautological datum: Bousfield frame = the frame of localizing
+    subsets (every subset of the point set), gamma = inclusion of Thomason
+    sets, complements = set complements."""
     points = frozenset(space.points)
-    subsets = [frozenset()]
-    for p in sorted(points):
-        subsets += [s | {p} for s in subsets]
-    bous, _labels = FiniteFrame.from_sets(subsets)
+    bous = localizing_frame(space)[0]
     gamma = {set_label(t): set_label(t) for t in space.thomason_sets()}
     complements = {
         set_label(t): set_label(points - t) for t in space.thomason_sets()

@@ -10,7 +10,7 @@ import json
 import random
 
 from .errors import InputError
-from .smith import identity, mat_mul, smith_normal_form, zeros
+from .smith import diagonal, identity, mat_mul, smith_normal_form, zeros
 from .poset import enumerate_posets
 from .spectral import SpectralSpace
 from .frames import sigma
@@ -45,6 +45,7 @@ POSET_BOUND = 4
 ZSET_POSET_BOUND = 6
 ENTRY_BOUND = 10
 SNF_ENTRY_BOUND = 50
+SNF_MATRICES = 1000
 MODULI = (4, 6, 8, 9, 12)
 ORTHOGONALITY_PAIRS = 6
 
@@ -60,10 +61,10 @@ def ring_classes():
 # random instances
 
 
-def _nonzero(rng, bound=ENTRY_BOUND):
+def _nonzero(rng):
     v = 0
     while v == 0:
-        v = rng.randint(-bound, bound)
+        v = rng.randint(-ENTRY_BOUND, ENTRY_BOUND)
     return v
 
 
@@ -411,10 +412,10 @@ def criterion_eta_factorization(seed=DEFAULT_SEED, **_kw):
     return _row(10, "eta exists and is unique", bad, "%d data" % len(data))
 
 
-def criterion_snf_selfcheck(seed=DEFAULT_SEED, count=1000, **_kw):
+def criterion_snf_selfcheck(seed=DEFAULT_SEED, **_kw):
     rng = random.Random("%s|snf" % seed)
     bad = []
-    for k in range(count):
+    for k in range(SNF_MATRICES):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         a = [
             [rng.randint(-SNF_ENTRY_BOUND, SNF_ENTRY_BOUND) for _ in range(cols)]
@@ -424,10 +425,10 @@ def criterion_snf_selfcheck(seed=DEFAULT_SEED, count=1000, **_kw):
         if mat_mul(mat_mul(u, a), v) != d:
             bad.append(k)
             continue
-        diag = [d[i][i] for i in range(min(rows, cols))]
+        diag = diagonal(d)
         if any((x == 0 and y != 0) or (x != 0 and y % x) for x, y in zip(diag, diag[1:])):
             bad.append(k)
-    return _row(11, "Smith form self-check", bad, "%d matrices" % count)
+    return _row(11, "Smith form self-check", bad, "%d matrices" % SNF_MATRICES)
 
 
 def criterion_generator_determinism(pool, seed=DEFAULT_SEED, samples=DEFAULT_SAMPLES, **_kw):

@@ -8,7 +8,7 @@ class InputError(ValueError):
 class ResourceLimitError(RuntimeError):
     """A configured size bound was exceeded (CLI exit code 2)."""
 
-    def __init__(self, message, bound_name=None, bound_value=None):
+    def __init__(self, message, bound_name, bound_value):
         super().__init__(message)
         self.bound_name = bound_name
         self.bound_value = bound_value

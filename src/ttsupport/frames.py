@@ -450,7 +450,7 @@ def _build_assembly(frame):
     slot = (1 << w) - 1
     below = [sum(1 << w * j for j in bits_of(d)) for d in frame.order._down]
     everything = sum(slot << w * j for j in range(n))
-    by_label, by_values = {}, {}
+    by_label, by_values, fixed = {}, {}, {}
     for s in _sublocales(frame):
         values = everything
         for i in bits_of(s):
@@ -461,11 +461,12 @@ def _build_assembly(frame):
             raise InputError("two nuclei share the label %s" % nu.label)
         by_label[nu.label] = nu
         by_values[values] = nu.label
-    # nu <= mu pointwise iff each slot of mu's packed values contains nu's:
-    # one test
-    packed = {a: v for v, a in by_values.items()}
+        fixed[nu.label] = s
+    # nu <= mu pointwise iff Fix(mu) ⊆ Fix(nu) (Picado-Pultr, Frames and
+    # Locales, III): if nu <= mu and mu(m) = m then m <= nu(m) <= mu(m) = m;
+    # conversely mu(x) is fixed by nu, so nu(x) <= nu(mu(x)) = mu(x)
     names = sorted(by_label)
-    up = [sum(1 << j for j, b in enumerate(names) if not packed[a] & ~packed[b]) for a in names]
+    up = [sum(1 << j for j, b in enumerate(names) if not fixed[b] & ~fixed[a]) for a in names]
     nframe = FiniteFrame(FinitePoset.from_masks(names, up))
 
     # closed and open nuclei are among those just validated: look them up
@@ -522,17 +523,17 @@ def spc(frame):
     return space, lam, lam.is_isomorphism()
 
 
-def frame_homs(source, target, bound=HOM_SEARCH_MAX):
+def frame_homs(source, target):
     """All frame homs source -> target by exhaustive search over images of
     join-irreducibles, each hom listed once.  Intended for desk-scale
     uniqueness checks only."""
     joinirr = source.join_irreducibles()
     total = len(target.elements) ** len(joinirr)
-    if total > bound:
+    if total > HOM_SEARCH_MAX:
         raise ResourceLimitError(
-            "frame hom search bound exceeded: %d > %d" % (total, bound),
+            "frame hom search bound exceeded: %d > %d" % (total, HOM_SEARCH_MAX),
             bound_name="hom_search",
-            bound_value=bound,
+            bound_value=HOM_SEARCH_MAX,
         )
     out = []
     # the images of the join-irreducibles, the first varying slowest; each
@@ -602,11 +603,10 @@ def sigma(space, check_unique=False, max_size=ASSEMBLY_MAX):
     frame of opens of the same point set with every singleton isolated.
     Returns (hom, is_isomorphism, assembly_result); the assembly is the one
     ``assembly(frame_of(space)[0])`` returns."""
-    frame, labels = frame_of(space)
+    frame = frame_of(space)[0]
     asm = space._assembly = assembly(frame, max_size=max_size)
     skula_frame, _slabels = FiniteFrame.from_sets(space.skula_opens())
-    phi = FrameHom(
-        frame, skula_frame, {x: set_label(labels[x]) for x in frame.elements}
-    )
+    # both frames label a set by set_label, so phi is the identity on labels
+    phi = FrameHom(frame, skula_frame, {x: x for x in frame.elements})
     psi = universal_factorization(asm, phi, check_unique=check_unique)
     return psi, psi.is_isomorphism(), asm

@@ -83,6 +83,16 @@ def _is_prime(q):
     return isinstance(q, int) and q >= 2 and list(factorize(q)) == [q]
 
 
+def _prime_part(d, primes):
+    """The largest divisor of d built from the given primes."""
+    part = 1
+    for q in primes:
+        while d % q == 0:
+            part *= q
+            d //= q
+    return part
+
+
 # ---------------------------------------------------------------------------
 # rings
 
@@ -177,16 +187,8 @@ class IntegersLocalized(_IntegerFlavour):
         """Remove unit-prime parts from an invariant factor."""
         assert d > 0
         if self.at_prime is not None:
-            p = self.at_prime
-            out = 1
-            while d % p == 0:
-                out *= p
-                d //= p
-            return out
-        for q in self.inverted:
-            while d % q == 0:
-                d //= q
-        return d
+            return _prime_part(d, (self.at_prime,))
+        return d // _prime_part(d, self.inverted)
 
     def label(self):
         if self.at_prime is not None:
@@ -415,9 +417,6 @@ def _json_key(obj, key, what):
     return obj[key]
 
 
-_ROW_TYPES = {list, tuple}
-
-
 def _json_ints(raw, what):
     """raw itself if it is a list (or tuple) of integers, else InputError."""
     if not isinstance(raw, (list, tuple)) or not all(type(x) is int for x in raw):
@@ -428,12 +427,6 @@ def _json_ints(raw, what):
 def _json_int_matrix(raw, what):
     """raw as a tuple of integer row tuples, if it is a list (or tuple) of
     rows of integers, else InputError."""
-    if type(raw) in _ROW_TYPES and set(map(type, raw)) <= _ROW_TYPES:
-        rows = tuple(map(tuple, raw))
-        if set(map(type, chain.from_iterable(rows))) <= {int}:
-            return rows
-    # row by row: the error message names what is wrong (list subclasses,
-    # which the sweep above leaves out, pass here)
     if not isinstance(raw, (list, tuple)):
         raise InputError("%s must be a list of rows of integers" % what)
     return tuple(tuple(_json_ints(row, "each row of " + what)) for row in raw)
@@ -1144,15 +1137,8 @@ def _koszul_symbolic(x, cx):
         here = h.get(i, CanonicalModule())
         below = h.get(i - 1, CanonicalModule())
         # kernel of H^i -> H^i[1/x]: the x-primary part (finite and divisible)
-        factors = []
-        for d in here.factors:
-            part = 1
-            for q in live:
-                while d % q == 0:
-                    part *= q
-                    d //= q
-            if part != 1:
-                factors.append(part)
+        parts = (_prime_part(d, live) for d in here.factors)
+        factors = [part for part in parts if part != 1]
         divis = {q: m for q, m in here.divisible if q in live}
         # cokernel of H^{i-1} -> H^{i-1}[1/x]: (R[1/x]/R)^rank, one divisible
         # q-power-torsion summand per live prime per free generator
@@ -1406,13 +1392,13 @@ def _free_resolution(s_cx, cutoff, gens_bound):
         # module-level kernel: the kernel of [phi | -T], T the relation columns
         # of S^{i+1} ⊕ P^{i+2}, cut to its first amb coordinates
         tgt_cols = s_up.direct_sum(PresentedModule.free(ring, r_upup)).relation_columns()
-        big = hstack(phi, [[-c[r] for c in tgt_cols] for r in range(len(phi))])
+        big = hstack(phi, _from_columns([[-v for v in c] for c in tgt_cols], len(phi)))
         k_gens = [v[:amb] for v in kernel_basis(big, ncols=amb + len(tgt_cols))]
         src_cols = s_i.direct_sum(PresentedModule.free(ring, r_up)).relation_columns()
         gens = quotient_generators(k_gens, src_cols)
         if len(gens) > gens_bound:
             raise ResourceLimitError("resolution rank too large", "hom_gens", gens_bound)
-        gens_mat = [[g[r] for g in gens] for r in range(amb)]
+        gens_mat = _from_columns(gens, amb)
         res[i] = (len(gens), gens_mat[sg:])
         f_up = gens_mat[:sg]
     return res

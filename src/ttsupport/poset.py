@@ -244,14 +244,14 @@ def bits_of(mask):
     return out
 
 
-def unions_of(masks, stop=None):
-    """The set of all unions of the masks, the empty union 0 included.  With
-    stop, enumeration ends once at least stop are found; the family only
-    grows, so a count below stop is exact."""
+def unions_of(masks, stop):
+    """The set of all unions of the masks, the empty union 0 included, or
+    enough of them: enumeration ends once at least stop are found; the
+    family only grows, so a count below stop is exact."""
     found = {0}
     for m in masks:
         found |= {f | m for f in found}
-        if stop is not None and len(found) >= stop:
+        if len(found) >= stop:
             break
     return found
 

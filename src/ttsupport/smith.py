@@ -232,7 +232,7 @@ def _verify_snf(a, d, u, v):
     m = len(a)
     n = len(a[0]) if m else 0
     assert mat_mul(mat_mul(u, a), v) == d, "U*A*V != D"
-    diag = [d[i][i] for i in range(min(m, n))]
+    diag = diagonal(d)
     for i in range(m):
         for j in range(n):
             if i != j:
@@ -304,12 +304,10 @@ def diagonal(d):
 def kernel_basis(a, ncols=None):
     """Columns (as a list of column vectors) of a basis of {x : a x = 0}."""
     if not a or not a[0]:
-        n = ncols if ncols is not None else (len(a[0]) if a else 0)
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        return identity(ncols if ncols is not None else (len(a[0]) if a else 0))
     d, _u, v = smith_normal_form(a)
-    m = len(a)
     n = len(a[0])
-    rank = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
+    rank = sum(1 for e in diagonal(d) if e)
     basis = []
     for j in range(rank, n):
         basis.append([v[i][j] for i in range(n)])

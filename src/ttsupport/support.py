@@ -328,14 +328,14 @@ def main1_property_suite(cx, v_primes, other=None, scalar=0):
     return out
 
 
-def orthogonality_check(cx, other, v_primes, window=(-2, 2)):
+def orthogonality_check(cx, other, v_primes):
     """With supp(first) inside V and supp(second) missing V, every shifted
-    Hom group in the window vanishes.  Returns (applicable, ok, result)."""
+    Hom group in the window (-2, 2) vanishes.  Returns (applicable, ok, result)."""
     first = torsion_functor(cx, v_primes)
     second = localization_functor(other, v_primes)
     s1 = small_support(first).closed_set()
     s2 = small_support(second).closed_set()
     applicable = s1 <= frozenset(v_primes) and not (s2 & frozenset(v_primes))
-    res = hom_complex_h0(first, second, window=window)
+    res = hom_complex_h0(first, second, window=(-2, 2))
     ok = bool(res.certified and res.all_vanish)
     return applicable, ok, res

@@ -44,6 +44,27 @@ def test_localizing_frame_of_a_finite_space_is_the_powerset():
     assert frame.is_boolean()
 
 
+def _powerset_frame(space):
+    """The frame of all subsets of the points, built from the subsets."""
+    subsets = [frozenset()]
+    for p in sorted(space.points):
+        subsets += [s | {p} for s in subsets]
+    return FiniteFrame.from_sets(subsets)[0]
+
+
+def test_the_canonical_bousfield_frame_is_the_hand_built_powerset():
+    spaces = 0
+    for n in range(1, 5):
+        for order in enumerate_posets(n):
+            space = SpectralSpace(order)
+            frame, reference = canonical_datum(space).bousfield, _powerset_frame(space)
+            assert frame.elements == reference.elements
+            assert frame.order == reference.order
+            assert frame.order.to_json() == reference.order.to_json()
+            spaces += 1
+    assert spaces == 1 + 2 + 5 + 16
+
+
 def test_canonical_datum_is_complemented_and_supportive():
     for space in (CHAIN2, A2):
         datum = canonical_datum(space)

@@ -429,13 +429,18 @@ def test_frame_homs_agree_with_the_literal_pair_check_on_every_map():
 
 
 def test_assembly_order_is_the_literal_pointwise_order():
-    for space in _small_spaces(4):
+    # every assembly of the pool up to 5 points: the order is read off the
+    # fixed-point sets, the reference compares the nuclei at every element
+    pairs = 0
+    for space in _small_spaces(5):
         frame, _ = frame_of(space)
-        asm = assembly(frame)
+        asm = assembly(frame, max_size=2 ** len(space.points))
         for a, nu in asm.nuclei.items():
             for b, mu in asm.nuclei.items():
                 pointwise = all(frame.leq(nu(x), mu(x)) for x in frame.elements)
                 assert asm.frame.leq(a, b) == pointwise
+                pairs += 1
+    assert pairs == 68964
 
 
 def test_assembly_of_a_three_chain_has_four_nuclei():
