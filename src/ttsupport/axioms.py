@@ -27,8 +27,11 @@ def thomason_frame(space):
 def localizing_frame(space):
     """Frame of opens for the localizing topology: the Skula opens of the
     Hochster dual, computed from the generated topology (and checked to be
-    the full powerset elsewhere, not assumed)."""
-    return FiniteFrame.from_sets(space.hochster_dual().skula_opens())
+    the full powerset elsewhere, not assumed).  The dual's opens and closeds
+    are the space's closeds and opens, and generate_topology neither depends
+    on the order of its subbasis nor leaves its output unsorted, so the
+    Skula opens the space itself keeps are the same list."""
+    return FiniteFrame.from_sets(space.skula_opens())
 
 
 def _strings(raw):
@@ -119,17 +122,12 @@ def _pairs_once(pairs, refusal):
 
 def check_complements(datum):
     """Verify every recorded complement against the frame operations.
-    Returns (ok, list of offending Thomason labels)."""
-    bad = []
+    Returns (ok, list of offending Thomason labels).  The Bousfield frame is
+    distributive, so gamma(v) has at most one complement, the one that
+    FiniteFrame.complement finds (None when there is none)."""
     b = datum.bousfield
-    for v in datum.tframe.elements:
-        c = datum.complements.get(v)
-        img = datum.gamma(v)
-        if c is None or c not in b.elements:
-            bad.append(v)
-            continue
-        if b.meet(img, c) != b.bottom or b.join(img, c) != b.top:
-            bad.append(v)
+    truth = {v: b.complement(datum.gamma(v)) for v in datum.tframe.elements}
+    bad = [v for v, c in truth.items() if c is None or datum.complements.get(v) != c]
     return not bad, bad
 
 
@@ -152,6 +150,13 @@ def construct_eta(datum, samples=50, seed=0):
     Raises InputError when the datum is not complemented.  Independence of
     the cover is then sampled: `samples` random alternative Thomason-pair
     covers per subset must give the same value.
+
+    Once eta is a FrameHom extending gamma and each c(U) complements
+    gamma(U), no cover can fail: in the Boolean localizing frame V minus U
+    is V ∧ ¬U, and eta(¬U), a complement of eta(U) = gamma(U), is c(U) in
+    the distributive target, so a piece's value is eta of the piece and a
+    cover's value, their join, is eta of their union.  cover_checks counts
+    the covers drawn.
     """
     ok, bad = check_complements(datum)
     if not ok:
@@ -212,17 +217,12 @@ def construct_eta(datum, samples=50, seed=0):
 def eta_is_unique(datum, eta_result):
     """Exhaustive search over frame homs out of the localizing frame that
     extend gamma; True when the constructed eta is the only one."""
-    # each Thomason set's position in the localizing frame, and its gamma
-    lframe = eta_result.frame
-    position = {x: i for i, x in enumerate(lframe.elements)}
-    gamma = [
-        (position[set_label(datum.tlabels[v])], datum.bousfield._mask[datum.gamma(v)])
-        for v in datum.tframe.elements
-    ]
+    # each Thomason set's label in the localizing frame, and its gamma
+    gamma = {set_label(datum.tlabels[v]): datum.gamma(v) for v in datum.tframe.elements}
     matches = [
         h
-        for h in frame_homs(lframe, datum.bousfield)
-        if all(h._image[i] == g for i, g in gamma)
+        for h in frame_homs(eta_result.frame, datum.bousfield)
+        if all(h(x) == g for x, g in gamma.items())
     ]
     return len(matches) == 1 and matches[0].mapping == eta_result.hom.mapping
 

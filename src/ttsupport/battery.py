@@ -120,10 +120,7 @@ def _lna_element_matrix(ring, rng, allow_unit=False):
     generator matrices, so it commutes with every module action."""
     mats = [ring.multiplication_matrix(n) for n, _e in ring.generators]
     dim = ring.dim
-    out = zeros(dim, dim)
-    if allow_unit and rng.random() < 0.25:
-        c = identity(dim)
-        out = [[out[i][j] + c[i][j] for j in range(dim)] for i in range(dim)]
+    out = identity(dim) if allow_unit and rng.random() < 0.25 else zeros(dim, dim)
     for m in mats:
         if rng.random() < 0.7:
             c = rng.randint(1, ring.p - 1) if ring.p > 2 else 1
@@ -251,12 +248,11 @@ def _weakly_scattered_conditions(space, is_iso, asm):
         space.closure(space.weakly_isolated_points(c)) == c
         for c in space.closeds()
     )
-    top = frame.join_many(frame.elements)
-    cond_d = all(frame.essential_primes(x) for x in frame.elements if x != top)
+    cond_d = all(frame.essential_primes(x) for x in frame.elements if x != frame.top)
     cond_e = all(
         frame.meet_many(frame.essential_primes(x)) == x
         for x in frame.elements
-        if x != top
+        if x != frame.top
     )
     return is_iso, cond_b, cond_c, cond_d, cond_e
 

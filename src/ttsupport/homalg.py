@@ -348,7 +348,8 @@ class LocalNilpotentAlgebra:
     def element_is_unit(self, x):
         """Ring elements are given as a constant (int), a generator name, or
         a coefficient vector over the monomial basis.  A nonzero constant
-        term means unit; everything else is nilpotent (the ring is local)."""
+        term (the first: the basis is lexicographic) means unit; everything
+        else is nilpotent (the ring is local)."""
         if isinstance(x, int):
             return x % self.p != 0
         if isinstance(x, str):
@@ -358,8 +359,7 @@ class LocalNilpotentAlgebra:
         vec = list(x)
         if len(vec) != self.dim:
             raise InputError("element vector has the wrong length")
-        const_index = self.monomials().index(tuple(0 for _ in self.generators))
-        return vec[const_index] % self.p != 0
+        return vec[0] % self.p != 0
 
     def zero_module(self):
         return LnaModule(self, 0, {n: [] for n, _e in self.generators})

@@ -237,12 +237,12 @@ def _verify_snf(a, d, u, v):
         for j in range(n):
             if i != j:
                 assert d[i][j] == 0, "off-diagonal junk in SNF"
-    for i in range(len(diag) - 1):
-        assert diag[i] >= 0
-        if diag[i] == 0:
-            assert diag[i + 1] == 0, "zero before nonzero on diagonal"
+    assert all(e >= 0 for e in diag), "negative entry on the diagonal"
+    for e, f in zip(diag, diag[1:]):
+        if e == 0:
+            assert f == 0, "zero before nonzero on diagonal"
         else:
-            assert diag[i + 1] % diag[i] == 0, "divisibility chain broken"
+            assert f % e == 0, "divisibility chain broken"
     assert abs(_det_unimodular(u)) == 1, "U not unimodular"
     assert abs(_det_unimodular(v)) == 1, "V not unimodular"
 
@@ -389,13 +389,14 @@ def quotient_generators(k_gens, l_gens):
     """Minimal generators of K/L as ambient columns, len(factors) + rank of
     them for quotient_invariants' (factors, rank).  With B the basis of K and
     U*C*V = D as in _quotient_form, the columns g_j of B*U^-1 are a basis of
-    K in which the d_j*g_j span L: each g_j with d_j = 1 lies in L."""
+    K in which the d_j*g_j span L: each g_j with d_j = 1 lies in L.  U is
+    unimodular, so its own Smith form is U'*U*V' = I and U^-1 = V'*U'."""
     basis, diag, u = _quotient_form(k_gens, l_gens)
     if u is None:
         return basis
-    k = len(u)
-    uinv = transpose(solve_int(u, identity(k)))
-    assert mat_mul(u, uinv) == identity(k), "U*U^-1 != I"
+    _d, u2, v2 = smith_normal_form(u)
+    uinv = mat_mul(v2, u2)
+    assert mat_mul(u, uinv) == identity(len(u)), "U*U^-1 != I"
     gens = transpose(mat_mul(transpose(basis), uinv))
     return [g for j, g in enumerate(gens) if j >= len(diag) or diag[j] != 1]
 

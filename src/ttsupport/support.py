@@ -277,8 +277,8 @@ def crt_element(ring, v_primes):
     v_primes = set(v_primes)
     n = ring.n
     x = 0
-    for p, k in factorize(n).items():
-        pk = p**k
+    for p in ring.prime_divisors():
+        pk = ring.residue_modulus(p)
         rest = n // pk
         if p not in v_primes:
             # add the idempotent-ish piece congruent to 1 mod p^k, 0 elsewhere

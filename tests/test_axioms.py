@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ttsupport import battery
+from ttsupport import battery, spectral
 from ttsupport.axioms import (
     SupportDatum,
     canonical_datum,
@@ -44,6 +44,32 @@ def test_localizing_frame_of_a_finite_space_is_the_powerset():
     assert frame.is_boolean()
 
 
+def test_the_localizing_frame_is_the_frame_of_the_duals_skula_opens():
+    spaces = 0
+    for n in range(1, 6):
+        for order in enumerate_posets(n):
+            space = SpectralSpace(order)
+            frame, labels = localizing_frame(space)
+            reference, reference_labels = FiniteFrame.from_sets(space.hochster_dual().skula_opens())
+            assert frame.elements == reference.elements
+            assert frame.order == reference.order
+            assert labels == reference_labels
+            spaces += 1
+    assert spaces == 1 + 2 + 5 + 16 + 63
+
+
+def test_one_datum_generates_its_topology_once(monkeypatch):
+    calls = []
+    generate = spectral.generate_topology
+    monkeypatch.setattr(
+        spectral, "generate_topology", lambda *args: (calls.append(args), generate(*args))[1]
+    )
+    space = _space(["a", "b", "c", "d"], [("a", "b"), ("a", "c")])
+    datum = canonical_datum(space)
+    assert eta_is_unique(datum, construct_eta(datum))
+    assert len(calls) == 1
+
+
 def _powerset_frame(space):
     """The frame of all subsets of the points, built from the subsets."""
     subsets = [frozenset()]
@@ -72,6 +98,37 @@ def test_canonical_datum_is_complemented_and_supportive():
         assert ok and not bad
         supportive, _reason = is_supportive(datum)
         assert supportive
+
+
+def _meet_join_verdict(datum):
+    """The Thomason labels whose recorded complement is missing, not an
+    element, or fails c ∧ gamma(v) = bottom or c ∨ gamma(v) = top."""
+    b = datum.bousfield
+    bad = []
+    for v in datum.tframe.elements:
+        c, img = datum.complements.get(v), datum.gamma(v)
+        if c is None or c not in b.elements or b.meet(img, c) != b.bottom or b.join(img, c) != b.top:
+            bad.append(v)
+    return bad
+
+
+def test_check_complements_gives_the_verdict_of_the_meet_join_rule():
+    checked = 0
+    for n in range(1, 4):
+        for order in enumerate_posets(n):
+            datum = canonical_datum(SpectralSpace(order))
+            for v in datum.tframe.elements:
+                for c in [*datum.bousfield.elements, None, "not an element"]:
+                    forged = SupportDatum(
+                        datum.space,
+                        datum.bousfield,
+                        datum.gamma.mapping,
+                        {**datum.complements, v: c},
+                    )
+                    bad = _meet_join_verdict(forged)
+                    assert check_complements(forged) == (not bad, bad)
+                    checked += 1
+    assert checked == 330
 
 
 def test_eta_exists_is_unique_and_extends_gamma():

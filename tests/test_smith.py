@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
@@ -377,6 +378,35 @@ def test_self_check_refuses_a_transform_with_determinant_two(which):
     u, v = (bad, identity(40)) if which == "U" else (identity(40), bad)
     with pytest.raises(AssertionError, match="%s not unimodular" % which):
         _verify_snf(a, zeros(40, 40), u, v)
+
+
+@pytest.mark.parametrize("d", [[[-3]], [[1, 0], [0, -2]]])
+def test_self_check_refuses_a_negative_last_diagonal_entry(d):
+    # A = D and U = V = I satisfy every other clause: the sign of the last
+    # entry is the only fault
+    n = len(d)
+    with pytest.raises(AssertionError, match="negative entry on the diagonal"):
+        _verify_snf(d, d, identity(n), identity(n))
+
+
+# one forged (A, D, U, V) per clause of the Smith certificate, each refused by
+# that clause alone, with the message the clause raises
+SNF_CLAUSE_FORGERIES = {
+    "U*A*V != D": ([[1]], [[2]], [[1]], [[1]]),
+    "off-diagonal junk in SNF": ([[1, 1]], [[1, 1]], [[1]], identity(2)),
+    "negative entry on the diagonal": ([[-1, 0], [0, 2]], [[-1, 0], [0, 2]], identity(2), identity(2)),
+    "zero before nonzero on diagonal": ([[0, 0], [0, 1]], [[0, 0], [0, 1]], identity(2), identity(2)),
+    "divisibility chain broken": ([[2, 0], [0, 3]], [[2, 0], [0, 3]], identity(2), identity(2)),
+    "U not unimodular": ([[0]], [[0]], [[2]], [[1]]),
+    "V not unimodular": ([[0]], [[0]], [[1]], [[-2]]),
+}
+
+
+@pytest.mark.parametrize("message", list(SNF_CLAUSE_FORGERIES))
+def test_each_clause_of_the_smith_certificate_refuses_its_forgery(message):
+    a, d, u, v = SNF_CLAUSE_FORGERIES[message]
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        _verify_snf(a, d, u, v)
 
 
 # -- linear algebra over F_p -----------------------------------------------------
