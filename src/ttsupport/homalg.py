@@ -40,9 +40,13 @@ Modules and complexes are immutable, and their matrices are tuples of row
 tuples.  So each answer derived from one is computed once and kept on it: a
 presented module's relation form (a Smith form and a basis of the relations,
 or their rank mod p, behind validation, ``canonical()``, ``is_zero`` and the
-free model) and its localizations, and a
-complex's cohomology groups, its localization at each prime, its free model
-and that model's Smith diagonals, and, through ``support``, its supports.
+free model) and its localizations, and a complex's cohomology groups, its
+localization at each prime and by each element (keyed by the part of the
+modulus that survives), its free model and that model's Smith diagonals,
+over a prime field its map ranks rank_p[d_i | R_(i+1)], and, through
+``support``, its supports.  Each ring builds its zero module once.  The
+``ChainComplex`` constructor validates what it builds; a cone is certified
+by its chain-map blocks instead (see ``cone``).
 
 Differentials raise degree by one.  d(a ⊗ b) = da ⊗ b + (-1)^|a| a ⊗ db is
 the sign rule used for the two-term tensor constructions below.
@@ -102,6 +106,11 @@ class _IntegerFlavour:
     integer matrices."""
 
     def zero_module(self):
+        return self._zero_module
+
+    @cached_property
+    def _zero_module(self):
+        """The zero module, built once per ring object."""
         return PresentedModule(self, 0, [])
 
     def module_from_json(self, raw):
@@ -362,6 +371,11 @@ class LocalNilpotentAlgebra:
         return vec[0] % self.p != 0
 
     def zero_module(self):
+        return self._zero_module
+
+    @cached_property
+    def _zero_module(self):
+        """The zero module, built once per ring object."""
         return LnaModule(self, 0, {n: [] for n, _e in self.generators})
 
     def module_from_json(self, raw):
@@ -422,6 +436,11 @@ def _json_ints(raw, what):
     if not isinstance(raw, (list, tuple)) or not all(type(x) is int for x in raw):
         raise InputError("%s must be a list of integers" % what)
     return raw
+
+
+def _frozen(mat):
+    """A matrix of integers, already checked, as a tuple of row tuples."""
+    return tuple(map(tuple, mat))
 
 
 def _json_int_matrix(raw, what):
@@ -501,9 +520,22 @@ class _Immutable:
     """Modules and complexes take their fields once, in the constructor, and
     refuse reassignment afterwards.  Matrices they hold are tuples of row
     tuples, so nothing handed out can be edited either, and each answer
-    derived from the fields is computed once and kept in _cache."""
+    derived from the fields is computed once and kept in _cache.
+
+    The constructor parses and validates outside input, then hands the
+    frozen fields to ``_freeze``.  Parts built from fields that are frozen
+    and proved already (a module localized or summed, a complex's
+    localizations, a certified cone) go to ``_assembled``, which skips the
+    constructor and so parses nothing twice."""
 
     __slots__ = ("_cache",)
+
+    @classmethod
+    def _assembled(cls, **fields):
+        """An instance holding the given frozen, already proved fields."""
+        obj = cls.__new__(cls)
+        obj._freeze(**fields)
+        return obj
 
     def _freeze(self, **fields):
         object.__setattr__(self, "_cache", {})
@@ -597,7 +629,10 @@ class PresentedModule(_Immutable):
         """The same presentation over the ring localized at p, built once:
         over a Z/n split by CRT, the relation form lives on it."""
         return self._cached(
-            ("localized", p), lambda: PresentedModule(self.ring.localized_at(p), self.ngens, self.rel)
+            ("localized", p),
+            lambda: PresentedModule._assembled(
+                ring=self.ring.localized_at(p), ngens=self.ngens, rel=self.rel
+            ),
         )
 
     def canonical(self):
@@ -625,8 +660,8 @@ class PresentedModule(_Immutable):
             return self
         if not self.ngens:
             return other
-        rel = block_diag([self.rel, other.rel])
-        return PresentedModule(self.ring, self.ngens + other.ngens, rel)
+        rel = _frozen(block_diag([self.rel, other.rel]))
+        return PresentedModule._assembled(ring=self.ring, ngens=self.ngens + other.ngens, rel=rel)
 
     def _kills(self, vecs):
         """Whether every vector (on the generators) is zero in the module:
@@ -649,7 +684,9 @@ class PresentedModule(_Immutable):
         with R the relations of a module, Z the preimage of R_next under d_i
         and B the span of R_here and im d_(i-1),
             dim Z = g - (rank_p[d_i | R_next] - rank_p R_next),
-            dim B = rank_p[R_here | d_(i-1)].
+            dim B = rank_p[R_here | d_(i-1)] = rank_p[d_(i-1) | R_here],
+        the last a column permutation of the matrix H^(i-1) takes for its
+        cycles: ``_fp_map_rank`` takes each such rank once per complex.
         Else from the free model P: ker δ_i is pure in P^i, so H^i is
         Z^(rank P^i - rank δ_i - rank δ_(i-1)) ⊕ the torsion of coker δ_(i-1)."""
         g = self.ngens
@@ -657,9 +694,8 @@ class PresentedModule(_Immutable):
             return canonical_module(self.ring, (), 0)
         p = self.ring.field_prime
         if p:
-            nxt = cx.module(i + 1)
-            z = g - rank_p(hstack(cx.differential(i), nxt.rel), p) + nxt._fp_rank()
-            dim = z - rank_p(hstack(self.rel, cx.differential(i - 1)), p)
+            z = g - _fp_map_rank(cx, i) + cx.module(i + 1)._fp_rank()
+            dim = z - _fp_map_rank(cx, i - 1)
             assert dim >= 0, "image larger than the kernel mod %d" % p
             return canonical_module(self.ring, (p,) * dim, 0)
         k = i - cx.min_deg + 1  # ranks[k] = rank P^i, deltas[k] = δ_i
@@ -786,10 +822,11 @@ class LnaModule(_Immutable):
             return self
         if not self.dim:
             return other
-        return LnaModule(
-            self.ring,
-            self.dim + other.dim,
-            {n: block_diag([self.actions[n], other.actions[n]]) for n in self.actions},
+        # block diagonal actions of two nilpotent, commuting families are
+        # nilpotent to the same exponents and commute
+        actions = {n: _frozen(block_diag([a, other.actions[n]])) for n, a in self.actions.items()}
+        return LnaModule._assembled(
+            ring=self.ring, dim=self.dim + other.dim, actions=MappingProxyType(actions)
         )
 
     def to_json(self):
@@ -829,24 +866,19 @@ class ChainComplex(_Immutable):
         for m in modules:
             if not isinstance(m, (PresentedModule, LnaModule)) or m.ring != ring:
                 raise InputError("module/ring mismatch in complex")
-        local = {
-            p: ChainComplex(
-                ring.localized_at(p), min_deg, [m.localized(p) for m in modules], differentials
+        local = {}
+        for p in ring.crt_primes or ():
+            mods = tuple(m.localized(p) for m in modules)
+            local[p] = ChainComplex._assembled(
+                ring=ring.localized_at(p),
+                min_deg=min_deg,
+                modules=mods,
+                differentials=_validated(mods, differentials),
             )
-            for p in ring.crt_primes or ()
-        }
         if local:
             differentials = next(iter(local.values())).differentials
         else:
-            differentials = tuple(
-                _checked_differential(modules, k, d) for k, d in enumerate(differentials)
-            )
-            for k in range(len(differentials) - 1):
-                src, mid, far = modules[k : k + 3]
-                if src.ngens and mid.ngens and far.ngens:
-                    square = mat_mul(differentials[k + 1], differentials[k])
-                    if not far._kills(transpose(square)):
-                        raise InputError("d^2 != 0 between slots %d and %d" % (k, k + 2))
+            differentials = _validated(modules, differentials)
         self._freeze(ring=ring, min_deg=min_deg, modules=modules, differentials=differentials)
         self._cache.update((("localize", p), cx) for p, cx in local.items())
 
@@ -948,16 +980,35 @@ class ChainComplex(_Immutable):
         )
 
 
-def _checked_differential(modules, k, d):
-    """Differential k as an exact target x source module map; an empty
-    matrix stands for the zero map only when one side has no generators."""
-    src, tgt = modules[k], modules[k + 1]
-    if not d and not (src.ngens and tgt.ngens):
-        return ((0,) * src.ngens,) * tgt.ngens
-    if len(d) != tgt.ngens or any(len(r) != src.ngens for r in d):
-        raise InputError("differential shape mismatch at slot %d" % k)
-    if src.ngens and tgt.ngens and not tgt._accepts(d, src):
-        raise InputError(tgt._MAP_ERROR % k)
+def _validated(modules, differentials):
+    """The differentials between the modules as exact module maps, once each
+    is checked to be well defined and each composite d_(k+1) d_k to vanish
+    in its target module; InputError at the first slot that fails."""
+    checked = []
+    for k, d in enumerate(differentials):
+        src, tgt = modules[k], modules[k + 1]
+        d = _shaped(d, tgt.ngens, src.ngens)
+        if d is None:
+            raise InputError("differential shape mismatch at slot %d" % k)
+        if src.ngens and tgt.ngens and not tgt._accepts(d, src):
+            raise InputError(tgt._MAP_ERROR % k)
+        checked.append(d)
+    for k in range(len(checked) - 1):
+        src, mid, far = modules[k : k + 3]
+        if src.ngens and mid.ngens and far.ngens:
+            square = mat_mul(checked[k + 1], checked[k])
+            if not far._kills(transpose(square)):
+                raise InputError("d^2 != 0 between slots %d and %d" % (k, k + 2))
+    return tuple(checked)
+
+
+def _shaped(d, rows, cols):
+    """d as an exact rows x cols matrix, None if it has another shape; an
+    empty matrix stands for the zero map only when rows or cols is 0."""
+    if not d and not (rows and cols):
+        return ((0,) * cols,) * rows
+    if len(d) != rows or any(len(r) != cols for r in d):
+        return None
     return d
 
 
@@ -979,24 +1030,93 @@ def cone(f_blocks, src, tgt):
     src^i ⊕ tgt^{i-1} with d(c, e) = (dc, f(c) - de).
 
     f_blocks maps degree i to the matrix of f in that degree (missing
-    degrees mean zero)."""
+    degrees mean zero).  A block sits at a degree of the cone and is
+    tgt^i x src^i, shaped as a differential is; anything else is refused,
+    naming the degree.
+
+    The cone is certified by its blocks.  Its differential is
+    d_i = [[d_src, 0], [f_i, -d_tgt]], so
+        d_(i+1) d_i = [[d_src d_src, 0], [f_(i+1) d_src - d_tgt f_i, d_tgt d_tgt]],
+    and the relations of src^i ⊕ tgt^(i-1) are the two summands' relations
+    side by side (over the local nilpotent algebra the generators act block
+    by block), so a vector of the sum lies in them iff each part lies in its
+    summand's.  src and tgt are valid complexes: d_src and d_tgt carry
+    relations into relations and their squares vanish in their targets.
+    Hence d_i is well defined iff f_i carries the relations of src^i into
+    those of tgt^i, and d_(i+1) d_i vanishes iff f_(i+1) d_src - d_tgt f_i
+    vanishes in tgt^(i+1): the literal validation of the cone passes exactly
+    when these two checks pass at every degree.  Over a Z/n split by CRT the
+    literal validation runs at each p | n, so both checks do too, on the
+    localizations of src and tgt at p.  A cone whose blocks fail goes
+    through the literal validation after all, which refuses it with the
+    message of its first fault."""
     assert src.ring == tgt.ring
+    ring = src.ring
     lo = min(src.min_deg, tgt.min_deg + 1)
     hi = max(src.max_deg, tgt.max_deg + 1)
-    modules = [src.module(i).direct_sum(tgt.module(i - 1)) for i in range(lo, hi + 1)]
+    blocks = {}
+    for i, f in f_blocks.items():
+        if type(i) is not int or not lo <= i <= hi:
+            raise InputError("chain map block at degree %r is outside the cone" % (i,))
+        sc, tc = src.module(i).ngens, tgt.module(i).ngens
+        f = _shaped(_json_int_matrix(f, "complex key 'differentials'"), tc, sc)
+        if f is None:
+            raise InputError("chain map block at degree %d must be %d x %d" % (i, tc, sc))
+        if sc and tc:
+            blocks[i] = f
+    modules = tuple(src.module(i).direct_sum(tgt.module(i - 1)) for i in range(lo, hi + 1))
     diffs = []
     for i in range(lo, hi):
         sc, tc = src.module(i).ngens, tgt.module(i - 1).ngens
         sn, tn = src.module(i + 1).ngens, tgt.module(i).ngens
         minus_d = [[-v for v in row] for row in tgt.differential(i - 1)]
-        diffs.append(
-            block_matrix(
-                sn + tn,
-                sc + tc,
-                [(0, 0, src.differential(i)), (sn, 0, f_blocks.get(i, [])), (sn, sc, minus_d)],
-            )
+        parts = [(0, 0, src.differential(i)), (sn, 0, blocks.get(i, ())), (sn, sc, minus_d)]
+        diffs.append(_frozen(block_matrix(sn + tn, sc + tc, parts)))
+    primes = ring.crt_primes or ()
+    pairs = [(localize(src, p), localize(tgt, p)) for p in primes] or [(src, tgt)]
+    if not all(_is_chain_map(blocks, s, t, lo, hi) for s, t in pairs):
+        return ChainComplex(ring, lo, modules, diffs)
+    diffs = tuple(diffs)
+    out = ChainComplex._assembled(ring=ring, min_deg=lo, modules=modules, differentials=diffs)
+    for p in primes:
+        # the localizations ``localize`` hands out, as the constructor keeps them
+        out._cache[("localize", p)] = ChainComplex._assembled(
+            ring=ring.localized_at(p),
+            min_deg=lo,
+            modules=tuple(m.localized(p) for m in modules),
+            differentials=diffs,
         )
-    return ChainComplex(src.ring, lo, modules, diffs)
+    return out
+
+
+def _is_chain_map(blocks, src, tgt, lo, hi):
+    """Whether the blocks, over a ring not split by CRT, pass the two checks
+    that certify their cone (see ``cone``) in degrees lo .. hi - 1."""
+    return all(
+        _carries_relations(blocks, src, tgt, i) and _commutes(blocks, src, tgt, i)
+        for i in range(lo, hi)
+    )
+
+
+def _carries_relations(blocks, src, tgt, i):
+    """Whether f_i carries the relations of src^i into those of tgt^i; a
+    zero block, and a side without generators, carry them trivially."""
+    return i not in blocks or tgt.module(i)._accepts(blocks[i], src.module(i))
+
+
+def _commutes(blocks, src, tgt, i):
+    """Whether f_(i+1) d_src - d_tgt f_i vanishes in tgt^(i+1)."""
+    if i not in blocks and i + 1 not in blocks:
+        return True
+    # a nonzero block has generators on both sides, so each product below
+    # has its full shape: tgt^(i+1) x src^i
+    diff = zeros(tgt.module(i + 1).ngens, src.module(i).ngens)
+    if i + 1 in blocks:
+        diff = mat_mul(blocks[i + 1], src.differential(i))
+    if i in blocks:
+        right = mat_mul(tgt.differential(i), blocks[i])
+        diff = [[x - y for x, y in zip(a, b)] for a, b in zip(diff, right)]
+    return not any(map(any, diff)) or tgt.module(i + 1)._kills(transpose(diff))
 
 
 def identity_blocks(cx, c=1):
@@ -1035,7 +1155,8 @@ def over_ring(cx, ring, kill=0):
 
 
 def localize_by_element(cx, x):
-    """C[1/x] for Z/n: the coprime-to-x part of the modulus survives."""
+    """C[1/x] for Z/n: the coprime-to-x part n' of the modulus survives.
+    It depends on x through n' alone, so each complex builds it once per n'."""
     ring = cx.ring
     if not isinstance(ring, ModularIntegers):
         raise InputError("element localization is a Z/n construction here")
@@ -1043,7 +1164,7 @@ def localize_by_element(cx, x):
     if n2 == 1:
         return zero_complex(ring, cx.min_deg)
     # kill the part of the modulus that x inverts
-    return over_ring(cx, ring, n2)
+    return cx._cached(("by_element", n2), lambda: over_ring(cx, ring, n2))
 
 
 def restrict_to_integers(cx):
@@ -1254,6 +1375,15 @@ def _smith_diagonal(cx, k):
         return tuple(e for e in diagonal(smith_normal_form(deltas[k])[0]) if e)
 
     return cx._cached(("smith_diagonal", k), compute)
+
+
+def _fp_map_rank(cx, i):
+    """rank_p[d_i | R_(i+1)] over the prime field F_p, R_(i+1) the relations
+    of the module in degree i + 1, once per complex."""
+    return cx._cached(
+        ("fp_map_rank", i),
+        lambda: rank_p(hstack(cx.differential(i), cx.module(i + 1).rel), cx.ring.field_prime),
+    )
 
 
 def _from_columns(cols, height):

@@ -41,3 +41,20 @@ def computed_smith_forms(monkeypatch):
 
     monkeypatch.setattr(smith, "_smith_form", counting)
     return seen
+
+
+@pytest.fixture
+def fp_ranks(monkeypatch):
+    """The matrices of every reduction mod p taken while the test runs, each
+    a certified rank: through smith's binding, which rank_p and fp_kernel
+    call, and homalg's."""
+    seen = []
+    reduce = smith.fp_reduce
+
+    def counting(mat, p):
+        seen.append(mat)
+        return reduce(mat, p)
+
+    monkeypatch.setattr(smith, "fp_reduce", counting)
+    monkeypatch.setattr(homalg, "fp_reduce", counting)
+    return seen

@@ -3,11 +3,12 @@
 import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
 
-from ttsupport import battery, homalg, smith
+from ttsupport import battery, homalg, smith, support
 from ttsupport.errors import InputError, ResourceLimitError
 from ttsupport.homalg import (
     ChainComplex,
@@ -29,7 +30,12 @@ from ttsupport.homalg import (
     ring_from_json,
     zero_complex,
 )
-from ttsupport.support import candidate_primes, localization_functor, torsion_functor
+from ttsupport.support import (
+    candidate_primes,
+    localization_functor,
+    small_support,
+    torsion_functor,
+)
 
 Z = IntegersLocalized()
 Z4 = ModularIntegers(4)
@@ -318,6 +324,154 @@ def test_cone_over_the_identity_is_acyclic():
         module_complex(LnaModule.free(LNA, 1), 0),
     ):
         assert cone(identity_blocks(cx), cx, cx).is_acyclic()
+
+
+# -- cones certified by their chain-map blocks ---------------------------------
+
+
+Z_SQUARED = module_complex(PresentedModule.free(Z, 2), 0)
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ({0: [[1]]}, "chain map block at degree 0 must be 2 x 2"),
+        ({0: [[1, 0, 0], [0, 1, 0]]}, "chain map block at degree 0 must be 2 x 2"),
+        ({0: [[1, 0], [0, 1], [0, 0]]}, "chain map block at degree 0 must be 2 x 2"),
+        ({0: []}, "chain map block at degree 0 must be 2 x 2"),
+        ({1: [[1]]}, "chain map block at degree 1 must be 0 x 0"),
+        ({5: [[1, 0], [0, 1]]}, "chain map block at degree 5 is outside the cone"),
+        ({-1: []}, "chain map block at degree -1 is outside the cone"),
+    ],
+    ids=["too-small", "too-wide", "too-tall", "empty", "into-zero", "past-the-top", "below"],
+)
+def test_cone_refuses_a_misshaped_chain_map_block_naming_its_degree(blocks, message):
+    with pytest.raises(InputError, match="^%s$" % message):
+        cone(blocks, Z_SQUARED, Z_SQUARED)
+
+
+def test_cone_reads_an_empty_block_as_zero_next_to_a_module_without_generators():
+    cx = module_complex(PresentedModule.cyclic(Z, 2), 0)
+    empty = zero_complex(Z, 0)
+    assert cone({0: []}, cx, empty).cohomology(0).factors == (2,)
+    assert cone({0: [[]]}, empty, cx).cohomology(1).factors == (2,)
+
+
+def _skipping_the_prime_two(monkeypatch):
+    check = homalg._is_chain_map
+    monkeypatch.setattr(
+        homalg,
+        "_is_chain_map",
+        lambda blocks, src, tgt, lo, hi: src.ring.n == 2 or check(blocks, src, tgt, lo, hi),
+    )
+
+
+# One row per clause of the cone's certificate: the copy without the clause,
+# and the smallest cone that copy accepts and the certificate refuses, with
+# the message of the literal validation that refuses it
+CONE_CLAUSES = {
+    "f carries relations into relations": (
+        lambda mp: mp.setattr(homalg, "_carries_relations", lambda *args: True),
+        # Z/2 -> Z in degree 0, f = 1: 1 is not a relation of Z
+        lambda: (
+            {0: [[1]]},
+            module_complex(PresentedModule.cyclic(Z, 2), 0),
+            module_complex(PresentedModule.free(Z, 1), 0),
+        ),
+        "differential not well defined at slot 0",
+    ),
+    "f d - d f vanishes": (
+        lambda mp: mp.setattr(homalg, "_commutes", lambda *args: True),
+        # f = (1, 0) on Z --2--> Z in degrees 0 and 1: f_1 d - d f_0 = -2
+        lambda: ({0: [[1]], 1: [[0]]}, _free_complex(Z, [[[2]]]), _free_complex(Z, [[[2]]])),
+        "d^2 != 0 between slots 0 and 2",
+    ),
+    "both checks at every p | n": (
+        _skipping_the_prime_two,
+        # f = (1, 0) on Z/6 --3--> Z/6: f_1 d - d f_0 = -3, zero at 3 only
+        lambda: ({0: [[1]], 1: [[0]]}, _free_complex(Z6, [[[3]]]), _free_complex(Z6, [[[3]]])),
+        "d^2 != 0 between slots 0 and 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("clause", list(CONE_CLAUSES))
+def test_each_clause_of_the_cone_certificate_refuses_what_the_copy_without_it_accepts(
+    clause, monkeypatch
+):
+    weaken, instance, message = CONE_CLAUSES[clause]
+    with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+        cone(*instance())
+    weaken(monkeypatch)
+    accepted = cone(*instance())
+    with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+        _literal_rebuild(accepted)
+
+
+def test_a_z_mod_6_map_that_is_a_chain_map_at_three_alone_has_a_cone_there_alone():
+    blocks, src, tgt = CONE_CLAUSES["both checks at every p | n"][1]()
+    at_three = cone(blocks, localize(src, 3), localize(tgt, 3))
+    assert _literal_rebuild(at_three).differentials == at_three.differentials
+    with pytest.raises(InputError, match="^d\\^2 != 0 between slots 0 and 2$"):
+        cone(blocks, localize(src, 2), localize(tgt, 2))
+
+
+def _literal_rebuild(cx):
+    """cx rebuilt through the public constructors, which validate every
+    module and the whole differential literally."""
+    if isinstance(cx.ring, LocalNilpotentAlgebra):
+        mods = [LnaModule(m.ring, m.dim, dict(m.actions)) for m in cx.modules]
+    else:
+        mods = [PresentedModule(m.ring, m.ngens, m.rel) for m in cx.modules]
+    return ChainComplex(cx.ring, cx.min_deg, mods, cx.differentials)
+
+
+def _assert_the_literal_validation_passes(cones):
+    """Each cone, certified by its blocks, passes the literal validation and
+    keeps the localizations the literal route builds."""
+    assert cones
+    for cx in cones:
+        rebuilt = _literal_rebuild(cx)
+        assert rebuilt.differentials == cx.differentials
+        for p in cx.ring.crt_primes or ():
+            mine, theirs = localize(cx, p), localize(rebuilt, p)
+            assert mine.ring == theirs.ring and mine.differentials == theirs.differentials
+            assert [m.rel for m in mine.modules] == [m.rel for m in theirs.modules]
+
+
+@pytest.fixture
+def cones_built(monkeypatch):
+    """Every cone built while the test runs, through each module's binding."""
+    built = []
+    build = homalg.cone
+
+    def recording(f_blocks, src, tgt):
+        built.append(build(f_blocks, src, tgt))
+        return built[-1]
+
+    for module in (homalg, support, battery):
+        monkeypatch.setattr(module, "cone", recording)
+    return built
+
+
+def test_every_cone_of_the_property_suite_passes_the_literal_validation(cones_built):
+    pool = [
+        (ring, battery.instances(ring, battery.DEFAULT_SAMPLES, battery.DEFAULT_SEED))
+        for ring in (Z6, Z12)
+    ]
+    assert battery.criterion_property_suite(pool)["passed"]
+    _assert_the_literal_validation_passes(cones_built)
+
+
+def test_every_koszul_and_battery_piece_cone_passes_the_literal_validation(cones_built):
+    for ring in battery.ring_classes():
+        pool = battery.instances(ring, battery.DEFAULT_SAMPLES, battery.DEFAULT_SEED)
+        if isinstance(ring, ModularIntegers):
+            for cx in pool:
+                small_support(cx)
+                for p in ring.prime_divisors():
+                    koszul_stable(p, cx)
+    _assert_the_literal_validation_passes(cones_built)
 
 
 def test_shift_moves_cohomology():
@@ -750,6 +904,29 @@ def test_z_mod_n_through_its_localizations_agrees_with_the_lattice_route(ring):
         _assert_the_lattice_route_agrees(
             cx, cx.cohomology_all(), [m.canonical() for m in cx.modules]
         )
+
+
+def _two_rank_dimension(cx, i, p):
+    """dim H^i over F_p as cohomology took it before each complex kept its
+    map ranks: dim Z - dim B from two ranks of its own, Z the preimage of
+    R_next under d_i and B the span of R_here and im d_(i-1)."""
+    here, nxt = cx.module(i), cx.module(i + 1)
+    if not here.ngens:
+        return 0
+    rank = smith.rank_p
+    cycles = here.ngens - rank(smith.hstack(cx.differential(i), nxt.rel), p) + rank(nxt.rel, p)
+    return cycles - rank(smith.hstack(here.rel, cx.differential(i - 1)), p)
+
+
+@pytest.mark.parametrize("ring", [Z6, Z12], ids=lambda r: r.label())
+def test_cohomology_over_a_prime_field_is_the_two_rank_formulas(ring):
+    for cx in battery.instances(ring, battery.DEFAULT_SAMPLES, battery.DEFAULT_SEED):
+        for p in (2, 3):
+            local = localize(cx, p)
+            if local.ring.field_prime:
+                for i in range(cx.min_deg - 1, cx.max_deg + 2):
+                    dim = _two_rank_dimension(local, i, p)
+                    assert local.cohomology(i) == canonical_module(local.ring, (p,) * dim, 0)
 
 
 def test_derived_hom_of_the_periodic_resolution():
