@@ -29,8 +29,8 @@ Modules share the generator count ``ngens``; the algebra behind validation
 and cohomology sits in the two module classes.  Z/n with two or more primes
 p | n (``ring.crt_primes``) is the product of its localizations Z/p^k,
 p^k || n (CRT), so its modules and complexes are computed there: a complex
-builds and validates its localization at each p | n when it is built, and
-its cohomology and a module's ``canonical()`` recombine the local answers.
+is validated through its localization at each p | n, and its cohomology and
+a module's ``canonical()`` recombine the local answers.
 Over a prime field F_p (``ring.field_prime``) a presented module is computed
 from ranks over F_p, the algebra the local nilpotent flavour runs on too;
 over the other integer flavours, Z/p^k included, from Smith forms, a
@@ -45,8 +45,9 @@ localization at each prime and by each element (keyed by the part of the
 modulus that survives), its free model and that model's Smith diagonals,
 over a prime field its map ranks rank_p[d_i | R_(i+1)], and, through
 ``support``, its supports.  Each ring builds its zero module once.  The
-``ChainComplex`` constructor validates what it builds; a cone is certified
-by its chain-map blocks instead (see ``cone``).
+constructors validate outside input; shifts, direct sums, cones (certified
+by their blocks), localizations and ring changes of valid complexes are
+valid by construction, each proved in its docstring, and are assembled.
 
 Differentials raise degree by one.  d(a ⊗ b) = da ⊗ b + (-1)^|a| a ⊗ db is
 the sign rule used for the two-term tensor constructions below.
@@ -523,10 +524,9 @@ class _Immutable:
     derived from the fields is computed once and kept in _cache.
 
     The constructor parses and validates outside input, then hands the
-    frozen fields to ``_freeze``.  Parts built from fields that are frozen
-    and proved already (a module localized or summed, a complex's
-    localizations, a certified cone) go to ``_assembled``, which skips the
-    constructor and so parses nothing twice."""
+    frozen fields to ``_freeze``.  Sums, shifts, certified cones,
+    localizations and ring changes of valid objects are valid by
+    construction, so ``_assembled`` and ``_with`` skip the constructor."""
 
     __slots__ = ("_cache",)
 
@@ -536,6 +536,10 @@ class _Immutable:
         obj = cls.__new__(cls)
         obj._freeze(**fields)
         return obj
+
+    def _with(self, **fields):
+        """self assembled again with the given fields replaced."""
+        return self._assembled(**{f: getattr(self, f) for f in self.__slots__} | fields)
 
     def _freeze(self, **fields):
         object.__setattr__(self, "_cache", {})
@@ -603,14 +607,16 @@ class PresentedModule(_Immutable):
 
     def _form(self):
         """``lattice_form`` of the relation columns A: (diag, U, basis).
-        Without explicit relations A is modulus·I (or has no columns), its
-        own Smith form and basis, and U = I is given as None."""
+        When no explicit relation is nonzero, A spans the columns of
+        modulus·I (or nothing), their own Smith form and basis, and U = I is
+        given as None."""
 
         def compute():
-            if not self.nrels:
+            cols = self.relation_columns()
+            if not any(map(any, self.rel)):
                 m = self.ring.modulus
-                return ((m,) * self.ngens if m else ()), None, self.relation_columns()
-            return lattice_form(self.relation_columns())
+                return ((m,) * self.ngens if m else ()), None, cols[self.nrels :]
+            return lattice_form(cols)
 
         return self._cached("form", compute)
 
@@ -628,12 +634,7 @@ class PresentedModule(_Immutable):
     def localized(self, p):
         """The same presentation over the ring localized at p, built once:
         over a Z/n split by CRT, the relation form lives on it."""
-        return self._cached(
-            ("localized", p),
-            lambda: PresentedModule._assembled(
-                ring=self.ring.localized_at(p), ngens=self.ngens, rel=self.rel
-            ),
-        )
+        return self._cached(("localized", p), lambda: self._with(ring=self.ring.localized_at(p)))
 
     def canonical(self):
         def compute():
@@ -661,7 +662,7 @@ class PresentedModule(_Immutable):
         if not self.ngens:
             return other
         rel = _frozen(block_diag([self.rel, other.rel]))
-        return PresentedModule._assembled(ring=self.ring, ngens=self.ngens + other.ngens, rel=rel)
+        return self._with(ngens=self.ngens + other.ngens, rel=rel)
 
     def _kills(self, vecs):
         """Whether every vector (on the generators) is zero in the module:
@@ -825,9 +826,7 @@ class LnaModule(_Immutable):
         # block diagonal actions of two nilpotent, commuting families are
         # nilpotent to the same exponents and commute
         actions = {n: _frozen(block_diag([a, other.actions[n]])) for n, a in self.actions.items()}
-        return LnaModule._assembled(
-            ring=self.ring, dim=self.dim + other.dim, actions=MappingProxyType(actions)
-        )
+        return self._with(dim=self.dim + other.dim, actions=MappingProxyType(actions))
 
     def to_json(self):
         return {
@@ -849,10 +848,11 @@ class ChainComplex(_Immutable):
     generators).  Cohomology, localizations and supports are computed once
     per complex and kept on it.
 
-    Over a Z/n split by CRT the complex is validated through its
-    localizations, built here in increasing order of p: each checks its
-    maps and d^2 = 0, so a complex with faults at several primes is refused
-    with the first fault of the smallest such prime."""
+    The constructor validates outside input (``_validate``): over a Z/n
+    split by CRT, ``localize(self, p)`` for each p | n in increasing order,
+    so a complex with faults at several primes is refused with the first
+    fault of the smallest such prime.  Shifts, direct sums, cones,
+    localizations and ring changes of valid complexes are assembled."""
 
     __slots__ = ("ring", "min_deg", "modules", "differentials")
 
@@ -866,21 +866,11 @@ class ChainComplex(_Immutable):
         for m in modules:
             if not isinstance(m, (PresentedModule, LnaModule)) or m.ring != ring:
                 raise InputError("module/ring mismatch in complex")
-        local = {}
-        for p in ring.crt_primes or ():
-            mods = tuple(m.localized(p) for m in modules)
-            local[p] = ChainComplex._assembled(
-                ring=ring.localized_at(p),
-                min_deg=min_deg,
-                modules=mods,
-                differentials=_validated(mods, differentials),
-            )
-        if local:
-            differentials = next(iter(local.values())).differentials
-        else:
-            differentials = _validated(modules, differentials)
-        self._freeze(ring=ring, min_deg=min_deg, modules=modules, differentials=differentials)
-        self._cache.update((("localize", p), cx) for p, cx in local.items())
+        slots = zip(differentials, modules, modules[1:])
+        shaped = tuple(_shaped(d, tgt.ngens, src.ngens) for d, src, tgt in slots)
+        self._freeze(ring=ring, min_deg=min_deg, modules=modules, differentials=shaped)
+        for local in [localize(self, p) for p in ring.crt_primes or ()] or [self]:
+            _validate(local.modules, local.differentials)
 
     # -- structure ----------------------------------------------------------
 
@@ -904,27 +894,26 @@ class ChainComplex(_Immutable):
         return zeros(self.module(i + 1).ngens, self.module(i).ngens)
 
     def shift(self, s):
-        """Same complex moved so old degree i sits in degree i - s."""
-        return ChainComplex(self.ring, self.min_deg - s, self.modules, self.differentials)
+        """Same complex moved so old degree i sits in degree i - s; valid as
+        self is."""
+        return self._with(min_deg=self.min_deg - s)
 
     def direct_sum(self, other):
+        """The direct sum, valid block by block: each module's relations are
+        its summands' side by side, and each map, as each d^2, is block
+        diagonal."""
         assert self.ring == other.ring
         lo = min(self.min_deg, other.min_deg)
         hi = max(self.max_deg, other.max_deg)
-        mods = [self.module(i).direct_sum(other.module(i)) for i in range(lo, hi + 1)]
+        mods = tuple(self.module(i).direct_sum(other.module(i)) for i in range(lo, hi + 1))
         diffs = []
         for i in range(lo, hi):
             # explicit shapes: a 0-row block would otherwise lose its width
             ra, ca = self.module(i + 1).ngens, self.module(i).ngens
             rb, cb = other.module(i + 1).ngens, other.module(i).ngens
-            diffs.append(
-                block_matrix(
-                    ra + rb,
-                    ca + cb,
-                    [(0, 0, self.differential(i)), (ra, ca, other.differential(i))],
-                )
-            )
-        return ChainComplex(self.ring, lo, mods, diffs)
+            parts = [(0, 0, self.differential(i)), (ra, ca, other.differential(i))]
+            diffs.append(_frozen(block_matrix(ra + rb, ca + cb, parts)))
+        return self._with(min_deg=lo, modules=mods, differentials=tuple(diffs))
 
     # -- cohomology ---------------------------------------------------------
 
@@ -980,26 +969,21 @@ class ChainComplex(_Immutable):
         )
 
 
-def _validated(modules, differentials):
-    """The differentials between the modules as exact module maps, once each
-    is checked to be well defined and each composite d_(k+1) d_k to vanish
-    in its target module; InputError at the first slot that fails."""
-    checked = []
+def _validate(modules, differentials):
+    """InputError at the first slot where a differential is misshaped (None)
+    or not well defined, or where d_(k+1) d_k does not vanish."""
     for k, d in enumerate(differentials):
         src, tgt = modules[k], modules[k + 1]
-        d = _shaped(d, tgt.ngens, src.ngens)
         if d is None:
             raise InputError("differential shape mismatch at slot %d" % k)
         if src.ngens and tgt.ngens and not tgt._accepts(d, src):
             raise InputError(tgt._MAP_ERROR % k)
-        checked.append(d)
-    for k in range(len(checked) - 1):
+    for k in range(len(differentials) - 1):
         src, mid, far = modules[k : k + 3]
         if src.ngens and mid.ngens and far.ngens:
-            square = mat_mul(checked[k + 1], checked[k])
+            square = mat_mul(differentials[k + 1], differentials[k])
             if not far._kills(transpose(square)):
                 raise InputError("d^2 != 0 between slots %d and %d" % (k, k + 2))
-    return tuple(checked)
 
 
 def _shaped(d, rows, cols):
@@ -1047,9 +1031,8 @@ def cone(f_blocks, src, tgt):
     vanishes in tgt^(i+1): the literal validation of the cone passes exactly
     when these two checks pass at every degree.  Over a Z/n split by CRT the
     literal validation runs at each p | n, so both checks do too, on the
-    localizations of src and tgt at p.  A cone whose blocks fail goes
-    through the literal validation after all, which refuses it with the
-    message of its first fault."""
+    localizations of src and tgt at p.  A cone whose blocks fail is
+    validated literally, and refused with the message of its first fault."""
     assert src.ring == tgt.ring
     ring = src.ring
     lo = min(src.min_deg, tgt.min_deg + 1)
@@ -1059,7 +1042,7 @@ def cone(f_blocks, src, tgt):
         if type(i) is not int or not lo <= i <= hi:
             raise InputError("chain map block at degree %r is outside the cone" % (i,))
         sc, tc = src.module(i).ngens, tgt.module(i).ngens
-        f = _shaped(_json_int_matrix(f, "complex key 'differentials'"), tc, sc)
+        f = _shaped(_json_int_matrix(f, "chain map block at degree %d" % i), tc, sc)
         if f is None:
             raise InputError("chain map block at degree %d must be %d x %d" % (i, tc, sc))
         if sc and tc:
@@ -1076,17 +1059,7 @@ def cone(f_blocks, src, tgt):
     pairs = [(localize(src, p), localize(tgt, p)) for p in primes] or [(src, tgt)]
     if not all(_is_chain_map(blocks, s, t, lo, hi) for s, t in pairs):
         return ChainComplex(ring, lo, modules, diffs)
-    diffs = tuple(diffs)
-    out = ChainComplex._assembled(ring=ring, min_deg=lo, modules=modules, differentials=diffs)
-    for p in primes:
-        # the localizations ``localize`` hands out, as the constructor keeps them
-        out._cache[("localize", p)] = ChainComplex._assembled(
-            ring=ring.localized_at(p),
-            min_deg=lo,
-            modules=tuple(m.localized(p) for m in modules),
-            differentials=diffs,
-        )
-    return out
+    return ChainComplex._assembled(ring=ring, min_deg=lo, modules=modules, differentials=tuple(diffs))
 
 
 def _is_chain_map(blocks, src, tgt, lo, hi):
@@ -1132,26 +1105,34 @@ def identity_blocks(cx, c=1):
 
 
 def localize(cx, p):
-    """Localize a complex at a prime p of its ring; ring.localized_at(p)
-    names the local ring and refuses primes it does not have.  Each complex
-    builds its localization at p once: over a Z/n split by CRT, together
-    with itself."""
+    """Localize a complex at a prime p of its ring, once per complex and p:
+    its modules localized, the same differentials.  ring.localized_at(p)
+    names the local ring and refuses primes it does not have.  Valid as cx
+    is: a local module keeps its parent's relations (and gains p^k·I over
+    Z/n, p^k || n), so maps still carry relations into relations and each
+    d^2 still vanishes."""
     ring = cx.ring.localized_at(p)
     if ring == cx.ring:
         return cx
-    return cx._cached(("localize", p), lambda: over_ring(cx, ring))
+    return cx._cached(
+        ("localize", p),
+        lambda: cx._with(ring=ring, modules=tuple(m.localized(p) for m in cx.modules)),
+    )
 
 
 def over_ring(cx, ring, kill=0):
     """cx with its presented modules moved over ring; kill > 0 adds the
-    relation kill * e_i on every generator e_i."""
+    relation kill * e_i on every generator e_i.  Every caller keeps
+    c = gcd(new modulus, kill) a divisor of the old modulus, so each
+    relation lattice L becomes L + c·Z^g, which any map carries into c·Z^g:
+    maps stay well defined and each d^2 still vanishes."""
+    c = gcd(ring.modulus, kill)
+    assert gcd(c, cx.ring.modulus) == c, "over_ring would drop relations"
     mods = []
     for m in cx.modules:
-        rel = m.rel
-        if kill:
-            rel = hstack(rel, [[kill * v for v in row] for row in identity(m.ngens)])
-        mods.append(PresentedModule(ring, m.ngens, rel))
-    return ChainComplex(ring, cx.min_deg, mods, cx.differentials)
+        killed = [[kill * v for v in row] for row in identity(m.ngens)] if kill else []
+        mods.append(m._with(ring=ring, rel=_frozen(hstack(m.rel, killed))))
+    return cx._with(ring=ring, modules=tuple(mods))
 
 
 def localize_by_element(cx, x):

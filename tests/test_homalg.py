@@ -1,6 +1,7 @@
 """Rings, presented modules, complexes, and the homological operations."""
 
 import hashlib
+import inspect
 import json
 import random
 import re
@@ -26,6 +27,7 @@ from ttsupport.homalg import (
     localize,
     localize_by_element,
     module_complex,
+    restrict_modulus,
     restrict_to_integers,
     ring_from_json,
     zero_complex,
@@ -33,6 +35,7 @@ from ttsupport.homalg import (
 from ttsupport.support import (
     candidate_primes,
     localization_functor,
+    localize_support_check,
     small_support,
     torsion_functor,
 )
@@ -342,8 +345,21 @@ Z_SQUARED = module_complex(PresentedModule.free(Z, 2), 0)
         ({1: [[1]]}, "chain map block at degree 1 must be 0 x 0"),
         ({5: [[1, 0], [0, 1]]}, "chain map block at degree 5 is outside the cone"),
         ({-1: []}, "chain map block at degree -1 is outside the cone"),
+        (
+            {0: [[1, 0], [0, 0.5]]},
+            "each row of chain map block at degree 0 must be a list of integers",
+        ),
     ],
-    ids=["too-small", "too-wide", "too-tall", "empty", "into-zero", "past-the-top", "below"],
+    ids=[
+        "too-small",
+        "too-wide",
+        "too-tall",
+        "empty",
+        "into-zero",
+        "past-the-top",
+        "below",
+        "non-integer",
+    ],
 )
 def test_cone_refuses_a_misshaped_chain_map_block_naming_its_degree(blocks, message):
     with pytest.raises(InputError, match="^%s$" % message):
@@ -426,11 +442,13 @@ def _literal_rebuild(cx):
     return ChainComplex(cx.ring, cx.min_deg, mods, cx.differentials)
 
 
-def _assert_the_literal_validation_passes(cones):
-    """Each cone, certified by its blocks, passes the literal validation and
-    keeps the localizations the literal route builds."""
-    assert cones
-    for cx in cones:
+def _assert_the_literal_validation_passes(complexes):
+    """Each complex, assembled from valid parts without validation, passes
+    the literal validation and keeps the localizations the literal route
+    builds."""
+    assert complexes
+    # the literal route assembles localizations too: check the ones given
+    for cx in list(complexes):
         rebuilt = _literal_rebuild(cx)
         assert rebuilt.differentials == cx.differentials
         for p in cx.ring.crt_primes or ():
@@ -440,30 +458,30 @@ def _assert_the_literal_validation_passes(cones):
 
 
 @pytest.fixture
-def cones_built(monkeypatch):
-    """Every cone built while the test runs, through each module's binding."""
+def assembled(monkeypatch):
+    """Every complex assembled while the test runs: shifts, direct sums,
+    certified cones, localizations and ring changes."""
     built = []
-    build = homalg.cone
+    assemble = ChainComplex._assembled.__func__
 
-    def recording(f_blocks, src, tgt):
-        built.append(build(f_blocks, src, tgt))
+    def recording(cls, **fields):
+        built.append(assemble(cls, **fields))
         return built[-1]
 
-    for module in (homalg, support, battery):
-        monkeypatch.setattr(module, "cone", recording)
+    monkeypatch.setattr(ChainComplex, "_assembled", classmethod(recording))
     return built
 
 
-def test_every_cone_of_the_property_suite_passes_the_literal_validation(cones_built):
+def test_every_cone_of_the_property_suite_passes_the_literal_validation(assembled):
     pool = [
         (ring, battery.instances(ring, battery.DEFAULT_SAMPLES, battery.DEFAULT_SEED))
         for ring in (Z6, Z12)
     ]
     assert battery.criterion_property_suite(pool)["passed"]
-    _assert_the_literal_validation_passes(cones_built)
+    _assert_the_literal_validation_passes(assembled)
 
 
-def test_every_koszul_and_battery_piece_cone_passes_the_literal_validation(cones_built):
+def test_every_koszul_and_battery_piece_cone_passes_the_literal_validation(assembled):
     for ring in battery.ring_classes():
         pool = battery.instances(ring, battery.DEFAULT_SAMPLES, battery.DEFAULT_SEED)
         if isinstance(ring, ModularIntegers):
@@ -471,7 +489,42 @@ def test_every_koszul_and_battery_piece_cone_passes_the_literal_validation(cones
                 small_support(cx)
                 for p in ring.prime_divisors():
                     koszul_stable(p, cx)
-    _assert_the_literal_validation_passes(cones_built)
+    _assert_the_literal_validation_passes(assembled)
+
+
+def test_every_pool_sum_shift_localization_and_ring_change_passes_the_literal_validation(
+    assembled,
+):
+    for ring in battery.ring_classes():
+        pool = battery.instances(ring, battery.DEFAULT_SAMPLES, battery.DEFAULT_SEED)
+        for k, cx in enumerate(pool):
+            cx.shift(1)
+            for p in candidate_primes(cx):
+                localize(cx, p)
+            if isinstance(ring, ModularIntegers):
+                for x in (1, *ring.prime_divisors()):
+                    localize_by_element(cx, x)
+                restrict_to_integers(cx)
+                restrict_modulus(cx, 6 * ring.n)
+            elif ring == Z and k < 10:
+                localize_support_check(cx, {2, 3})
+    _assert_the_literal_validation_passes(assembled)
+
+
+def test_over_ring_refuses_the_move_that_a_copy_without_its_precondition_makes_invalid():
+    # Z/4 --2--> Z/4 --2--> Z/4 moved to Z with kill 0 drops the relations
+    # 4·I, under which d^2 = 4 vanished
+    cx = _free_complex(Z4, [[[2]], [[2]]])
+    with pytest.raises(AssertionError, match="^over_ring would drop relations$"):
+        homalg.over_ring(cx, Z)
+    # the copy without the precondition: over_ring compiled as python -O
+    # compiles it, with its assert stripped
+    source = inspect.getsource(homalg.over_ring)
+    namespace = dict(vars(homalg))
+    exec(compile(source, homalg.__file__, "exec", optimize=1), namespace)
+    accepted = namespace["over_ring"](cx, Z)
+    with pytest.raises(InputError, match="^d\\^2 != 0 between slots 0 and 2$"):
+        _literal_rebuild(accepted)
 
 
 def test_shift_moves_cohomology():
@@ -506,6 +559,24 @@ def test_complex_json_rejects_malformed_fields(ring, modules, differentials):
     obj = {"ring": ring, "degrees": [0, len(modules) - 1], "modules": modules}
     with pytest.raises(InputError):
         ChainComplex.from_json(dict(obj, differentials=differentials))
+
+
+@pytest.mark.parametrize(
+    "ring, rel, differentials, message",
+    [
+        # d0 = 1 from Z/2 is well defined at 2 alone, d1 d0 = 3 vanishes at 3
+        # alone: the fault at the smaller prime is named
+        (Z6, [[2]], [[[1]], [[3]]], "d^2 != 0 between slots 0 and 2"),
+        # a map fault at slot 0 comes before a shape fault at slot 1
+        (Z, [[2]], [[[1]], [[1, 1]]], "differential not well defined at slot 0"),
+    ],
+    ids=["smaller-prime-first", "slot-order"],
+)
+def test_a_complex_with_two_faults_is_refused_with_the_first(ring, rel, differentials, message):
+    free = PresentedModule.free(ring, 1)
+    mods = [PresentedModule(ring, 1, rel), free, free]
+    with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+        ChainComplex(ring, 0, mods, differentials)
 
 
 Z2_ONE = PresentedModule.free(Z, 1)
@@ -871,12 +942,11 @@ def test_squarefree_moduli_take_no_smith_form_and_agree_with_the_lattice_route(
     del smith_forms[:]
     pool = []
     for cx in base:
-        # built afresh, so that validation runs while the count is on; a
-        # Z/n complex built its own localizations with itself
+        # built afresh through the constructor, so that validation runs
+        # while the count is on; a Z/n complex validates its localizations
         if at:
             cx = homalg.over_ring(cx, cx.ring.localized_at(at))
-        else:
-            cx = ChainComplex.from_json(cx.to_json())
+        cx = ChainComplex.from_json(cx.to_json())
         pool.append(cx)
         for p in cx.ring.prime_divisors():
             pool += [koszul_stable(p, cx), cone(identity_blocks(cx, p), cx, cx)]

@@ -289,12 +289,13 @@ def test_a_longer_test_sequence_is_answered_apart_and_agrees(ring):
         assert small_support(cx) is default
 
 
-# Smith forms taken by the seed-42 batch below, counted when the free model
-# began to read its bases and lifts off each module's one relation form; 349
-# before that, when cohomology over Z, its localizations and Z/p^k began to
-# be read off the Smith diagonals of the free model built once per complex;
-# 602 before that, when the residue
-# test began to take F_p ranks of that free model; 1,069 before that, when
+# Smith forms taken by the seed-42 batch below, counted when a module whose
+# explicit relations are all zero began to take its relation form without one;
+# 224 before that, when the free model began to read its bases and lifts off
+# each module's one relation form; 349 before that, when cohomology over Z,
+# its localizations and Z/p^k began to be read off the Smith diagonals of the
+# free model built once per complex; 602 before that, when the residue test
+# began to take F_p ranks of that free model; 1,069 before that, when
 # complexes over Z/n with two or more primes began to be computed through
 # their localizations Z/p^k alone; 1,221 before that, when modules over Z/n
 # with n squarefree began to take F_p ranks instead; 1,668 before that, when
@@ -302,11 +303,12 @@ def test_a_longer_test_sequence_is_answered_apart_and_agrees(ring):
 # at a nilpotent to return C itself; 2,203 before that, and 3,870 before each
 # module's relation form and each complex's cohomology, localizations and
 # supports were computed once
-BATCH_SMITH_FORMS = 224
+BATCH_SMITH_FORMS = 220
 # Of those, the forms computed: the others are read back from the forms that
 # smith_normal_form keeps, mostly a localization's over Z of its parent's
-# differentials; 224 before the free model stopped solving its lifts
-BATCH_SMITH_COMPUTED = 155
+# differentials; 155 before a module with all-zero relations took its form
+# without one, and 224 before the free model stopped solving its lifts
+BATCH_SMITH_COMPUTED = 152
 
 
 # Reductions mod p, each a certified F_p rank, taken by the same batch,
