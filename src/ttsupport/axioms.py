@@ -14,24 +14,9 @@ from functools import reduce
 from operator import or_
 
 from .errors import InputError
-from .frames import FiniteFrame, FrameHom, frame_homs, set_label
+from .frames import FiniteFrame, FrameHom, frame_homs, localizing_frame, set_label, thomason_frame
 from .poset import FinitePoset, bits_of
 from .spectral import SpectralSpace
-
-
-def thomason_frame(space):
-    """Frame of Thomason (= up-) sets of a finite spectral space."""
-    return FiniteFrame.from_sets(space.thomason_sets())
-
-
-def localizing_frame(space):
-    """Frame of opens for the localizing topology: the Skula opens of the
-    Hochster dual, computed from the generated topology (and checked to be
-    the full powerset elsewhere, not assumed).  The dual's opens and closeds
-    are the space's closeds and opens, and generate_topology neither depends
-    on the order of its subbasis nor leaves its output unsorted, so the
-    Skula opens the space itself keeps are the same list."""
-    return FiniteFrame.from_sets(space.skula_opens())
 
 
 def _strings(raw):
@@ -166,11 +151,11 @@ def construct_eta(datum, samples=50, seed=0):
     lframe, llabels = localizing_frame(space)
     order = space.order
     # point sets as masks over the points, values as masks of b: gamma and
-    # the recorded complement of each Thomason set
+    # the recorded complement of each Thomason set, which both frames of the
+    # space label by set_label
     points = {label: order.mask_of(s) for label, s in llabels.items()}
-    thomason = {v: order.mask_of(s) for v, s in datum.tlabels.items()}
-    gamma = {thomason[v]: b._mask[datum.gamma(v)] for v in thomason}
-    complement = {thomason[v]: b._mask[datum.complements[v]] for v in thomason}
+    gamma = {points[v]: b._mask[datum.gamma(v)] for v in datum.tlabels}
+    complement = {points[v]: b._mask[datum.complements[v]] for v in datum.tlabels}
 
     def pair_value(v, u):
         return gamma[v] & complement[u]
@@ -182,9 +167,8 @@ def construct_eta(datum, samples=50, seed=0):
         for label in lframe.elements
     }
     eta = FrameHom(lframe, b, {label: b._element[v] for label, v in value.items()})
-    of_set = {points[label]: v for label, v in value.items()}
     for v in datum.tframe.elements:
-        if of_set[thomason[v]] != gamma[thomason[v]]:
+        if value[v] != gamma[points[v]]:
             raise InputError("eta does not extend gamma at %s" % v)
 
     # random covers by the basic opens V minus U, each with its value
@@ -217,12 +201,11 @@ def construct_eta(datum, samples=50, seed=0):
 def eta_is_unique(datum, eta_result):
     """Exhaustive search over frame homs out of the localizing frame that
     extend gamma; True when the constructed eta is the only one."""
-    # each Thomason set's label in the localizing frame, and its gamma
-    gamma = {set_label(datum.tlabels[v]): datum.gamma(v) for v in datum.tframe.elements}
+    # the localizing frame labels each Thomason set as the Thomason frame does
     matches = [
         h
         for h in frame_homs(eta_result.frame, datum.bousfield)
-        if all(h(x) == g for x, g in gamma.items())
+        if all(h(v) == g for v, g in datum.gamma.mapping.items())
     ]
     return len(matches) == 1 and matches[0].mapping == eta_result.hom.mapping
 
@@ -245,9 +228,6 @@ def canonical_datum(space):
     subsets (every subset of the point set), gamma = inclusion of Thomason
     sets, complements = set complements."""
     points = frozenset(space.points)
-    bous = localizing_frame(space)[0]
-    gamma = {set_label(t): set_label(t) for t in space.thomason_sets()}
-    complements = {
-        set_label(t): set_label(points - t) for t in space.thomason_sets()
-    }
-    return SupportDatum(space, bous, gamma, complements)
+    thomason = thomason_frame(space)[1]
+    complements = {v: set_label(points - t) for v, t in thomason.items()}
+    return SupportDatum(space, localizing_frame(space)[0], {v: v for v in thomason}, complements)

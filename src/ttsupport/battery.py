@@ -389,9 +389,10 @@ def criterion_property_suite(pool, seed=DEFAULT_SEED, **_kw):
     )
 
 
-def criterion_eta_factorization(seed=DEFAULT_SEED, **_kw):
+def criterion_eta_factorization(spaces, seed=DEFAULT_SEED, **_kw):
     bad = []
-    data = [canonical_datum(space) for space in _spaces(3)]
+    # the pool's spaces keep the frames sigma built
+    data = [canonical_datum(space) for space, *_sigma in spaces if len(space.points) <= 3]
     finite = [r for r in ring_classes() if not r.has_generic] + [IntegersLocalized(at_prime=2)]
     data.extend(canonical_datum(spec(ring).space) for ring in finite)
     for datum in data:

@@ -425,7 +425,7 @@ def assembly(frame, max_size=ASSEMBLY_MAX):
     fixed-point set S, and the fixed-point sets are exactly the sublocales.
     The bound is checked on every call.  The assembly is built once per
     frame and kept while anything holds it: the frame holds it only weakly,
-    as it points back to the frame, and sigma has the space hold it.
+    as it points back to the frame, and sigma has the space keep it.
     """
     if len(frame) > max_size:
         raise ResourceLimitError(
@@ -501,10 +501,25 @@ def nucleus_join(frame, nu, mu):
 
 def frame_of(space):
     """Frame of opens (= down-sets) of a finite spectral space, with set
-    labels.  The frame is built once per space; the labels come as a copy."""
-    if space._frame is None:
-        space._frame = FiniteFrame.from_sets(space.opens())
-    frame, labels = space._frame
+    labels.  Each frame here is built once per space and kept by it; the
+    labels come as a copy."""
+    frame, labels = space._cached("opens", lambda: FiniteFrame.from_sets(space.opens()))
+    return frame, dict(labels)
+
+
+def thomason_frame(space):
+    """Frame of Thomason (= up-) sets of a finite spectral space."""
+    frame, labels = space._cached("thomason", lambda: FiniteFrame.from_sets(space.thomason_sets()))
+    return frame, dict(labels)
+
+
+def localizing_frame(space):
+    """Frame of the localizing subsets: the Skula opens of the Hochster dual,
+    generated (and checked to be the full powerset elsewhere, not assumed).
+    The dual's opens and closeds are the space's closeds and opens, and
+    generate_topology neither depends on the order of its subbasis nor
+    leaves its output unsorted, so they are the Skula opens the space keeps."""
+    frame, labels = space._cached("localizing", lambda: FiniteFrame.from_sets(space.skula_opens()))
     return frame, dict(labels)
 
 
@@ -514,7 +529,7 @@ def spc(frame):
     primes = frame.primes()
     order = frame.order.restrict(primes)
     space = SpectralSpace(order)
-    opens_frame, labels = frame_of(space)
+    opens_frame = frame_of(space)[0]
     mapping = {
         x: set_label(frozenset(p for p in primes if not frame.leq(x, p)))
         for x in frame.elements
@@ -600,13 +615,13 @@ def universal_factorization(asm, phi, check_unique=False):
 
 def sigma(space, check_unique=False, max_size=ASSEMBLY_MAX):
     """The comparison hom from the assembly of the open-set frame to the
-    frame of opens of the same point set with every singleton isolated.
-    Returns (hom, is_isomorphism, assembly_result); the assembly is the one
-    ``assembly(frame_of(space)[0])`` returns."""
+    localizing frame, where every singleton is open.  Returns (hom,
+    is_isomorphism, assembly_result); the assembly is the one
+    ``assembly(frame_of(space)[0])`` returns, which the space keeps."""
     frame = frame_of(space)[0]
-    asm = space._assembly = assembly(frame, max_size=max_size)
-    skula_frame, _slabels = FiniteFrame.from_sets(space.skula_opens())
+    asm = assembly(frame, max_size=max_size)
+    space._cached("assembly", lambda: asm)
     # both frames label a set by set_label, so phi is the identity on labels
-    phi = FrameHom(frame, skula_frame, {x: x for x in frame.elements})
+    phi = FrameHom(frame, localizing_frame(space)[0], {x: x for x in frame.elements})
     psi = universal_factorization(asm, phi, check_unique=check_unique)
     return psi, psi.is_isomorphism(), asm

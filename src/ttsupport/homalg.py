@@ -760,11 +760,15 @@ class LnaModule(_Immutable):
 
     @classmethod
     def free(cls, ring, rank):
-        return cls(
-            ring,
-            ring.dim * rank,
-            {n: block_diag([ring.multiplication_matrix(n)] * rank) for n, _e in ring.generators},
-        )
+        """R^rank.  The generators' multiplication matrices on the monomial
+        basis commute, as R is commutative and associative (x(ym) = y(xm)),
+        and satisfy x^e = 0, as x^e is zero in R; so do their block diagonal
+        copies, and the module is assembled without the checks."""
+        actions = {
+            n: _frozen(block_diag([ring.multiplication_matrix(n)] * rank))
+            for n, _e in ring.generators
+        }
+        return cls._assembled(ring=ring, dim=ring.dim * rank, actions=MappingProxyType(actions))
 
     @property
     def ngens(self):
@@ -791,7 +795,14 @@ class LnaModule(_Immutable):
         return True
 
     def _homology(self, cx, i):
-        """H^i(cx) = ker(d_i) / im(d_(i-1)) mod p, with the induced actions."""
+        """H^i(cx) = ker(d_i) / im(d_(i-1)) mod p, with the induced actions.
+
+        Each action a commutes with d_i and d_(i-1), the complex's maps being
+        module maps, so it keeps the kernel and the image and induces a map
+        on their quotient, whose matrix in the coset basis is read below.
+        Inducing keeps products: the induced maps commute as ab = ba, and
+        the power a^e = 0 induces zero.  So the module is assembled without
+        the checks."""
         p = self.ring.p
         g = self.dim
         if g == 0:
@@ -813,8 +824,8 @@ class LnaModule(_Immutable):
         for name, act in self.actions.items():
             rref, pivots = fp_reduce(transpose(basis + [mat_vec(act, v) for v in coset]), p)
             assert len(pivots) == len(basis), "vector left the kernel subquotient"
-            actions[name] = [row[len(basis) :] for row in rref[: len(coset)]]
-        return LnaModule(self.ring, len(coset), actions)
+            actions[name] = _frozen(row[len(basis) :] for row in rref[: len(coset)])
+        return self._with(dim=len(coset), actions=MappingProxyType(actions))
 
     def direct_sum(self, other):
         """The direct sum; a zero-dimensional summand leaves the other itself."""
@@ -1309,7 +1320,15 @@ def _free_model(cx):
     passed validation, and are unique as R_k has full rank.  Then
     P^k = Z^g_k ⊕ Z^r_(k+1) with δ_k = [[d_k, R_(k+1)], [-h_k, -e_(k+1)]]
     is the totalization of the resolutions 0 -> Z^r_k -> Z^g_k -> M_k -> 0.
-    Both lift identities and δ^2 = 0 are asserted over Z."""
+    Both lift identities are asserted over Z, and they force δ^2 = 0 (a
+    missing module reads as zero, so they hold at every k):
+    δ_(k+1) δ_k = [[d_(k+1) d_k - R_(k+2) h_k, d_(k+1) R_(k+1) - R_(k+2) e_(k+1)],
+    [-h_(k+1) d_k + e_(k+2) h_k, -h_(k+1) R_(k+1) + e_(k+2) e_(k+1)]].  The top
+    blocks vanish by the two identities.  Times R_(k+3) the bottom blocks are
+    -d_(k+2) d_(k+1) d_k + d_(k+2) R_(k+2) h_k = 0 and
+    -d_(k+2) d_(k+1) R_(k+1) + d_(k+2) R_(k+2) e_(k+1) = 0, by the identities
+    for R_(k+3) h_(k+1) and R_(k+3) e_(k+2), then for R_(k+2) h_k and
+    R_(k+2) e_(k+1); R_(k+3) has full column rank, so they are zero."""
 
     def compute():
         n = len(cx.modules)
@@ -1338,8 +1357,6 @@ def _free_model(cx):
             if k >= 0:
                 blocks += [(0, 0, cx.differentials[k]), (g[k + 1], 0, minus_h.get(k, []))]
             deltas.append(block_matrix(g[k + 1] + r[k + 2], g[k] + r[k + 1], blocks))
-        for lower, upper in zip(deltas, deltas[1:]):
-            assert not any(map(any, mat_mul(upper, lower))), "δ^2 != 0 in the free model"
         return [g[k] + r[k + 1] for k in range(-1, n)], deltas
 
     return cx._cached("free_model", compute)

@@ -13,16 +13,20 @@ from .poset import FinitePoset, bits_of, union_family
 
 
 class SpectralSpace:
-    # _frame holds frames.frame_of(self) and _skula the Skula opens once they
-    # have been built; _assembly keeps the assembly of _frame alive once
-    # frames.sigma has used it
-    __slots__ = ("order", "_frame", "_skula", "_assembly")
+    # _cache: the Skula opens, the frames of frames.py and sigma's assembly
+    __slots__ = ("order", "_cache")
 
     def __init__(self, order):
         if not isinstance(order, FinitePoset):
             raise InputError("SpectralSpace wants a FinitePoset")
         self.order = order
-        self._frame = self._skula = self._assembly = None
+        self._cache = {}
+
+    def _cached(self, key, compute):
+        """compute(), computed on the first call with this key only."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     @classmethod
     def from_json(cls, obj):
@@ -70,9 +74,8 @@ class SpectralSpace:
         topology; it is generated, not assumed, so the discreteness is a
         checked fact.
         """
-        if self._skula is None:
-            self._skula = tuple(generate_topology(self.opens() + self.closeds(), self.points))
-        return list(self._skula)
+        skula = self._cached("skula", lambda: generate_topology(self.opens() + self.closeds(), self.points))
+        return list(skula)
 
     def localising_basic_opens(self):
         """Triples (V, U, V minus U) over all Thomason pairs.  The sets

@@ -1,5 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import inspect
+import textwrap
+
 import pytest
 
 from ttsupport import homalg, smith
@@ -58,3 +61,23 @@ def fp_ranks(monkeypatch):
     monkeypatch.setattr(smith, "fp_reduce", counting)
     monkeypatch.setattr(homalg, "fp_reduce", counting)
     return seen
+
+
+@pytest.fixture
+def weakened():
+    """weakened(fn, clause, stand_in="pass"): a copy of the function fn,
+    compiled from its own source in its own module's namespace, with the one
+    line that contains clause replaced by stand_in (indentation kept).  This
+    is the copy without the clause of a certificate's mutant table."""
+
+    def build(fn, clause, stand_in="pass"):
+        lines = textwrap.dedent(inspect.getsource(fn)).splitlines()
+        hits = [k for k, line in enumerate(lines) if clause in line]
+        assert len(hits) == 1, "%r is not on exactly one line of %s" % (clause, fn.__name__)
+        line = lines[hits[0]]
+        lines[hits[0]] = line[: len(line) - len(line.lstrip())] + stand_in
+        namespace = dict(fn.__globals__)
+        exec(compile("\n".join(lines), inspect.getsourcefile(fn), "exec"), namespace)
+        return namespace[fn.__name__]
+
+    return build

@@ -83,8 +83,8 @@ def test_09_property_suite_and_orthogonality_over_z6_and_z12(pool):
     assert "400 suites" in row["detail"]
 
 
-def test_10_eta_exists_and_is_unique_for_all_generated_data():
-    row = battery.criterion_eta_factorization(seed=SEED)
+def test_10_eta_exists_and_is_unique_for_all_generated_data(spaces):
+    row = battery.criterion_eta_factorization(spaces=spaces, seed=SEED)
     assert row["passed"], row["detail"]
 
 

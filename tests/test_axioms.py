@@ -70,6 +70,60 @@ def test_one_datum_generates_its_topology_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """How often FiniteFrame.from_sets and generate_topology run while the
+    test runs."""
+    counts = {"from_sets": 0, "generate_topology": 0}
+    from_sets, generate = FiniteFrame.from_sets.__func__, spectral.generate_topology
+
+    def counting_from_sets(cls, sets):
+        counts["from_sets"] += 1
+        return from_sets(cls, sets)
+
+    def counting_generate(*args):
+        counts["generate_topology"] += 1
+        return generate(*args)
+
+    monkeypatch.setattr(FiniteFrame, "from_sets", classmethod(counting_from_sets))
+    monkeypatch.setattr(spectral, "generate_topology", counting_generate)
+    return counts
+
+
+def test_sigma_and_one_datum_build_each_frame_of_the_space_once(builds):
+    space = _space(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    psi, _iso, _asm = sigma(space)
+    datum = canonical_datum(space)
+    result = construct_eta(datum)
+    assert eta_is_unique(datum, result)
+    # the opens, the Thomason sets and the localizing subsets, each once; the
+    # localizing frame is sigma's target, the Bousfield frame and eta's source
+    assert builds == {"from_sets": 3, "generate_topology": 1}
+    assert psi.target is datum.bousfield is result.frame is localizing_frame(space)[0]
+    assert datum.tframe is thomason_frame(space)[0]
+
+
+def test_the_battery_builds_each_frame_of_a_space_once(builds):
+    # criterion 10 reads its small spaces from the pool, whose frames sigma
+    # has built
+    battery.run_battery(seed=battery.DEFAULT_SEED, samples=1)
+    assert builds == {"from_sets": 70, "generate_topology": 31}
+
+
+def test_a_space_keeps_its_frames_and_hands_out_copies():
+    assert SpectralSpace.__slots__ == ("order", "_cache")
+    space = _space(["a", "b", "c"], [("a", "b")])
+    opens = space.skula_opens()
+    opens.append(frozenset({"junk"}))
+    assert space.skula_opens() == opens[:-1]
+    for build in (frame_of, thomason_frame, localizing_frame):
+        frame, labels = build(space)
+        kept = dict(labels)
+        labels.clear()
+        assert build(space) == (frame, kept)
+        assert build(space)[0] is frame
+
+
 def _powerset_frame(space):
     """The frame of all subsets of the points, built from the subsets."""
     subsets = [frozenset()]
@@ -205,6 +259,6 @@ def test_failing_eta_row_names_the_exception(monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(battery, "construct_eta", boom)
-    row = battery.criterion_eta_factorization()
+    row = battery.criterion_eta_factorization(spaces=battery._space_pool(3))
     assert not row["passed"]
     assert "RuntimeError: boom" in row["detail"]

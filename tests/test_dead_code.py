@@ -1,6 +1,7 @@
 """No unused imports, no unreferenced private functions or methods, no
-reads of another module's private names in the package, and no optional
-parameter that no call sets.
+reads of another module's private names in the package, no assignment to a
+private attribute that no class of the assigning module defines, and no
+optional parameter that no call sets.
 
 There is no linter in the toolchain, so this walks each module's syntax tree.
 """
@@ -112,6 +113,51 @@ def _private_reads_across_modules(trees):
                 and _is_private(sub.attr)
             ):
                 found.add((name, aliases[sub.value.id], sub.attr))
+    return found
+
+
+def _defined_attributes(tree):
+    """The attributes the module's classes define: their __slots__, the
+    names their bodies assign and the names their methods assign on self."""
+    out = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            else:
+                targets = [getattr(stmt, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    out.add(target.id)
+                    if target.id == "__slots__":
+                        out.update(ast.literal_eval(stmt.value))
+        for sub in ast.walk(cls):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            ):
+                out.add(sub.attr)
+    return out
+
+
+def _private_assignments_from_outside(trees):
+    """(module, name) for each private attribute a module assigns that no
+    class of that module defines: it writes another module's state."""
+    found = set()
+    for name, tree in trees.items():
+        defined = _defined_attributes(tree)
+        for sub in ast.walk(tree):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and _is_private(sub.attr)
+                and sub.attr not in defined
+            ):
+                found.add((name, sub.attr))
     return found
 
 
@@ -248,6 +294,30 @@ def test_a_private_read_across_modules_is_flagged():
         ("b", "a", "_imported"),
         ("b", "a", "_through_module"),
     }
+
+
+def test_no_module_assigns_a_private_attribute_it_does_not_define():
+    assert sorted(_private_assignments_from_outside(_trees())) == []
+
+
+def test_a_private_assignment_no_class_of_the_module_defines_is_flagged():
+    trees = {
+        "m": ast.parse(
+            "class A:\n"
+            "    __slots__ = ('_slot',)\n"
+            "    _class_level = 0\n"
+            "    _annotated: int = 0\n"
+            "    def __init__(self):\n"
+            "        self._own = 1\n"
+            "def f(a, b):\n"
+            "    a._slot = a._own = a._annotated = 2\n"
+            "    a._class_level += 1\n"
+            "    b._foreign = 3\n"
+            "    b._foreign_too, b.public = 4, 5\n"
+            "    b.__dunder__ = 6\n"
+        )
+    }
+    assert _private_assignments_from_outside(trees) == {("m", "_foreign"), ("m", "_foreign_too")}
 
 
 def test_every_optional_parameter_is_set_by_some_call():

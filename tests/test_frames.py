@@ -524,6 +524,51 @@ def test_frame_homs_must_preserve_every_meet_and_join():
             FrameHom(BOOL4, CHAIN3, mapping)
 
 
+TWO = FiniteFrame(FinitePoset.from_pairs(["0", "1"], [("0", "1")]))
+
+# One row per clause of FrameHom's certificate: the line that holds the
+# clause and what a copy without the clause has there, and the smallest map
+# BOOL4 -> TWO that the copy accepts and the certificate refuses, with the
+# refusal
+FRAME_HOM_CLAUSES = {
+    "bottom": (
+        'raise InputError("hom does not preserve bottom")',
+        "pass",
+        {"0": "1", "x": "1", "y": "1", "1": "1"},
+        "hom does not preserve bottom",
+    ),
+    "top": (
+        'raise InputError("hom does not preserve top")',
+        "pass",
+        {"0": "0", "x": "0", "y": "0", "1": "0"},
+        "hom does not preserve top",
+    ),
+    "meets with every prime": (
+        "if not _keeps_pairs(",
+        "if not _keeps_pairs(image, (), source._irreducible):",
+        {"0": "0", "x": "1", "y": "1", "1": "1"},
+        "hom does not preserve meets",
+    ),
+    "joins with every join-irreducible": (
+        "if not _keeps_pairs(",
+        "if not _keeps_pairs(image, source._prime_masks(), ()):",
+        {"0": "0", "x": "0", "y": "0", "1": "1"},
+        "hom does not preserve joins",
+    ),
+}
+
+
+@pytest.mark.parametrize("clause", list(FRAME_HOM_CLAUSES))
+def test_each_clause_of_the_frame_hom_certificate_refuses_what_the_copy_without_it_accepts(
+    clause, weakened, monkeypatch
+):
+    line, stand_in, mapping, refusal = FRAME_HOM_CLAUSES[clause]
+    with pytest.raises(InputError, match="^%s$" % refusal):
+        FrameHom(BOOL4, TWO, mapping)
+    monkeypatch.setattr(FrameHom, "__init__", weakened(FrameHom.__init__, line, stand_in))
+    assert FrameHom(BOOL4, TWO, mapping).mapping == mapping
+
+
 def test_essential_primes_examples():
     assert CHAIN3.min_primes("0") == ["0"]
     assert CHAIN3.essential_primes("0") == ["0"]

@@ -34,6 +34,7 @@ from ttsupport.homalg import (
 )
 from ttsupport.support import (
     candidate_primes,
+    foxby_support,
     localization_functor,
     localize_support_check,
     small_support,
@@ -457,19 +458,24 @@ def _assert_the_literal_validation_passes(complexes):
             assert [m.rel for m in mine.modules] == [m.rel for m in theirs.modules]
 
 
-@pytest.fixture
-def assembled(monkeypatch):
-    """Every complex assembled while the test runs: shifts, direct sums,
-    certified cones, localizations and ring changes."""
+def _recording_assembled(monkeypatch, cls):
+    """A list of every cls instance assembled while the test runs."""
     built = []
-    assemble = ChainComplex._assembled.__func__
+    assemble = cls._assembled.__func__
 
     def recording(cls, **fields):
         built.append(assemble(cls, **fields))
         return built[-1]
 
-    monkeypatch.setattr(ChainComplex, "_assembled", classmethod(recording))
+    monkeypatch.setattr(cls, "_assembled", classmethod(recording))
     return built
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """Every complex assembled while the test runs: shifts, direct sums,
+    certified cones, localizations and ring changes."""
+    return _recording_assembled(monkeypatch, ChainComplex)
 
 
 def test_every_cone_of_the_property_suite_passes_the_literal_validation(assembled):
@@ -647,6 +653,8 @@ def test_lna_cohomology_is_dimension_counting():
 # complexes: cohomology dimensions and the induced actions, which depend on
 # the choice and order of the coset representatives
 LNA_BATCH_SHA256 = "cab837ab540e8de2c1bd711efbd644682c52d8842cd303948f0f87dd8428c32a"
+# the LNA modules that batch assembles instead of validating
+LNA_BATCH_ASSEMBLED = 1213
 
 
 def test_lna_cohomology_of_the_battery_batch_is_pinned():
@@ -658,6 +666,21 @@ def test_lna_cohomology_of_the_battery_batch_is_pinned():
         rows.append(row)
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == LNA_BATCH_SHA256
+
+
+def test_every_assembled_lna_module_of_the_batch_passes_the_validating_constructor(monkeypatch):
+    # free modules, cohomology with its induced actions and direct sums are
+    # assembled on their proofs; the constructor checks nilpotency and
+    # commutation literally
+    built = _recording_assembled(monkeypatch, LnaModule)
+    for cx in battery.instances(LNA, 200, battery.DEFAULT_SEED):
+        cx.cohomology_all()
+        for x in LNA.koszul_elements("m"):
+            koszul_stable(x, cx).cohomology_all()
+    assert len(built) == LNA_BATCH_ASSEMBLED
+    for module in built:
+        again = LnaModule(module.ring, module.dim, dict(module.actions))
+        assert again.dim == module.dim and dict(again.actions) == dict(module.actions)
 
 
 # -- stable Koszul ------------------------------------------------------------
@@ -747,6 +770,10 @@ FORGEABLE_LIFTS = [
 ]
 
 
+# the complexes whose free model the seven seed-42 pools build
+POOL_FREE_MODELS = 1600
+
+
 def test_residue_refuses_a_forged_lift(monkeypatch):
     honest = PresentedModule._coordinates
 
@@ -760,6 +787,36 @@ def test_residue_refuses_a_forged_lift(monkeypatch):
             patch.setattr(PresentedModule, "_coordinates", forged)
             with pytest.raises(AssertionError, match="lift identity fails|δ\\^2 != 0"):
                 derived_tensor_residue(ChainComplex.from_json(cx.to_json()), 2)
+
+
+def test_every_free_model_of_the_pools_has_delta_squared_zero(monkeypatch):
+    # _free_model proves δ^2 = 0 from its two lift identities; the literal
+    # product, on every model that the pools' cohomology and Foxby supports
+    # build.  No pool complex has d^2 != 0 over Z, so the lifts h of d^2 are
+    # all zero there; the second forgeable-lift complex has d^2 = 4, a
+    # relation of its Z/4
+    modelled = {}
+    build = homalg._free_model
+
+    def recording(cx):
+        modelled[id(cx)] = cx
+        return build(cx)
+
+    monkeypatch.setattr(homalg, "_free_model", recording)
+    for ring in battery.ring_classes():
+        for cx in battery.instances(ring, battery.DEFAULT_SAMPLES, battery.DEFAULT_SEED):
+            cx.cohomology_all()
+            foxby_support(cx)
+    assert len(modelled) == POOL_FREE_MODELS
+    for modules, differentials in FORGEABLE_LIFTS:
+        derived_tensor_residue(
+            ChainComplex(Z, 0, [PresentedModule(Z, 1, rel) for rel in modules], differentials), 2
+        )
+    assert len(modelled) == POOL_FREE_MODELS + len(FORGEABLE_LIFTS)
+    for cx in modelled.values():
+        deltas = build(cx)[1]
+        for lower, upper in zip(deltas, deltas[1:]):
+            assert not any(map(any, smith.mat_mul(upper, lower)))
 
 
 def test_residue_at_the_generic_point_counts_free_ranks():

@@ -11,6 +11,7 @@ import pytest
 from ttsupport import smith
 from ttsupport.smith import (
     _det_unimodular,
+    _verify_fp_rank,
     _verify_snf,
     diagonal,
     fp_kernel,
@@ -410,6 +411,28 @@ def test_each_clause_of_the_smith_certificate_refuses_its_forgery(message):
 
 
 # -- linear algebra over F_p -----------------------------------------------------
+
+
+# one forged (a, p, rref, pivots, pivot_rows) per clause of the F_p rank
+# certificate: the real check refuses it with the clause's message, and a copy
+# without that clause accepts it
+FP_RANK_CLAUSE_FORGERIES = {
+    # rank 1 claimed for the zero matrix: no free column, so no kernel vector
+    "singular pivot minor mod p": ([[0]], 2, [[1]], [0], [0]),
+    # rank 0 claimed for [[1]]: the empty minor has determinant 1
+    "kernel vector not annihilated mod p": ([[1]], 2, [], [], []),
+}
+
+
+@pytest.mark.parametrize("message", list(FP_RANK_CLAUSE_FORGERIES))
+def test_each_clause_of_the_fp_rank_certificate_refuses_what_the_copy_without_it_accepts(
+    message, weakened
+):
+    forged = FP_RANK_CLAUSE_FORGERIES[message]
+    with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
+        _verify_fp_rank(*forged)
+    weakened(_verify_fp_rank, '"%s"' % message)(*forged)
+
 
 
 def test_rank_mod_p_counts_the_invariant_factors_prime_to_p():

@@ -164,6 +164,19 @@ def test_inverting_primes_cuts_the_support():
     assert after.contains(3)
 
 
+def test_inverting_primes_passes_on_every_pool_complex_and_still_cuts_torsion():
+    # a support with the generic point reads "(0) + all closed points" over
+    # Z[1/S] too, where an inverted prime is no point at all
+    pool = battery.instances(Z, battery.DEFAULT_SAMPLES, battery.DEFAULT_SEED)
+    for invert in ({2}, {2, 3}):
+        failing = [k for k, cx in enumerate(pool) if not localize_support_check(cx, invert)[0]]
+        assert failing == []
+    generic = [cx for cx in pool if small_support(cx).generic]
+    assert generic and all(localize_support_check(cx, {2})[2].cofinite for cx in generic)
+    ok, before, after = localize_support_check(_cyclic(Z, 12), {2, 3})
+    assert ok and before.closed_set() == {2, 3} and after.closed_set() == frozenset()
+
+
 def test_base_change_preserves_closed_supports():
     ok, upstairs, downstairs = base_change_check(_cyclic(Z6, 2), "Z")
     assert ok and upstairs == downstairs == {2}
