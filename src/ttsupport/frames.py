@@ -11,7 +11,7 @@ map is an order-isomorphism onto the down-sets of J, which decides both
 
 import weakref
 from functools import reduce
-from itertools import product
+from itertools import accumulate, product
 from operator import and_, or_
 
 from .errors import InputError, ResourceLimitError
@@ -76,22 +76,27 @@ class FiniteFrame:
         """Frame of a family of sets ordered by inclusion (the family must be
         closed under the induced meets/joins, which the validator enforces).
         Two different sets with one label are refused."""
-        labels = {}
-        for s in map(frozenset, sets):
-            if labels.setdefault(set_label(s), s) != s:
-                raise InputError("two sets share the label %s" % set_label(s))
+        sets = list(dict.fromkeys(map(frozenset, sets)))
+        bit = {p: 1 << i for i, p in enumerate(set().union(*sets))}
+        return cls._from_family([sum(bit[p] for p in s) for s in sets], sets)
+
+    @classmethod
+    def _from_family(cls, masks, sets):
+        """from_sets of distinct sets given with their point masks."""
+        labels, mask_of = {}, {}
+        for m, s in zip(masks, sets):
+            name = set_label(s)
+            if labels.setdefault(name, s) != s:
+                raise InputError("two sets share the label %s" % name)
+            mask_of[name] = m
         names = sorted(labels)
-        bit = {p: 1 << i for i, p in enumerate(set().union(*labels.values()))}
-        masks = [sum(bit[p] for p in labels[a]) for a in names]
+        masks = [mask_of[a] for a in names]
         # the sets containing a set are those containing each of its points
-        containing = [0] * max(masks, default=0).bit_length()
-        for j, m in enumerate(masks):
-            for i in bits_of(m):
-                containing[i] |= 1 << j
-        everything = (1 << len(names)) - 1
-        up = [reduce(and_, map(containing.__getitem__, bits_of(m)), everything) for m in masks]
-        frame = cls(FinitePoset.from_masks(names, up))
-        return frame, labels
+        up = [(1 << len(names)) - 1] * len(names)
+        for i in range(max(masks, default=0).bit_length()):
+            containing = sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
+            up = [u & containing if m >> i & 1 else u for u, m in zip(up, masks)]
+        return cls(FinitePoset.from_masks(names, up)), labels
 
     @property
     def elements(self):
@@ -171,14 +176,15 @@ class FiniteFrame:
 
     def essential_primes(self, x):
         """Primes in min_primes(x) whose removal changes the meet.  Empty
-        when x is not even the meet of its minimal primes."""
+        when x is not even the meet of its minimal primes.  The meet of all
+        but the k-th is the meet of the first k and of those after it."""
         m, top = self._mask[x], self._mask[self.top]
         mins = self._min_primes(m)
-        if reduce(and_, mins, top) != m:
+        before = list(accumulate(mins, and_, initial=top))
+        if before[-1] != m:
             return []
-        return sorted(
-            self._element[p] for p in mins if reduce(and_, [q for q in mins if q != p], top) != m
-        )
+        after = list(accumulate(reversed(mins), and_, initial=top))[::-1]
+        return sorted(self._element[p] for k, p in enumerate(mins) if before[k] & after[k + 1] != m)
 
     def is_isomorphic_to(self, other):
         """By Birkhoff, two finite distributive lattices are isomorphic
@@ -499,28 +505,31 @@ def nucleus_join(frame, nu, mu):
     return Nucleus(frame, table)
 
 
+def _kept_frame(space, key, family):
+    """The frame of the sets family() gives as (masks, sets), with labels:
+    built once per space and kept by it under key; the labels come as a copy."""
+    frame, labels = space._cached(key, lambda: FiniteFrame._from_family(*family()))
+    return frame, dict(labels)
+
+
 def frame_of(space):
     """Frame of opens (= down-sets) of a finite spectral space, with set
-    labels.  Each frame here is built once per space and kept by it; the
-    labels come as a copy."""
-    frame, labels = space._cached("opens", lambda: FiniteFrame.from_sets(space.opens()))
-    return frame, dict(labels)
+    labels, kept by the space."""
+    return _kept_frame(space, "opens", lambda: space.order._family(False))
 
 
 def thomason_frame(space):
     """Frame of Thomason (= up-) sets of a finite spectral space."""
-    frame, labels = space._cached("thomason", lambda: FiniteFrame.from_sets(space.thomason_sets()))
-    return frame, dict(labels)
+    return _kept_frame(space, "thomason", lambda: space.order._family(True))
 
 
 def localizing_frame(space):
     """Frame of the localizing subsets: the Skula opens of the Hochster dual,
     generated (and checked to be the full powerset elsewhere, not assumed).
-    The dual's opens and closeds are the space's closeds and opens, and
-    generate_topology neither depends on the order of its subbasis nor
-    leaves its output unsorted, so they are the Skula opens the space keeps."""
-    frame, labels = space._cached("localizing", lambda: FiniteFrame.from_sets(space.skula_opens()))
-    return frame, dict(labels)
+    The dual's opens and closeds are the space's closeds and opens, and the
+    topology generated does not depend on the order of its subbasis, so they
+    are the Skula opens the space keeps."""
+    return _kept_frame(space, "localizing", space._skula)
 
 
 def spc(frame):

@@ -182,8 +182,7 @@ class FinitePoset:
         """All up-sets (up true) or down-sets, built once and sorted by
         point set: (masks, frozensets)."""
         if up not in self._families:
-            pairs = union_family(self._up if up else self._down, self.elements)
-            self._families[up] = (tuple(m for m, _s in pairs), tuple(s for _m, s in pairs))
+            self._families[up] = union_family(self._up if up else self._down, self.elements)
         return self._families[up]
 
     def canonical_key(self):
@@ -257,16 +256,23 @@ def unions_of(masks, stop):
 
 
 def union_family(masks, labels):
-    """All unions of the masks, the empty union included, as (mask, set of
-    labels) pairs sorted by (size, sorted labels); bit i of a mask stands
-    for labels[i].  Each set is the union of a smaller one and a mask's."""
-    found = {0: frozenset()}
+    """All unions of the masks, the empty union included, as (masks, sets
+    of labels) sorted by (size, sorted labels); bit i of a mask stands for
+    labels[i].  Each set is the union of a smaller one and a mask's.
+    Its key has bit n - 1 - r for the r-th label in sorted order: of two
+    sets of one size, the one with the first label where they differ sorts
+    first and has the larger key."""
+    n = len(labels)
+    key_bit = {i: 1 << n - 1 - r for r, i in enumerate(sorted(range(n), key=labels.__getitem__))}
+    found = {0: (0, frozenset())}
     for m in masks:
-        piece = frozenset(labels[i] for i in bits_of(m))
-        for f, s in list(found.items()):
-            if f | m not in found:
-                found[f | m] = s | piece
-    return sorted(found.items(), key=lambda pair: (len(pair[1]), sorted(pair[1])))
+        bits = bits_of(m)
+        k, piece = sum(key_bit[i] for i in bits), frozenset(labels[i] for i in bits)
+        for fk, (f, s) in list(found.items()):
+            if fk | k not in found:
+                found[fk | k] = (f | m, s | piece)
+    ranked = sorted(found, key=lambda k: (k.bit_count() << n) - k)  # by size, then largest key
+    return tuple(zip(*map(found.get, ranked)))
 
 
 def _grouped_orders(groups):

@@ -1,12 +1,16 @@
 """Finite spectral spaces presented by their specialization order.
 
 Convention: p <= q means q lies in the closure of {p}.  Open sets are then
-exactly the down-sets of the order and closed sets the up-sets.  All
-topological notions below are computed literally from those set systems, not
-through order-theoretic shortcuts, so that the order-level facts can be
-cross-checked against them in tests.  Inside, point sets are the order's
-bitmasks (see poset.py); the API takes and returns frozensets of labels.
+exactly the down-sets of the order and closed sets the up-sets, so the
+smallest open containing p is down(p) and the smallest closed one up(p).
+The point-set predicates are read off those masks, each with its proof in
+its docstring; the tests keep the literal computations over every open and
+closed set as their reference.  Inside, point sets are the order's bitmasks
+(see poset.py); the API takes and returns frozensets of labels.
 """
+
+from functools import reduce
+from operator import and_, or_
 
 from .errors import InputError
 from .poset import FinitePoset, bits_of, union_family
@@ -43,10 +47,8 @@ class SpectralSpace:
         return self.order.up_sets()
 
     def closure(self, s):
-        out = 0
-        for i in bits_of(self.order.mask_of(s)):
-            out |= self.order._up[i]
-        return self.order.set_of(out)
+        up = self.order._up
+        return self.order.set_of(reduce(or_, [up[i] for i in bits_of(self.order.mask_of(s))], 0))
 
     def thomason_sets(self):
         """For a finite space: exactly the specialization-closed sets."""
@@ -68,14 +70,18 @@ class SpectralSpace:
     def skula_opens(self):
         """Topology generated by the opens together with the closeds.
 
-        Computed once per space by generate_topology, as the unions of the
-        smallest Skula open of each point: the intersection of the opens and
-        closeds containing it.  For a finite T0 space this is the discrete
-        topology; it is generated, not assumed, so the discreteness is a
-        checked fact.
+        Computed once per space by _topology on the order's masks, as the
+        unions of the smallest Skula open of each point: the intersection of
+        the opens and closeds containing it.  For a finite T0 space this is
+        the discrete topology; it is generated, not assumed, so the
+        discreteness is a checked fact.
         """
-        skula = self._cached("skula", lambda: generate_topology(self.opens() + self.closeds(), self.points))
-        return list(skula)
+        return list(self._skula()[1])
+
+    def _skula(self):
+        """The Skula opens as (masks, sets), in the order of skula_opens()."""
+        opens, closeds = self.order.down_set_masks(), self.order.up_set_masks()
+        return self._cached("skula", lambda: _topology(opens + closeds, self.points))
 
     def localising_basic_opens(self):
         """Triples (V, U, V minus U) over all Thomason pairs.  The sets
@@ -96,42 +102,36 @@ class SpectralSpace:
 
     def isolated_points(self, subset=None):
         """Isolated points of the subspace: p with {p} open in the subspace
-        topology.  Checked literally against every open of the ambient
-        space."""
+        topology, that is {p} = V ∩ S for an open V."""
         order = self.order
         mask = _full(order) if subset is None else order.mask_of(subset)
         return order.set_of(self._isolated(mask))
 
     def _isolated(self, subset):
-        # the subspace opens are the traces of the opens; the isolated
-        # points are the singletons among them
-        traces = {v & subset for v in self.order.down_set_masks()}
-        return sum(t for t in traces if t and not t & (t - 1))
+        """The minimal elements of the subset.  An open V containing p
+        contains down(p), so V ∩ S = {p} forces down(p) ∩ S = {p}: p is
+        minimal in S.  Conversely down(p) is open, and for p minimal in S,
+        down(p) ∩ S = {p}."""
+        return sum(1 << i for i, d in enumerate(self.order._down) if d & subset == 1 << i)
 
     def weakly_isolated_points(self, closed):
         """Points p of the closed set with an open V such that
-        V ∩ closed ⊆ closure{p} (with p inside)."""
+        V ∩ closed ⊆ closure{p} (with p inside).
+
+        These are the isolated points of the closed set C: such a V contains
+        down(p), so down(p) ∩ C ⊆ down(p) ∩ up(p) = {p}, and p is minimal
+        in C; for p minimal in C, V = down(p) meets C in {p} ⊆ up(p)."""
         closed = frozenset(closed)
         if not self.order.is_up_set(closed):
             raise InputError("weakly_isolated_points wants a closed (up-)set")
-        return self.order.set_of(self._weakly_isolated(self.order.mask_of(closed)))
-
-    def _weakly_isolated(self, closed):
-        opens = self.order.down_set_masks()
-        out = 0
-        for i in bits_of(closed):
-            bit, cl = 1 << i, self.order._up[i]
-            if any(v & bit and not v & closed & ~cl for v in opens):
-                out |= bit
-        return out
+        return self.order.set_of(self._isolated(self.order.mask_of(closed)))
 
     def cb_rank(self):
         """Iterated removal of isolated points of the leftover closed
         subspace; the rank is the number of rounds until nothing is left.
         Returns None when the process stalls (cannot happen on a finite T0
         space, but the stall case is detected, not assumed away)."""
-        remaining = _full(self.order)
-        rank = 0
+        remaining, rank = _full(self.order), 0
         while remaining:
             isolated = self._isolated(remaining)
             if not isolated:
@@ -141,18 +141,19 @@ class SpectralSpace:
         return rank
 
     def is_t_half(self):
-        """Every singleton is (open ∩ closed)."""
+        """Every singleton is (open ∩ closed).  An open V and a closed C
+        containing p contain down(p) and up(p), so {p} = V ∩ C for some such
+        pair exactly when down(p) ∩ up(p) = {p}."""
         order = self.order
-        pieces = {v & c for v in order.down_set_masks() for c in order.up_set_masks()}
-        return all(1 << i in pieces for i in range(len(self.points)))
+        return all(d & u == 1 << i for i, (d, u) in enumerate(zip(order._down, order._up)))
 
     def is_scattered(self):
         """Every nonempty closed subset has an isolated point."""
         return all(self._isolated(c) for c in self.order.up_set_masks() if c)
 
     def is_weakly_scattered(self):
-        """Every nonempty closed subset has a weakly isolated point."""
-        return all(self._weakly_isolated(c) for c in self.order.up_set_masks() if c)
+        """Every nonempty closed set has a weakly isolated (= isolated) point."""
+        return self.is_scattered()
 
     def is_hochster_weakly_scattered(self):
         return self.hochster_dual().is_weakly_scattered()
@@ -173,18 +174,23 @@ def _full(order):
 
 def generate_topology(subbasis, universe):
     """All unions of finite intersections of the subbasis sets (plus the
-    whole space as the empty intersection).  Sorted for determinism.
+    whole space as the empty intersection), sorted for determinism: the
+    label-to-mask front end of _topology.  Points outside the universe are
+    ignored."""
+    points = sorted(set(universe))
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    return list(_topology([sum(bit.get(p, 0) for p in set(s)) for s in subbasis], points)[1])
+
+
+def _topology(subbasis, labels):
+    """The topology generated by the subbasis masks (bit i stands for
+    labels[i]), as union_family gives it: (masks, sets).
 
     Every point p has a smallest open U_p: the intersection of the subbasis
     sets containing p (the whole space when none does).  On a finite set an
     open is a union of finite intersections, each of which contains U_p for
     each of its points p, so the opens are exactly the unions of the U_p.
     """
-    points = sorted(set(universe))
-    bit = {p: 1 << i for i, p in enumerate(points)}
-    smallest = [(1 << len(points)) - 1] * len(points)
-    for s in subbasis:
-        m = sum(bit.get(p, 0) for p in set(s))
-        for i in bits_of(m):
-            smallest[i] &= m
-    return [s for _m, s in union_family(smallest, points)]
+    n = len(labels)
+    smallest = [reduce(and_, [m for m in subbasis if m >> i & 1], (1 << n) - 1) for i in range(n)]
+    return union_family(smallest, labels)

@@ -60,9 +60,9 @@ def test_the_localizing_frame_is_the_frame_of_the_duals_skula_opens():
 
 def test_one_datum_generates_its_topology_once(monkeypatch):
     calls = []
-    generate = spectral.generate_topology
+    generate = spectral._topology
     monkeypatch.setattr(
-        spectral, "generate_topology", lambda *args: (calls.append(args), generate(*args))[1]
+        spectral, "_topology", lambda *args: (calls.append(args), generate(*args))[1]
     )
     space = _space(["a", "b", "c", "d"], [("a", "b"), ("a", "c")])
     datum = canonical_datum(space)
@@ -72,21 +72,23 @@ def test_one_datum_generates_its_topology_once(monkeypatch):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """How often FiniteFrame.from_sets and generate_topology run while the
-    test runs."""
-    counts = {"from_sets": 0, "generate_topology": 0}
-    from_sets, generate = FiniteFrame.from_sets.__func__, spectral.generate_topology
+    """How often a frame of sets is built and a topology generated while the
+    test runs: through the one constructor FiniteFrame._from_family, which
+    from_sets and the three frame builders call, and the one routine
+    spectral._topology, which skula_opens and generate_topology call."""
+    counts = {"frames": 0, "topologies": 0}
+    from_family, generate = FiniteFrame._from_family.__func__, spectral._topology
 
-    def counting_from_sets(cls, sets):
-        counts["from_sets"] += 1
-        return from_sets(cls, sets)
+    def counting_from_family(cls, masks, sets):
+        counts["frames"] += 1
+        return from_family(cls, masks, sets)
 
     def counting_generate(*args):
-        counts["generate_topology"] += 1
+        counts["topologies"] += 1
         return generate(*args)
 
-    monkeypatch.setattr(FiniteFrame, "from_sets", classmethod(counting_from_sets))
-    monkeypatch.setattr(spectral, "generate_topology", counting_generate)
+    monkeypatch.setattr(FiniteFrame, "_from_family", classmethod(counting_from_family))
+    monkeypatch.setattr(spectral, "_topology", counting_generate)
     return counts
 
 
@@ -98,7 +100,7 @@ def test_sigma_and_one_datum_build_each_frame_of_the_space_once(builds):
     assert eta_is_unique(datum, result)
     # the opens, the Thomason sets and the localizing subsets, each once; the
     # localizing frame is sigma's target, the Bousfield frame and eta's source
-    assert builds == {"from_sets": 3, "generate_topology": 1}
+    assert builds == {"frames": 3, "topologies": 1}
     assert psi.target is datum.bousfield is result.frame is localizing_frame(space)[0]
     assert datum.tframe is thomason_frame(space)[0]
 
@@ -107,7 +109,7 @@ def test_the_battery_builds_each_frame_of_a_space_once(builds):
     # criterion 10 reads its small spaces from the pool, whose frames sigma
     # has built
     battery.run_battery(seed=battery.DEFAULT_SEED, samples=1)
-    assert builds == {"from_sets": 70, "generate_topology": 31}
+    assert builds == {"frames": 70, "topologies": 31}
 
 
 def test_a_space_keeps_its_frames_and_hands_out_copies():

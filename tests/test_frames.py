@@ -2,7 +2,9 @@
 
 import gc
 import time
+from functools import reduce
 from itertools import combinations, product
+from operator import and_
 
 import pytest
 
@@ -17,10 +19,12 @@ from ttsupport.frames import (
     closed_nucleus,
     frame_homs,
     frame_of,
+    localizing_frame,
     nucleus_join,
     open_nucleus,
     sigma,
     spc,
+    thomason_frame,
     universal_factorization,
     validate_nucleus,
 )
@@ -569,12 +573,98 @@ def test_each_clause_of_the_frame_hom_certificate_refuses_what_the_copy_without_
     assert FrameHom(BOOL4, TWO, mapping).mapping == mapping
 
 
+# One row per clause of validate_nucleus's verdict: the line that holds the
+# clause and what a copy without the clause has there, and the smallest
+# table that the copy accepts and the real check refuses, with the real
+# report
+NUCLEUS_CLAUSES = {
+    "inflation": (
+        "settled = all(",
+        "settled = all(by_mask[tx] == tx for mx, tx in by_mask.items())",
+        TWO,
+        {"0": "0", "1": "0"},
+        ["not inflationary at '1'"],
+    ),
+    "idempotence": (
+        "settled = all(",
+        "settled = all(not mx & ~tx for mx, tx in by_mask.items())",
+        CHAIN3,
+        {"0": "a", "a": "1", "1": "1"},
+        ["not idempotent at '0'"],
+    ),
+    "meets with every prime": (
+        "if settled and _keeps_pairs(",
+        "if settled:",
+        CHAIN3,
+        {"0": "1", "a": "a", "1": "1"},
+        [
+            "not monotone on ('0', 'a')",
+            "does not preserve the meet of ('0', 'a')",
+            "does not preserve the meet of ('a', '0')",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("clause", list(NUCLEUS_CLAUSES))
+def test_each_clause_of_the_nucleus_verdict_refuses_what_the_copy_without_it_accepts(
+    clause, weakened
+):
+    line, stand_in, frame, table, report = NUCLEUS_CLAUSES[clause]
+    assert validate_nucleus(frame, table) == (False, report)
+    assert weakened(validate_nucleus, line, stand_in)(frame, table) == (True, [])
+
+
 def test_essential_primes_examples():
     assert CHAIN3.min_primes("0") == ["0"]
     assert CHAIN3.essential_primes("0") == ["0"]
     assert BOOL4.min_primes("0") == ["x", "y"]
     assert BOOL4.essential_primes("0") == ["x", "y"]
     assert CHAIN3.essential_primes("1") == []
+
+
+def _literal_essential_primes(frame, x):
+    """Reference for essential_primes: the minimal primes above x by
+    pairwise comparison, and one meet of all the others per prime."""
+    m, top = frame._mask[x], frame._mask[frame.top]
+    above = [p for p in frame._prime_masks() if not m & ~p]
+    mins = [p for p in above if not any(q != p and not q & ~p for q in above)]
+    if reduce(and_, mins, top) != m:
+        return []
+    return sorted(
+        frame._element[p] for p in mins if reduce(and_, [q for q in mins if q != p], top) != m
+    )
+
+
+def test_the_frames_of_a_space_are_the_frames_of_its_labelled_families():
+    # the three frames are built from the masks the space holds; the
+    # reference parses the labelled sets, as from_sets does for any family
+    spaces = 0
+    for space in _small_spaces(6):
+        families = (
+            (frame_of, space.opens()),
+            (thomason_frame, space.thomason_sets()),
+            (localizing_frame, space.skula_opens()),
+        )
+        for build, family in families:
+            frame, labels = build(space)
+            reference, reference_labels = FiniteFrame.from_sets(family)
+            assert frame.elements == reference.elements
+            assert frame.order._up == reference.order._up
+            assert labels == reference_labels
+            for x in frame.elements:
+                assert frame.essential_primes(x) == _literal_essential_primes(frame, x)
+        spaces += 1
+    assert spaces == 405
+
+
+def test_a_frame_of_sets_refuses_two_sets_with_one_label():
+    # every subset is open and closed, and the sets {"a,b"} and {"a", "b"}
+    # have one label
+    space = _space(["a,b", "a", "b"], [])
+    for build in (frame_of, thomason_frame, localizing_frame):
+        with pytest.raises(InputError, match="two sets share the label"):
+            build(space)
 
 
 def _small_spaces(max_points):
@@ -666,13 +756,13 @@ def test_sigma_reuses_the_frame_and_assembly_of_each_space(monkeypatch):
 
 def test_skula_opens_are_generated_once_per_space(monkeypatch):
     calls = []
-    original = spectral_module.generate_topology
+    original = spectral_module._topology
 
-    def counting(subbasis, universe):
-        calls.append(universe)
-        return original(subbasis, universe)
+    def counting(subbasis, labels):
+        calls.append(labels)
+        return original(subbasis, labels)
 
-    monkeypatch.setattr(spectral_module, "generate_topology", counting)
+    monkeypatch.setattr(spectral_module, "_topology", counting)
     spaces = list(_small_spaces(4))
     for space in spaces:
         skula = space.skula_opens()

@@ -1,6 +1,8 @@
 """Finite posets: construction, JSON, and isomorphism-class enumeration."""
 
 import hashlib
+import random
+from itertools import permutations
 
 import pytest
 
@@ -34,6 +36,30 @@ def test_down_and_up_sets():
     assert CHAIN2.down_set("c") == {"g", "c"}
     assert CHAIN2.up_set("g") == {"g", "c"}
     assert CHAIN2.is_down_set({"g"}) and not CHAIN2.is_down_set({"c"})
+
+
+def test_union_families_are_sorted_by_size_then_by_sorted_labels():
+    # labels in every order of up to 4 points, and a seeded relabelling of
+    # every poset up to 6 points: the sort key is built from the masks, the
+    # reference sorts the label sets
+    rng = random.Random(7)
+    cases = []
+    for n in range(5):
+        for labels in permutations("abcd"[:n]):
+            full = (1 << n) - 1
+            cases += [([1 << i for i in range(n)], labels), ([full ^ 1 << i for i in range(n)], labels)]
+    for n in range(1, 7):
+        for order in enumerate_posets(n):
+            labels = ["q%d" % i for i in range(n)]
+            rng.shuffle(labels)
+            cases += [(order._down, labels), (order._up, labels)]
+    for masks, labels in cases:
+        unions, sets = poset_module.union_family(masks, labels)
+        assert set(unions) == poset_module.unions_of(masks, 2 ** len(labels) + 1)
+        assert list(sets) == sorted(
+            [frozenset(labels[i] for i in poset_module.bits_of(m)) for m in unions],
+            key=lambda s: (len(s), sorted(s)),
+        )
 
 
 def test_opposite_is_involutive():

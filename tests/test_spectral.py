@@ -176,24 +176,31 @@ def _literal_cb_rank(space):
 
 
 def test_point_set_answers_agree_with_literal_set_computations():
-    for n in range(1, 6):
-        for order in enumerate_posets(n):
-            space = SpectralSpace(order)
-            points = frozenset(space.points)
-            closeds = [c for c in space.closeds() if c]
-            for c in closeds:
-                assert space.isolated_points(c) == _literal_isolated(space, c)
-                assert space.weakly_isolated_points(c) == _literal_weakly_isolated(space, c)
-            assert space.isolated_points() == _literal_isolated(space, points)
-            assert space.cb_rank() == _literal_cb_rank(space)
-            assert space.is_t_half() == all(
-                any(v & c == {p} for v in space.opens() for c in space.closeds())
-                for p in points
-            )
-            assert space.is_scattered() == all(_literal_isolated(space, c) for c in closeds)
-            assert space.is_weakly_scattered() == all(
-                _literal_weakly_isolated(space, c) for c in closeds
-            )
-            for p in points:
-                assert space.z_set(p) == {q for q in points if not order.leq(q, p)}
-                assert space.closure({p}) == order.up_set(p)
+    # the answers are read off the order's masks; the references intersect
+    # every open with every closed set, on every space up to 6 points and on
+    # its Hochster dual
+    checked = 0
+    for n in range(1, 7):
+        for base in enumerate_posets(n):
+            for order in (base, base.opposite()):
+                space = SpectralSpace(order)
+                points = frozenset(space.points)
+                closeds = [c for c in space.closeds() if c]
+                for c in closeds:
+                    assert space.isolated_points(c) == _literal_isolated(space, c)
+                    assert space.weakly_isolated_points(c) == _literal_weakly_isolated(space, c)
+                assert space.isolated_points() == _literal_isolated(space, points)
+                assert space.cb_rank() == _literal_cb_rank(space)
+                assert space.is_t_half() == all(
+                    any(v & c == {p} for v in space.opens() for c in space.closeds())
+                    for p in points
+                )
+                assert space.is_scattered() == all(_literal_isolated(space, c) for c in closeds)
+                assert space.is_weakly_scattered() == all(
+                    _literal_weakly_isolated(space, c) for c in closeds
+                )
+                for p in points:
+                    assert space.z_set(p) == {q for q in points if not order.leq(q, p)}
+                    assert space.closure({p}) == order.up_set(p)
+                checked += 1
+    assert checked == 2 * 405
