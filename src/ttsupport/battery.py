@@ -241,7 +241,9 @@ def _disagreements(spaces, conditions):
 
 def _weakly_scattered_conditions(space, is_iso, asm):
     """The five equivalent conditions: sigma being an isomorphism, from the
-    space pool, and four computed independently of it."""
+    space pool, and four computed independently of it.  They stay as the
+    paper's, though (d) and (e) hold on every finite frame by Birkhoff
+    (FiniteFrame.essential_primes), and (b) on every finite T0 space."""
     frame = asm.base
     cond_b = space.is_weakly_scattered()
     cond_c = all(

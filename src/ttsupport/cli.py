@@ -78,12 +78,8 @@ def _emit(obj, fmt):
     # generic TSV: one key per line, lists comma-joined, tables row-per-line
     if isinstance(obj, list):
         for row in obj:
-            if isinstance(row, dict):
-                sys.stdout.write(
-                    "\t".join(str(row[k]) for k in sorted(row)) + "\n"
-                )
-            else:
-                sys.stdout.write(_cell(row) + "\n")
+            cells = [row[k] for k in sorted(row)] if isinstance(row, dict) else [row]
+            sys.stdout.write("\t".join(map(_cell, cells)) + "\n")
         return
     for key in sorted(obj):
         sys.stdout.write("%s\t%s\n" % (key, _cell(obj[key])))

@@ -11,8 +11,8 @@ map is an order-isomorphism onto the down-sets of J, which decides both
 
 import weakref
 from functools import reduce
-from itertools import accumulate, product
-from operator import and_, or_
+from itertools import product
+from operator import or_
 
 from .errors import InputError, ResourceLimitError
 from .poset import FinitePoset, bits_of, unions_of
@@ -30,7 +30,7 @@ class FiniteFrame:
     # _mask: element -> mask over J; _masks: the masks in element order;
     # _element: mask -> element; _irreducible: the join-irreducibles' masks
     # in element order (bit t of a mask stands for the t-th); _primes: the
-    # primes' masks in label order; _implication: x -> y keyed by x minus y
+    # primes' masks indexed by t; _implication: x -> y keyed by x minus y
     __slots__ = (
         "order", "bottom", "top", "_mask", "_masks", "_element", "_irreducible", "_primes",
         "_assembly", "_implication",
@@ -151,18 +151,19 @@ class FiniteFrame:
         return [self._element[j] for j in self._irreducible]
 
     def primes(self):
-        """Prime elements p != top: x ∧ y <= p forces x <= p or y <= p.  In a
-        distributive lattice these are the meet-irreducibles, the elements
-        with exactly one upper cover."""
-        return [self._element[p] for p in self._prime_masks()]
+        """Prime elements p != top: x ∧ y <= p forces x <= p or y <= p."""
+        return sorted(self._element[p] for p in self._prime_masks())
 
     def _prime_masks(self):
+        """The primes by Birkhoff duality, indexed by t in J: p_t has mask J
+        minus ↑t, and x <= p_t iff t is not in D(x), so p_t is prime.  Each
+        prime p is one p_t: two minimal s, t outside D(p) would give D(p) ∪ ↓s
+        and D(p) ∪ ↓t, neither below p, meeting in D(p).  p_s <= p_t iff s <= t."""
         if self._primes is None:
-            up = self.order._up
-            principal = set(up)
+            irreducible = self._irreducible
             self._primes = tuple(
-                self._mask[x]
-                for x in sorted(x for i, x in enumerate(self.elements) if (up[i] ^ 1 << i) in principal)
+                sum(1 << s for s, j in enumerate(irreducible) if not j >> t & 1)
+                for t in range(len(irreducible))
             )
         return self._primes
 
@@ -171,20 +172,15 @@ class FiniteFrame:
         return sorted(self._element[p] for p in self._min_primes(self._mask[x]))
 
     def _min_primes(self, x):
-        above = [p for p in self._prime_masks() if not x & ~p]
-        return [p for p in above if not any(q != p and not q & ~p for q in above)]
+        """The p_t for the minimal t outside D(x), those with D(x) plus t a
+        down-set, as x <= p_t iff t is not in D(x) and p_s <= p_t iff s <= t."""
+        return [p for t, p in enumerate(self._prime_masks()) if not x >> t & 1 and x | 1 << t in self._element]
 
     def essential_primes(self, x):
-        """Primes in min_primes(x) whose removal changes the meet.  Empty
-        when x is not even the meet of its minimal primes.  The meet of all
-        but the k-th is the meet of the first k and of those after it."""
-        m, top = self._mask[x], self._mask[self.top]
-        mins = self._min_primes(m)
-        before = list(accumulate(mins, and_, initial=top))
-        if before[-1] != m:
-            return []
-        after = list(accumulate(reversed(mins), and_, initial=top))[::-1]
-        return sorted(self._element[p] for k, p in enumerate(mins) if before[k] & after[k + 1] != m)
+        """Primes in min_primes(x) whose removal changes the meet: all, as
+        with T the minimal t outside D(x) they meet to J minus ↑T = D(x), and
+        T is an antichain, so leaving out p_t puts t in the meet."""
+        return self.min_primes(x)
 
     def is_isomorphic_to(self, other):
         """By Birkhoff, two finite distributive lattices are isomorphic
@@ -233,7 +229,12 @@ class FrameHom:
     meet of primes, the top (the empty meet) is kept by the top check, and
     for y = y' ∧ m, f(x ∧ y) = f(x ∧ y') ∧ f(m) = f(x) ∧ f(y') ∧ f(m) =
     f(x) ∧ f(y) by induction on y'.  Dually for joins, against every
-    join-irreducible and the bottom.  Only a failure walks the pairs."""
+    join-irreducible and the bottom.  Only a failure walks the pairs.
+
+    One prime less would do (validate_nucleus, with f(top) = top), or one
+    join-irreducible t: y with t maximal in D(y) is t ∨ (y ∧ p_t), so f(y) >=
+    f(t).  Both stay, as the map comes from outside.  Two less would not: on
+    the four-element Boolean frame, send both atoms to top (or bottom)."""
 
     # _image: the target mask of each source element, in source element order
     __slots__ = ("source", "target", "mapping", "_image")
@@ -329,7 +330,12 @@ def validate_nucleus(frame, table):
     primes; the top (the empty meet) is kept as inflation makes ν(top) = top,
     and for y = y' ∧ m, ν(x ∧ y) = ν(x ∧ y') ∧ ν(m) = ν(x) ∧ ν(y') ∧ ν(m) =
     ν(x) ∧ ν(y) by induction on y'.  So x <= y gives ν(x) = ν(x) ∧ ν(y):
-    monotone.  Only a failure checks all four at every x and pair (x, y)."""
+    monotone.  Only a failure checks all four at every x and pair (x, y).
+
+    One prime m = p_t less would do, but the table comes from outside: y is
+    the meet of its minimal primes, so peeling gives ν(x ∧ y) = ν(x) ∧ ν(y)
+    unless m is one; then y = m ∧ (y ∨ t), m not one for y ∨ t: ν(y) <= ν(m).
+    Not two: on the 3-point discrete opens, {a} fixed, ∅ to {a}, rest to top."""
     if set(table) != set(frame.elements):
         return False, ["table must be defined on exactly the frame"]
     mask = frame._mask
@@ -536,14 +542,9 @@ def spc(frame):
     """Point space of a frame: primes under the restricted order, together
     with the comparison hom x |-> D(x) and its spatiality verdict."""
     primes = frame.primes()
-    order = frame.order.restrict(primes)
-    space = SpectralSpace(order)
-    opens_frame = frame_of(space)[0]
-    mapping = {
-        x: set_label(frozenset(p for p in primes if not frame.leq(x, p)))
-        for x in frame.elements
-    }
-    lam = FrameHom(frame, opens_frame, mapping)
+    space = SpectralSpace(frame.order.restrict(primes))
+    mapping = {x: set_label(p for p in primes if not frame.leq(x, p)) for x in frame.elements}
+    lam = FrameHom(frame, frame_of(space)[0], mapping)
     return space, lam, lam.is_isomorphism()
 
 

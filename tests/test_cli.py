@@ -177,6 +177,19 @@ def test_tsv_format_renders_key_value_lines():
     assert lines["primes"] == '"(2)","(3)"'
 
 
+def test_tsv_table_cells_are_rendered_like_every_other_cell():
+    # one row per element: element, essential primes, minimal primes
+    square = {"elements": ["0", "x", "y", "1"], "leq": [["0", "x"], ["0", "y"], ["x", "1"], ["y", "1"]]}
+    code, out = _run("--format", "tsv", "frames", "essential", json.dumps(square))
+    assert code == 0
+    assert out.splitlines() == [
+        '"0"\t"x","y"\t"x","y"',
+        '"1"\t\t',
+        '"x"\t"x"\t"x"',
+        '"y"\t"y"\t"y"',
+    ]
+
+
 def test_suite_with_a_fixed_seed_is_byte_identical():
     first = _run("--seed", "42", "--samples", "2", "suite")
     second = _run("--seed", "42", "--samples", "2", "suite")

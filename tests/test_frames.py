@@ -198,6 +198,23 @@ def test_a_bijection_onto_the_down_sets_of_j_must_also_reflect_the_order():
     assert str(exc.value) == _literal_refusal(order) == "not a lattice: meet/join fails on ('a', 'b')"
 
 
+def _literal_primes(order, meet):
+    """The elements p other than the top for which x ∧ y <= p forces
+    x <= p or y <= p, with meet the order's meet table."""
+    els = order.elements
+    return [
+        p
+        for p in els
+        if order.up_set(p) != {p}
+        and all(
+            order.leq(x, p) or order.leq(y, p)
+            for x in els
+            for y in els
+            if order.leq(meet[(x, y)], p)
+        )
+    ]
+
+
 def _check_against_literal_definitions(frame):
     order = frame.order
     els = frame.elements
@@ -216,18 +233,7 @@ def _check_against_literal_definitions(frame):
             assert frame.heyting(x, y) == greatest(
                 [z for z in els if order.leq(meet[(z, x)], y)]
             )
-    primes = [
-        p
-        for p in els
-        if p != frame.top
-        and all(
-            order.leq(x, p) or order.leq(y, p)
-            for x in els
-            for y in els
-            if order.leq(meet[(x, y)], p)
-        )
-    ]
-    assert frame.primes() == sorted(primes)
+    assert frame.primes() == sorted(_literal_primes(order, meet))
     irreducible = [
         x
         for x in els
@@ -269,25 +275,44 @@ def test_primes_are_the_meet_irreducibles():
     assert two.primes() == ["0"]
 
 
-def test_primes_of_open_set_frames_are_the_elements_with_one_upper_cover():
-    for space in _small_spaces(5):
-        frame, _ = frame_of(space)
-        covers = {
-            x: [
-                y
-                for y in frame.order.up_set(x)
-                if y != x
-                and not any(z not in (x, y) and frame.leq(z, y) for z in frame.order.up_set(x))
-            ]
-            for x in frame.elements
-        }
-        expected = sorted(x for x in frame.elements if x != frame.top and len(covers[x]) == 1)
-        first = frame.primes()
-        assert first == expected
-        assert len(first) == len(space.points)
-        first.append(frame.top)
-        first.reverse()
-        assert frame.primes() == expected
+def test_primes_and_minimal_primes_agree_with_the_literal_definitions():
+    # the three frames of every space up to 4 points and their assemblies;
+    # the minimal primes compare the literal primes pairwise
+    frames = 0
+    for space in _small_spaces(4):
+        built = [build(space)[0] for build in (frame_of, thomason_frame, localizing_frame)]
+        for frame in built + [assembly(f).frame for f in built]:
+            order = frame.order
+            primes = _literal_primes(order, _lattice_operations(order)[0])
+            assert frame.primes() == sorted(primes)
+            for x in frame.elements:
+                above = [p for p in primes if order.leq(x, p)]
+                assert frame.min_primes(x) == sorted(
+                    p for p in above if not any(q != p and order.leq(q, p) for q in above)
+                )
+            frames += 1
+    assert frames == 6 * 24
+
+
+def test_primes_of_the_frames_of_a_space_are_the_elements_with_one_upper_cover():
+    # an upper cover of x is a minimal element of the strict up-set of x
+    for space in _small_spaces(6):
+        for build in (frame_of, thomason_frame, localizing_frame):
+            frame, _ = build(space)
+            down, up = frame.order._down, frame.order._up
+            expected = []
+            for i, x in enumerate(frame.elements):
+                above = up[i] & ~(1 << i)
+                covers = [j for j in range(len(up)) if above >> j & 1 and down[j] & above == 1 << j]
+                if len(covers) == 1:
+                    expected.append(x)
+            expected.sort()
+            first = frame.primes()
+            assert first == expected
+            assert len(first) == len(space.points)
+            first.append(frame.top)
+            first.reverse()
+            assert frame.primes() == expected
 
 
 def test_heyting_implication_and_complements():
@@ -529,11 +554,14 @@ def test_frame_homs_must_preserve_every_meet_and_join():
 
 
 TWO = FiniteFrame(FinitePoset.from_pairs(["0", "1"], [("0", "1")]))
+DISCRETE3 = frame_of(_space(["a", "b", "c"], []))[0]
 
 # One row per clause of FrameHom's certificate: the line that holds the
 # clause and what a copy without the clause has there, and the smallest map
 # BOOL4 -> TWO that the copy accepts and the certificate refuses, with the
-# refusal
+# refusal.  BOOL4 has two primes and two join-irreducibles, so the prime
+# and join-irreducible rows drop two of each: any one could go (FrameHom's
+# docstring), two cannot
 FRAME_HOM_CLAUSES = {
     "bottom": (
         'raise InputError("hom does not preserve bottom")',
@@ -576,7 +604,9 @@ def test_each_clause_of_the_frame_hom_certificate_refuses_what_the_copy_without_
 # One row per clause of validate_nucleus's verdict: the line that holds the
 # clause and what a copy without the clause has there, and the smallest
 # table that the copy accepts and the real check refuses, with the real
-# report
+# report.  The meets with any one prime follow from the others'
+# (validate_nucleus's docstring); the last row drops two of the three
+# primes of the three-point discrete space's opens, keeping that of {a}
 NUCLEUS_CLAUSES = {
     "inflation": (
         "settled = all(",
@@ -601,6 +631,19 @@ NUCLEUS_CLAUSES = {
             "not monotone on ('0', 'a')",
             "does not preserve the meet of ('0', 'a')",
             "does not preserve the meet of ('a', '0')",
+        ],
+    ),
+    "meets with all primes but two": (
+        "if settled and _keeps_pairs(",
+        "if settled and _keeps_pairs(by_mask, frame._prime_masks()[:1]):",
+        DISCRETE3,
+        {x: "{a}" if x in ("{}", "{a}") else "{a,b,c}" for x in DISCRETE3.elements},
+        [
+            "does not preserve the meet of (%r, %r)" % pair
+            for pair in [
+                ("{a,b}", "{a,c}"), ("{a,b}", "{c}"), ("{a,c}", "{a,b}"), ("{a,c}", "{b}"),
+                ("{b}", "{a,c}"), ("{b}", "{c}"), ("{c}", "{a,b}"), ("{c}", "{b}"),
+            ]
         ],
     ),
 }
