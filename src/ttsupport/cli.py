@@ -76,7 +76,10 @@ def _emit(obj, fmt):
         sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
         return
     # generic TSV: one key per line, lists comma-joined, tables row-per-line
+    # under a header of their column names
     if isinstance(obj, list):
+        if obj and isinstance(obj[0], dict):
+            sys.stdout.write("\t".join(sorted(obj[0])) + "\n")
         for row in obj:
             cells = [row[k] for k in sorted(row)] if isinstance(row, dict) else [row]
             sys.stdout.write("\t".join(map(_cell, cells)) + "\n")

@@ -15,7 +15,7 @@ from itertools import product
 from operator import or_
 
 from .errors import InputError, ResourceLimitError
-from .poset import FinitePoset, bits_of, unions_of
+from .poset import FinitePoset, bits_of
 from .spectral import SpectralSpace
 
 ASSEMBLY_MAX = 16
@@ -43,14 +43,7 @@ class FiniteFrame:
         els = order.elements
         if not els:
             raise InputError("a frame is nonempty")
-        down, up = order._down, order._up
-        everything = (1 << len(els)) - 1
-        bottoms = [e for e, u in zip(els, up) if u == everything]
-        tops = [e for e, d in zip(els, down) if d == everything]
-        if len(bottoms) != 1 or len(tops) != 1:
-            raise InputError("lattice is not bounded")
-        self.bottom = bottoms[0]
-        self.top = tops[0]
+        down = order._down
         # x is join-irreducible iff it has exactly one lower cover, that is
         # iff the down-set of x without x is a principal down-set
         principal = set(down)
@@ -58,12 +51,14 @@ class FiniteFrame:
         masks = [sum(1 << t for t, j in enumerate(joinirr) if d >> j & 1) for d in down]
         element = dict(zip(masks, els))
         irreducible = tuple(masks[j] for j in joinirr)
+        # Birkhoff on two clauses; _reflects_covers's docstring has the proof
         if not (
             len(element) == len(els)
-            and len(unions_of(irreducible, len(els) + 1)) == len(els)
             and _reflects_covers(masks, irreducible, element, order)
         ):
             raise InputError(_refusal(order))
+        self.bottom = element[0]
+        self.top = element[(1 << len(irreducible)) - 1]
         self._mask = dict(zip(els, masks))
         self._masks = tuple(masks)
         self._element = element
@@ -197,7 +192,15 @@ class FiniteFrame:
 def _reflects_covers(masks, irreducible, element, order):
     """Whether masks[x] ⊆ masks[y] forces x <= y in the order.  Inclusion of
     down-sets of J is generated by the steps that add one join-irreducible
-    whose strict down-set is already in, so only those steps are checked."""
+    whose strict down-set is already in, so only those steps are checked.
+
+    With distinct masks that decides the order-isomorphism, bounds included.
+    A minimal element has no join-irreducible below it, so mask 0: it is the
+    one minimal element, the bottom.  Each down-set of J is reached from 0
+    by such steps, each landing above the last, so it is a mask, and mask J
+    lies above all: the top.  Masks are down-sets of J, so they biject onto
+    them.  Conversely this walk and a count of the down-sets force distinct
+    masks, so no count is made."""
     up, pos = order._up, order._pos
     for i, m in enumerate(masks):
         for t, j in enumerate(irreducible):
@@ -210,9 +213,12 @@ def _reflects_covers(masks, irreducible, element, order):
 
 
 def _refusal(order):
-    """Why an order is not a distributive lattice: the first pair without a
-    meet or a join, else non-distributivity."""
+    """Why an order is not a distributive lattice: no bottom or no top, else
+    the first pair without a meet or a join, else non-distributivity."""
     down, up = order._down, order._up
+    everything = (1 << len(order.elements)) - 1
+    if everything not in up or everything not in down:
+        return "lattice is not bounded"
     downs, ups = set(down), set(up)
     for i, x in enumerate(order.elements):
         for j, y in enumerate(order.elements):

@@ -243,18 +243,6 @@ def bits_of(mask):
     return out
 
 
-def unions_of(masks, stop):
-    """The set of all unions of the masks, the empty union 0 included, or
-    enough of them: enumeration ends once at least stop are found; the
-    family only grows, so a count below stop is exact."""
-    found = {0}
-    for m in masks:
-        found |= {f | m for f in found}
-        if len(found) >= stop:
-            break
-    return found
-
-
 def union_family(masks, labels):
     """All unions of the masks, the empty union included, as (masks, sets
     of labels) sorted by (size, sorted labels); bit i of a mask stands for

@@ -122,10 +122,6 @@ class SupportDescriptor:
         return ("(0) + " if self.generic else "") + body
 
 
-def descriptor_from_set(primes):
-    return SupportDescriptor(explicit=frozenset(primes))
-
-
 # ---------------------------------------------------------------------------
 # candidate primes
 

@@ -12,6 +12,8 @@ import time
 
 import pytest
 
+from ttsupport.homalg import LnaModule, ring_from_json
+
 CHAIN2 = json.dumps({"elements": ["g", "c"], "leq": [["g", "c"]]})
 Z6_COMPLEX = json.dumps(
     {
@@ -178,11 +180,13 @@ def test_tsv_format_renders_key_value_lines():
 
 
 def test_tsv_table_cells_are_rendered_like_every_other_cell():
-    # one row per element: element, essential primes, minimal primes
+    # a header, then one row per element: element, essential primes,
+    # minimal primes
     square = {"elements": ["0", "x", "y", "1"], "leq": [["0", "x"], ["0", "y"], ["x", "1"], ["y", "1"]]}
     code, out = _run("--format", "tsv", "frames", "essential", json.dumps(square))
     assert code == 0
     assert out.splitlines() == [
+        "element\tessential\tmin_primes",
         '"0"\t"x","y"\t"x","y"',
         '"1"\t\t',
         '"x"\t"x"\t"x"',
@@ -559,6 +563,59 @@ def test_a_local_nilpotent_ring_without_generators_exits_one(op, module):
     code, report, _elapsed = _timed_main(["support", op, json.dumps(doc)])
     assert code == 1
     assert report == {"error": "a local nilpotent ring needs at least one generator"}
+
+
+F2XY = {"type": "local_nilpotent", "p": 2, "generators": [["x", 2], ["y", 3]]}
+# over F_2[x,y]/(x^2,y^3): k, R itself, and multiplication by y on R
+F2XY_K = {"dim": 1, "actions": {"x": [[0]], "y": [[0]]}}
+F2XY_R = LnaModule.free(ring_from_json(F2XY), 1).to_json()
+F2XY_Y = F2XY_R["actions"]["y"]
+
+
+def _complex_doc(ring, modules, differentials=(), degrees=None):
+    return {
+        "ring": ring,
+        "degrees": [0, len(modules) - 1] if degrees is None else degrees,
+        "modules": modules,
+        "differentials": list(differentials),
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        # k -> R sending 1 to the unit: x acts as 0 on k, not on 1
+        (_complex_doc(F2XY, [F2XY_K, F2XY_R], [[[1]] + [[0]] * 5]), "differential is not module-linear at slot 0"),
+        (_complex_doc(F2XY, [F2XY_R] * 3, [F2XY_Y] * 2), "d^2 != 0 between slots 0 and 2"),
+        (
+            _complex_doc(F2XY, [{"dim": 2, "actions": {"x": [[0, 1], [0, 0]], "y": [[0, 0], [1, 0]]}}]),
+            "generator actions do not commute",
+        ),
+        (_complex_doc(F2XY, [{"dim": 1, "actions": {"x": [[0, 0]], "y": [[0]]}}]), "action matrix shape mismatch"),
+        (_complex_doc(F2XY, [{"dim": 1, "actions": {"x": [[0]]}}]), "need one action per algebra generator"),
+        (
+            _complex_doc(dict(F2XY, generators=[["x", 1]]), [{"dim": 0, "actions": {}}]),
+            "nilpotency exponents must be >= 2",
+        ),
+        (
+            _complex_doc(dict(F2XY, generators=[["x", 2], ["x", 2]]), [{"dim": 0, "actions": {}}]),
+            "duplicate generator names",
+        ),
+        (_complex_doc({"type": "Q"}, [[[]]]), "unknown ring type 'Q'"),
+        (_complex_doc({"type": "Z", "at_prime": 4}, [[[]]]), "at_prime must be prime"),
+        (_complex_doc({"type": "Z"}, [[[1, 2], [3]]]), "ragged presentation"),
+        (_complex_doc({"type": "Z/n", "n": 6}, [[[]]], [[[1]]]), "need exactly len(modules) - 1 differentials"),
+        (_complex_doc({"type": "Z"}, [[[]]], degrees=[0]), "complex key 'degrees' must be [lowest, highest]"),
+    ],
+    ids=[
+        "not-module-linear", "d-squared", "actions-commute", "action-shape", "one-action-per-generator",
+        "exponent-below-two", "duplicate-generators", "unknown-ring", "at-prime-not-prime", "ragged",
+        "differential-count", "degrees-pair",
+    ],
+)
+def test_each_complex_refusal_exits_one_with_its_message(doc, error):
+    code, report, _elapsed = _timed_main(["support", "small", json.dumps(doc)])
+    assert code == 1 and report == {"error": error}
 
 
 def _z6_over(ring):

@@ -1,7 +1,8 @@
 """No unused imports, no unreferenced private functions or methods, no
-reads of another module's private names in the package, no assignment to a
-private attribute that no class of the assigning module defines, and no
-optional parameter that no call sets.
+public function or class that is neither exported nor read, no reads of
+another module's private names in the package, no assignment to a private
+attribute that no class of the assigning module defines, and no optional
+parameter that no call sets.
 
 There is no linter in the toolchain, so this walks each module's syntax tree.
 """
@@ -13,15 +14,16 @@ import ttsupport
 
 SRC = Path(ttsupport.__file__).parent
 # the code that calls the package: its tests and its benchmark
-CALLERS = (Path(__file__).parent, Path(__file__).parent.parent / "bench")
+BENCH = Path(__file__).parent.parent / "bench"
+CALLERS = (Path(__file__).parent, BENCH)
 
 
 def _trees():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _caller_trees():
-    return [ast.parse(path.read_text()) for d in CALLERS for path in sorted(d.glob("*.py"))]
+def _caller_trees(dirs=CALLERS):
+    return [ast.parse(path.read_text()) for d in dirs for path in sorted(d.glob("*.py"))]
 
 
 def _reads(node):
@@ -88,6 +90,26 @@ def _dead(trees):
             found.update(_unused_imports(name, tree))
             found.update(_unreferenced_private_functions(name, tree, reads))
             found.update(_unreferenced_private_methods(name, tree, reads))
+    return found
+
+
+def _unread_public_definitions(trees, exported, callers):
+    """(module, name) for each public top-level function or class of a
+    package module that is not exported and that no other top-level
+    statement of the package and no caller reads."""
+    reads = [(top, _reads(top)) for tree in trees.values() for top in tree.body]
+    read_by_callers = set().union(*map(_reads, callers))
+    found = set()
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_")
+                and stmt.name not in exported
+                and stmt.name not in read_by_callers
+                and not any(stmt.name in read for top, read in reads if top is not stmt)
+            ):
+                found.add((name, stmt.name))
     return found
 
 
@@ -274,6 +296,38 @@ def test_an_unreferenced_private_method_is_flagged():
         "    return a._used()\n"
     )
     assert _dead({"m": tree}) == {("m", "A._recursive")}
+
+
+def test_every_public_definition_is_exported_or_read_by_the_package_or_its_benchmark():
+    found = _unread_public_definitions(_trees(), set(ttsupport.__all__), _caller_trees([BENCH]))
+    assert sorted(found) == []
+
+
+def test_an_unread_public_definition_outside_the_exports_is_flagged():
+    trees = {
+        "a": ast.parse(
+            "def exported():\n"
+            "    return read_inside()\n"
+            "def read_inside():\n"
+            "    pass\n"
+            "def read_across():\n"
+            "    pass\n"
+            "def read_by_a_caller():\n"
+            "    pass\n"
+            "def recursive():\n"
+            "    return recursive()\n"
+            "class Unread:\n"
+            "    pass\n"
+            "def _private():\n"
+            "    pass\n"
+        ),
+        "b": ast.parse("from . import a\nTABLE = {'f': a.read_across}\n"),
+    }
+    callers = [ast.parse("run(module.read_by_a_caller)\n")]
+    assert _unread_public_definitions(trees, {"exported"}, callers) == {
+        ("a", "recursive"),
+        ("a", "Unread"),
+    }
 
 
 def test_no_module_reads_another_modules_private_names():

@@ -183,19 +183,48 @@ def test_refused_orders_get_the_literal_refusal_text():
     assert refused == 2 * (405 - 13)
 
 
-def test_a_bijection_onto_the_down_sets_of_j_must_also_reflect_the_order():
+# One row per clause of FiniteFrame's acceptance: the line that holds the
+# clause and what a copy without the clause has there, and an order that the
+# copy accepts and the constructor refuses with the literal refusal.  The
+# bounds and the count of the down-sets of J follow from the two
+# (_reflects_covers's docstring)
+FRAME_CLAUSES = {
+    # J = {a, b}, and c, d and 1 all have mask {a, b}; every cover step
+    # from a mask lands on 1, above all
+    "distinct masks": (
+        "len(element) == len(els)",
+        "True",
+        FinitePoset.from_pairs(
+            ["0", "a", "b", "c", "d", "1"],
+            [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("a", "d"), ("b", "d"),
+             ("c", "1"), ("d", "1")],
+        ),
+    ),
     # J = {a, b, c, d} with b < c < d; x and y both sit on {a, b}, and y
     # also on c: x -> {a, b} and y -> {a, b, c} are down-sets of J and the
-    # eight elements biject onto all eight of them, but x is not below y,
-    # so a and b have no least upper bound
-    order = FinitePoset.from_pairs(
-        ["0", "a", "b", "c", "x", "y", "d", "1"],
-        [("0", "a"), ("0", "b"), ("b", "c"), ("a", "x"), ("b", "x"), ("a", "y"),
-         ("c", "y"), ("c", "d"), ("x", "1"), ("y", "1"), ("d", "1")],
-    )
+    # eight elements biject onto all eight of them, but x is not below y
+    "the cover walk": (
+        "and _reflects_covers(",
+        "and True",
+        FinitePoset.from_pairs(
+            ["0", "a", "b", "c", "x", "y", "d", "1"],
+            [("0", "a"), ("0", "b"), ("b", "c"), ("a", "x"), ("b", "x"), ("a", "y"),
+             ("c", "y"), ("c", "d"), ("x", "1"), ("y", "1"), ("d", "1")],
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("clause", list(FRAME_CLAUSES))
+def test_each_clause_of_frame_acceptance_refuses_what_the_copy_without_it_accepts(
+    clause, weakened, monkeypatch
+):
+    line, stand_in, order = FRAME_CLAUSES[clause]
     with pytest.raises(InputError) as exc:
         FiniteFrame(order)
     assert str(exc.value) == _literal_refusal(order) == "not a lattice: meet/join fails on ('a', 'b')"
+    monkeypatch.setattr(FiniteFrame, "__init__", weakened(FiniteFrame.__init__, line, stand_in))
+    assert FiniteFrame(order).elements == order.elements
 
 
 def _literal_primes(order, meet):

@@ -142,6 +142,49 @@ def test_lna_modules_validate_commuting_nilpotent_actions():
         LnaModule(LNA, LNA.dim, {"x": bad, "y": free.actions["y"]})
 
 
+def test_lna_elements_are_a_constant_a_generator_name_or_a_vector_over_the_monomials():
+    # the monomial basis is lexicographic, so the constant term comes first
+    assert LNA.element_is_unit([1, 0, 0, 0, 0, 0]) and LNA.element_is_unit([3, 1, 0, 1, 0, 1])
+    assert not LNA.element_is_unit([0, 1, 1, 1, 1, 1]) and not LNA.element_is_unit([2, 0, 0, 0, 0, 0])
+    with pytest.raises(InputError, match="^unknown generator 'z'$"):
+        LNA.element_is_unit("z")
+    with pytest.raises(InputError, match="^element vector has the wrong length$"):
+        LNA.element_is_unit([1, 0])
+
+
+# One row per clause of _validate, on complexes over F_2[x,y]/(x^2,y^3): the
+# line that holds the clause, and a complex that a copy without it accepts
+# and the real check refuses, with the refusal.  k -> R sends 1 to the unit,
+# which x kills in k but not in R; R --y--> R --y--> R has d^2 = y^2
+LNA_K = LnaModule(LNA, 1, {"x": [[0]], "y": [[0]]})
+LNA_R = LnaModule.free(LNA, 1)
+VALIDATE_CLAUSES = {
+    "well defined": (
+        "raise InputError(tgt._MAP_ERROR % k)",
+        [LNA_K, LNA_R],
+        [[[1]] + [[0]] * 5],
+        "differential is not module-linear at slot 0",
+    ),
+    "d^2 = 0": (
+        'raise InputError("d^2 != 0',
+        [LNA_R] * 3,
+        [LNA.multiplication_matrix("y")] * 2,
+        "d^2 != 0 between slots 0 and 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("clause", list(VALIDATE_CLAUSES))
+def test_each_clause_of_complex_validation_refuses_what_the_copy_without_it_accepts(
+    clause, weakened, monkeypatch
+):
+    line, modules, differentials, refusal = VALIDATE_CLAUSES[clause]
+    with pytest.raises(InputError, match="^%s$" % re.escape(refusal)):
+        ChainComplex(LNA, 0, modules, differentials)
+    monkeypatch.setattr(homalg, "_validate", weakened(homalg._validate, line))
+    assert ChainComplex(LNA, 0, modules, differentials).modules == tuple(modules)
+
+
 def _shift(dim):
     """The nilpotent Jordan block of size dim: its dim-th power is the first
     that vanishes."""

@@ -5,11 +5,14 @@ import json
 import random
 import re
 import time
+from itertools import combinations, permutations, product
+from math import prod
 
 import pytest
 
 from ttsupport import smith
 from ttsupport.smith import (
+    _det_mod_p,
     _det_unimodular,
     _verify_fp_rank,
     _verify_snf,
@@ -433,6 +436,25 @@ def test_each_clause_of_the_fp_rank_certificate_refuses_what_the_copy_without_it
         _verify_fp_rank(*forged)
     weakened(_verify_fp_rank, '"%s"' % message)(*forged)
 
+
+
+def _leibniz_det(a):
+    """The determinant as the signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(a))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(a)), 2))
+        total += (-1) ** inversions * prod(a[i][perm[i]] for i in range(len(a)))
+    return total
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_determinant_mod_p_agrees_with_leibniz_on_every_small_matrix(n, p):
+    # every matrix with a zero pivot and a nonzero entry below it takes the
+    # row swap, which the rank certificate's pivot minor rests on
+    for entries in product(range(p), repeat=n * n):
+        a = [list(entries[r * n : (r + 1) * n]) for r in range(n)]
+        assert _det_mod_p(a, p) == _leibniz_det(a) % p
 
 
 def test_rank_mod_p_counts_the_invariant_factors_prime_to_p():

@@ -23,7 +23,6 @@ from ttsupport.support import (
     big_support,
     candidate_primes,
     crt_element,
-    descriptor_from_set,
     detect_vanishing,
     foxby_support,
     localize_support_check,
@@ -208,8 +207,8 @@ def test_property_suite_rejects_integer_complexes():
         main1_property_suite(_cyclic(Z, 2), {2})
 
 
-def test_descriptor_from_set_round_trip():
-    d = descriptor_from_set({2, 7})
+def test_an_explicit_descriptor_round_trips_its_closed_set():
+    d = SupportDescriptor(explicit=frozenset({2, 7}))
     assert d.closed_set() == {2, 7} and not d.generic
 
 
