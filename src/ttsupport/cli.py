@@ -67,10 +67,6 @@ def _space(obj, bound):
     return SpectralSpace.from_json(obj)
 
 
-def _sorted_sets(sets):
-    return [sorted(s) for s in sorted(sets, key=lambda s: (len(s), sorted(s)))]
-
-
 def _emit(obj, fmt):
     if fmt == "json":
         sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -104,11 +100,11 @@ def _cmd_spectral(args):
     space = _space(_load(args.input), args.max_poset)
     op = args.op
     if op == "thomason":
-        return _sorted_sets(space.thomason_sets())
+        return [sorted(s) for s in space.thomason_sets()]
     if op == "dual":
         return space.hochster_dual().order.to_json()
     if op == "skula":
-        return _sorted_sets(space.skula_opens())
+        return [sorted(s) for s in space.skula_opens()]
     if op == "zset":
         return {p: sorted(space.z_set(p)) for p in space.points}
     if op == "cbrank":

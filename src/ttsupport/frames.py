@@ -17,6 +17,7 @@ from operator import or_
 from .errors import InputError, ResourceLimitError
 from .poset import FinitePoset, bits_of
 from .spectral import SpectralSpace
+from .values import Immutable
 
 ASSEMBLY_MAX = 16
 HOM_SEARCH_MAX = 200000
@@ -26,20 +27,19 @@ def set_label(s):
     return "{%s}" % ",".join(sorted(s))
 
 
-class FiniteFrame:
+class FiniteFrame(Immutable):
     # _mask: element -> mask over J; _masks: the masks in element order;
     # _element: mask -> element; _irreducible: the join-irreducibles' masks
-    # in element order (bit t of a mask stands for the t-th); _primes: the
-    # primes' masks indexed by t; _implication: x -> y keyed by x minus y
+    # in element order (bit t of a mask stands for the t-th); _implication:
+    # x -> y keyed by x minus y, a memo filled as arguments arrive.  _cache
+    # keeps the primes' masks and a weak reference to the assembly
     __slots__ = (
-        "order", "bottom", "top", "_mask", "_masks", "_element", "_irreducible", "_primes",
-        "_assembly", "_implication",
+        "order", "bottom", "top", "_mask", "_masks", "_element", "_irreducible", "_implication",
     )
 
     def __init__(self, order):
         if not isinstance(order, FinitePoset):
             raise InputError("FiniteFrame wants a FinitePoset")
-        self.order = order
         els = order.elements
         if not els:
             raise InputError("a frame is nonempty")
@@ -57,14 +57,16 @@ class FiniteFrame:
             and _reflects_covers(masks, irreducible, element, order)
         ):
             raise InputError(_refusal(order))
-        self.bottom = element[0]
-        self.top = element[(1 << len(irreducible)) - 1]
-        self._mask = dict(zip(els, masks))
-        self._masks = tuple(masks)
-        self._element = element
-        self._irreducible = irreducible
-        self._primes = self._assembly = None
-        self._implication = {}
+        self._freeze(
+            order=order,
+            bottom=element[0],
+            top=element[(1 << len(irreducible)) - 1],
+            _mask=dict(zip(els, masks)),
+            _masks=tuple(masks),
+            _element=element,
+            _irreducible=irreducible,
+            _implication={},
+        )
 
     @classmethod
     def from_sets(cls, sets):
@@ -154,13 +156,14 @@ class FiniteFrame:
         minus ↑t, and x <= p_t iff t is not in D(x), so p_t is prime.  Each
         prime p is one p_t: two minimal s, t outside D(p) would give D(p) ∪ ↓s
         and D(p) ∪ ↓t, neither below p, meeting in D(p).  p_s <= p_t iff s <= t."""
-        if self._primes is None:
-            irreducible = self._irreducible
-            self._primes = tuple(
+        irreducible = self._irreducible
+        return self._cached(
+            "primes",
+            lambda: tuple(
                 sum(1 << s for s, j in enumerate(irreducible) if not j >> t & 1)
                 for t in range(len(irreducible))
-            )
-        return self._primes
+            ),
+        )
 
     def min_primes(self, x):
         """Minimal primes above x."""
@@ -442,8 +445,8 @@ def assembly(frame, max_size=ASSEMBLY_MAX):
     Every nucleus is the closure x |-> meet{s in S : x <= s} onto its
     fixed-point set S, and the fixed-point sets are exactly the sublocales.
     The bound is checked on every call.  The assembly is built once per
-    frame and kept while anything holds it: the frame holds it only weakly,
-    as it points back to the frame, and sigma has the space keep it.
+    frame and kept while anything holds it: the frame's cache holds it only
+    weakly, as it points back to the frame, and sigma has the space keep it.
     """
     if len(frame) > max_size:
         raise ResourceLimitError(
@@ -451,10 +454,11 @@ def assembly(frame, max_size=ASSEMBLY_MAX):
             bound_name="max-frame",
             bound_value=max_size,
         )
-    asm = None if frame._assembly is None else frame._assembly()
+    kept = frame._cache.get("assembly")
+    asm = kept and kept()
     if asm is None:
         asm = _build_assembly(frame)
-        frame._assembly = weakref.ref(asm)
+        frame._cache["assembly"] = weakref.ref(asm)
     return asm
 
 

@@ -80,6 +80,7 @@ from .smith import (
     transpose,
     zeros,
 )
+from .values import Immutable
 
 HOM_GENS_MAX = 800
 
@@ -514,57 +515,10 @@ def _crt_canonical(ring, parts):
 
 
 # ---------------------------------------------------------------------------
-# immutable objects
-
-
-class _Immutable:
-    """Modules and complexes take their fields once, in the constructor, and
-    refuse reassignment afterwards.  Matrices they hold are tuples of row
-    tuples, so nothing handed out can be edited either, and each answer
-    derived from the fields is computed once and kept in _cache.
-
-    The constructor parses and validates outside input, then hands the
-    frozen fields to ``_freeze``.  Sums, shifts, certified cones,
-    localizations and ring changes of valid objects are valid by
-    construction, so ``_assembled`` and ``_with`` skip the constructor."""
-
-    __slots__ = ("_cache",)
-
-    @classmethod
-    def _assembled(cls, **fields):
-        """An instance holding the given frozen, already proved fields."""
-        obj = cls.__new__(cls)
-        obj._freeze(**fields)
-        return obj
-
-    def _with(self, **fields):
-        """self assembled again with the given fields replaced."""
-        return self._assembled(**{f: getattr(self, f) for f in self.__slots__} | fields)
-
-    def _freeze(self, **fields):
-        object.__setattr__(self, "_cache", {})
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def __delattr__(self, name):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def _cached(self, key, compute):
-        """compute(), computed on the first call with this key only."""
-        cache = self._cache
-        if key not in cache:
-            cache[key] = compute()
-        return cache[key]
-
-
-# ---------------------------------------------------------------------------
 # presented modules (integer flavours)
 
 
-class PresentedModule(_Immutable):
+class PresentedModule(Immutable):
     """coker of an integer matrix (rows = generators, columns = relations),
     over an integer-flavoured base ring."""
 
@@ -637,17 +591,9 @@ class PresentedModule(_Immutable):
         return self._cached(("localized", p), lambda: self._with(ring=self.ring.localized_at(p)))
 
     def canonical(self):
-        def compute():
-            primes = self.ring.crt_primes
-            if primes:
-                return _crt_canonical(self.ring, [self.localized(p).canonical() for p in primes])
-            p = self.ring.field_prime
-            if p:
-                return canonical_module(self.ring, (p,) * (self.ngens - self._fp_rank()), 0)
-            diag = self._form()[0]
-            return canonical_module(self.ring, diag, self.ngens - len(diag))
-
-        return self._cached("canonical", compute)
+        """H^0 of the module placed in degree 0: the complex owns the ring
+        dispatch (CRT split, ranks over F_p, Smith diagonals)."""
+        return self._cached("canonical", lambda: module_complex(self).cohomology(0))
 
     @property
     def is_zero(self):
@@ -721,7 +667,7 @@ class PresentedModule(_Immutable):
 # modules over a local nilpotent algebra
 
 
-class LnaModule(_Immutable):
+class LnaModule(Immutable):
     """Finite dimensional F_p vector space with commuting nilpotent actions
     of the algebra generators."""
 
@@ -853,7 +799,7 @@ class LnaModule(_Immutable):
 # cochain complexes
 
 
-class ChainComplex(_Immutable):
+class ChainComplex(Immutable):
     """Bounded cochain complex.  modules[k] sits in degree min_deg + k and
     differentials[k] maps it to modules[k+1] (matrix rows = target
     generators).  Cohomology, localizations and supports are computed once

@@ -11,6 +11,7 @@ generating relation and closes it up first.
 from itertools import permutations
 
 from .errors import InputError
+from .values import Immutable
 
 ENUMERATION_MAX = 6
 
@@ -18,8 +19,8 @@ ENUMERATION_MAX = 6
 _POSET_COUNTS = (1, 2, 5, 16, 63, 318)
 
 
-class FinitePoset:
-    __slots__ = ("elements", "_pos", "_down", "_up", "_relation", "_families")
+class FinitePoset(Immutable):
+    __slots__ = ("elements", "_pos", "_down", "_up")
 
     def __init__(self, elements, relation):
         elements = tuple(elements)
@@ -65,12 +66,7 @@ class FinitePoset:
                 raise InputError(
                     "transitivity fails on %r <= %r <= %r" % (elements[a], elements[b], elements[c])
                 )
-        self.elements = elements
-        self._pos = pos
-        self._up = tuple(up)
-        self._down = tuple(down)
-        self._relation = None
-        self._families = {}
+        self._freeze(elements=elements, _pos=pos, _up=tuple(up), _down=tuple(down))
 
     @classmethod
     def from_pairs(cls, elements, pairs):
@@ -111,12 +107,11 @@ class FinitePoset:
     @property
     def relation(self):
         """The order as a frozenset of (a, b) pairs meaning a <= b."""
-        if self._relation is None:
-            els = self.elements
-            self._relation = frozenset(
-                (els[i], els[j]) for i, u in enumerate(self._up) for j in bits_of(u)
-            )
-        return self._relation
+        els = self.elements
+        return self._cached(
+            "relation",
+            lambda: frozenset((els[i], els[j]) for i, u in enumerate(self._up) for j in bits_of(u)),
+        )
 
     def leq(self, a, b):
         pos = self._pos
@@ -181,9 +176,9 @@ class FinitePoset:
     def _family(self, up):
         """All up-sets (up true) or down-sets, built once and sorted by
         point set: (masks, frozensets)."""
-        if up not in self._families:
-            self._families[up] = union_family(self._up if up else self._down, self.elements)
-        return self._families[up]
+        return self._cached(
+            ("family", up), lambda: union_family(self._up if up else self._down, self.elements)
+        )
 
     def canonical_key(self):
         """Isomorphism invariant: lexicographically smallest relation matrix

@@ -14,23 +14,17 @@ from operator import and_, or_
 
 from .errors import InputError
 from .poset import FinitePoset, bits_of, union_family
+from .values import Immutable
 
 
-class SpectralSpace:
+class SpectralSpace(Immutable):
     # _cache: the Skula opens, the frames of frames.py and sigma's assembly
-    __slots__ = ("order", "_cache")
+    __slots__ = ("order",)
 
     def __init__(self, order):
         if not isinstance(order, FinitePoset):
             raise InputError("SpectralSpace wants a FinitePoset")
-        self.order = order
-        self._cache = {}
-
-    def _cached(self, key, compute):
-        """compute(), computed on the first call with this key only."""
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
+        self._freeze(order=order)
 
     @classmethod
     def from_json(cls, obj):
@@ -51,7 +45,8 @@ class SpectralSpace:
         return self.order.set_of(reduce(or_, [up[i] for i in bits_of(self.order.mask_of(s))], 0))
 
     def thomason_sets(self):
-        """For a finite space: exactly the specialization-closed sets."""
+        """For a finite space: exactly the specialization-closed sets, by
+        size, then by sorted labels."""
         return self.order.up_sets()
 
     def is_thomason(self, s):
@@ -74,7 +69,8 @@ class SpectralSpace:
         unions of the smallest Skula open of each point: the intersection of
         the opens and closeds containing it.  For a finite T0 space this is
         the discrete topology; it is generated, not assumed, so the
-        discreteness is a checked fact.
+        discreteness is a checked fact.  Sorted by size, then by sorted
+        labels, as union_family sorts.
         """
         return list(self._skula()[1])
 

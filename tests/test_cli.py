@@ -13,6 +13,7 @@ import time
 import pytest
 
 from ttsupport.homalg import LnaModule, ring_from_json
+from ttsupport.poset import enumerate_posets
 
 CHAIN2 = json.dumps({"elements": ["g", "c"], "leq": [["g", "c"]]})
 Z6_COMPLEX = json.dumps(
@@ -47,6 +48,24 @@ def test_thomason_sets_are_sorted_lists():
     code, out = _run("spectral", "thomason", CHAIN2)
     assert code == 0
     assert json.loads(out) == [[], ["c"], ["c", "g"]]
+
+
+def test_thomason_and_skula_sets_come_sorted_by_size_then_by_sorted_labels():
+    # the space hands them out in union_family's order; the CLI sorts only
+    # inside each set.  Seeded labellings of every poset up to 4 points and
+    # of its Hochster dual, with labels that sort apart from their sets
+    rng = random.Random(7)
+    names = ["a,b", "{x}", "é", "b", "A", "p10"]
+    for n in range(1, 5):
+        for order in enumerate_posets(n):
+            for flip in (False, True):
+                labels = dict(zip(order.elements, rng.sample(names, n)))
+                leq = [[labels[a], labels[b]][:: -1 if flip else 1] for a, b in order.to_json()["leq"]]
+                doc = json.dumps({"elements": list(labels.values()), "leq": leq})
+                for op in ("thomason", "skula"):
+                    code, sets, _elapsed = _timed_main(["spectral", op, doc])
+                    assert code == 0
+                    assert sets == sorted(sets, key=lambda s: (len(s), s))
 
 
 def test_small_support_of_the_ring_itself():

@@ -1,8 +1,9 @@
 """No unused imports, no unreferenced private functions or methods, no
 public function or class that is neither exported nor read, no reads of
 another module's private names in the package, no assignment to a private
-attribute that no class of the assigning module defines, and no optional
-parameter that no call sets.
+attribute that no class of the assigning module defines, no optional
+parameter that no call sets, and no class but values.Immutable with a
+``_cached`` of its own.
 
 There is no linter in the toolchain, so this walks each module's syntax tree.
 """
@@ -181,6 +182,20 @@ def _private_assignments_from_outside(trees):
             ):
                 found.add((name, sub.attr))
     return found
+
+
+def _second_cache_rules(trees):
+    """(module, class) for each class of the package other than
+    values.Immutable that defines _cached: a second way to keep a derived
+    fact beside the one rule that the immutable values share."""
+    return {
+        (name, cls.name)
+        for name, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and (name, cls.name) != ("values", "Immutable")
+        and any(isinstance(stmt, ast.FunctionDef) and stmt.name == "_cached" for stmt in cls.body)
+    }
 
 
 def _functions(trees):
@@ -372,6 +387,32 @@ def test_a_private_assignment_no_class_of_the_module_defines_is_flagged():
         )
     }
     assert _private_assignments_from_outside(trees) == {("m", "_foreign"), ("m", "_foreign_too")}
+
+
+def test_no_class_but_values_immutable_defines_cached():
+    assert sorted(_second_cache_rules(_trees())) == []
+
+
+def test_a_second_cache_rule_is_flagged():
+    trees = {
+        "values": ast.parse("class Immutable:\n    def _cached(self, key, compute):\n        pass\n"),
+        "m": ast.parse(
+            "class Own:\n"
+            "    def _cached(self, key, compute):\n"
+            "        pass\n"
+            "class Derived(Immutable):\n"
+            "    def read(self):\n"
+            "        return self._cached('key', list)\n"
+            "def _cached(obj):\n"
+            "    pass\n"
+            "def f():\n"
+            "    class Nested:\n"
+            "        def _cached(self):\n"
+            "            pass\n"
+        ),
+        "n": ast.parse("class Immutable:\n    def _cached(self, key, compute):\n        pass\n"),
+    }
+    assert _second_cache_rules(trees) == {("m", "Own"), ("m", "Nested"), ("n", "Immutable")}
 
 
 def test_every_optional_parameter_is_set_by_some_call():

@@ -30,6 +30,7 @@ from ttsupport.frames import (
 )
 from ttsupport.poset import FinitePoset, enumerate_posets
 from ttsupport.spectral import SpectralSpace
+from ttsupport.values import Immutable
 
 
 def _space(elements, pairs):
@@ -888,6 +889,28 @@ def test_sigma_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert verdicts == [True] * 16
+
+
+def test_posets_spaces_and_frames_refuse_reassignment_and_deletion():
+    order = FinitePoset.from_pairs(["g", "m1", "m2"], [("g", "m1"), ("g", "m2")])
+    space = SpectralSpace(order)
+    for obj in (order, space, frame_of(space)[0]):
+        assert isinstance(obj, Immutable)
+        for field in type(obj).__slots__ + ("_cache",):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(obj, field, getattr(obj, field))
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(obj, field)
+
+
+def test_a_space_cannot_swap_its_order_under_its_kept_frames():
+    space = _space(["a", "b"], [("a", "b")])
+    frame, labels = frame_of(space)
+    with pytest.raises(AttributeError, match="immutable"):
+        space.order = FinitePoset.from_pairs(["u", "v", "w"], [])
+    assert space.points == ("a", "b")
+    assert frame_of(space) == (frame, labels)
+    assert sorted(labels) == ["{a,b}", "{a}", "{}"]
 
 
 def test_returned_families_and_labels_are_fresh_copies():

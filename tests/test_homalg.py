@@ -40,6 +40,7 @@ from ttsupport.support import (
     small_support,
     torsion_functor,
 )
+from ttsupport.values import Immutable
 
 Z = IntegersLocalized()
 Z4 = ModularIntegers(4)
@@ -294,6 +295,7 @@ def test_validation_takes_one_relation_form_per_target_module(smith_forms, monke
     ids=["rel", "ngens", "actions", "differentials", "min_deg"],
 )
 def test_modules_and_complexes_refuse_reassignment(obj, field):
+    assert isinstance(obj, Immutable)
     with pytest.raises(AttributeError, match="immutable"):
         setattr(obj, field, getattr(obj, field))
     with pytest.raises(AttributeError, match="immutable"):
@@ -761,6 +763,35 @@ def test_stable_koszul_on_nilpotents_keeps_everything():
         assert k.cohomology(3).canonical() == cx.cohomology(3).canonical()
 
 
+def _cohomology_around(cx, degrees):
+    return [cx.cohomology(i) for i in range(min(degrees) - 1, max(degrees) + 2)]
+
+
+def test_stable_koszul_at_zero_or_a_unit_keeps_or_kills_everything():
+    # R[1/0] = 0 keeps the complex, R[1/x] = R for a unit x kills it, as the
+    # Z/n route does for a nilpotent or a unit x
+    z_half = IntegersLocalized(inverted={2})
+    cases = [
+        (Z, battery.instances(Z, 10, battery.DEFAULT_SEED), [0], [1, -1], []),
+        (z_half, [module_complex(PresentedModule.free(z_half, 1), 0)], [0], [2, 4], [3]),
+        (Z4, battery.instances(Z4, 10, battery.DEFAULT_SEED), [0, 2], [1, 3], []),
+        (Z12, battery.instances(Z12, 10, battery.DEFAULT_SEED), [0, 6], [5, -1], []),
+    ]
+    for ring, pool, keep, kill, live in cases:
+        pool = [cx for cx in pool if not cx.is_acyclic()]
+        assert pool, "no complex with cohomology over %s" % ring.label()
+        for cx in pool:
+            degrees = list(cx.degrees())
+            for x in keep:
+                assert _cohomology_around(koszul_stable(x, cx), degrees) == _cohomology_around(
+                    cx, degrees
+                )
+            for x in kill:
+                assert koszul_stable(x, cx).is_acyclic()
+            for x in live:
+                assert not koszul_stable(x, cx).is_acyclic()
+
+
 def test_the_koszul_step_at_a_nilpotent_returns_a_complex_over_two_degrees_itself():
     # C[1/x] = 0 for nilpotent x, and the cone of C -> 0 is C
     local = localize(_free_complex(Z12, [[[2], [6]]]), 2)
@@ -830,6 +861,25 @@ def test_residue_refuses_a_forged_lift(monkeypatch):
             patch.setattr(PresentedModule, "_coordinates", forged)
             with pytest.raises(AssertionError, match="lift identity fails|δ\\^2 != 0"):
                 derived_tensor_residue(ChainComplex.from_json(cx.to_json()), 2)
+
+
+def test_the_free_model_without_its_lift_identity_accepts_a_forged_lift(monkeypatch, weakened):
+    honest = PresentedModule._coordinates
+
+    def forged(module, vecs):
+        return [[x + 1 for x in y] for y in honest(module, vecs)]
+
+    monkeypatch.setattr(homalg, "_free_model", weakened(homalg._free_model, 'assert exact, "lift'))
+    monkeypatch.setattr(PresentedModule, "_coordinates", forged)
+    for modules, differentials in FORGEABLE_LIFTS:
+        cx = ChainComplex(Z, 0, [PresentedModule(Z, 1, rel) for rel in modules], differentials)
+        wrong = derived_tensor_residue(cx, 2).dims
+        with monkeypatch.context() as patch:
+            patch.setattr(PresentedModule, "_coordinates", honest)
+            right = derived_tensor_residue(ChainComplex.from_json(cx.to_json()), 2).dims
+        deltas = homalg._free_model(cx)[1]
+        assert wrong != right
+        assert any(any(map(any, smith.mat_mul(b, a))) for a, b in zip(deltas, deltas[1:]))
 
 
 def test_every_free_model_of_the_pools_has_delta_squared_zero(monkeypatch):
@@ -959,6 +1009,56 @@ def test_each_localization_reads_its_parents_smith_forms_and_agrees_with_the_lat
         cx.cohomology_all()
         for q in candidate_primes(cx):
             _assert_the_lattice_cohomology(localize(cx, q))
+
+
+def _d_squared_modulo_relations(ring, rng):
+    """Z^a --d0--> Z^b/R1 --d1--> Z^c/R2 over ring, d1·d0 != 0 over Z.  R1
+    is random (it holds d0·R0, as Z^a has no relations but the modulus) and
+    R2 holds d1·d0 and d1·R1 beside one random column, so d1 is well
+    defined and d^2 vanishes only modulo R2: the free model's h_0 solves
+    d1·d0 = R2·h_0 and is nonzero."""
+
+    def entries(rows, cols):
+        return [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+
+    while True:
+        a, b, c = (rng.randint(1, 3) for _ in range(3))
+        d0, d1 = entries(b, a), entries(c, b)
+        square = smith.mat_mul(d1, d0)
+        if any(map(any, square)):
+            break
+    r1 = entries(rng.randint(0, 2), b)  # columns
+    r2 = smith.transpose(square) + [smith.mat_vec(d1, v) for v in r1] + entries(1, c)
+    modules = [
+        PresentedModule.free(ring, a),
+        PresentedModule(ring, b, smith.transpose(r1)),
+        PresentedModule(ring, c, smith.transpose(r2)),
+    ]
+    return ChainComplex(ring, 0, modules, [d0, d1])
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [Z, IntegersLocalized(at_prime=3), Z4, ModularIntegers(9)],
+    ids=lambda r: r.label(),
+)
+def test_complexes_whose_d_squared_vanishes_only_modulo_the_relations(ring, weakened):
+    # the battery's pieces all have d^2 = 0 over Z, so their lifts h are zero;
+    # here every h_0 is nonzero, and the copy of the free model without the
+    # h block leaves d1·d0 in the corner of δ_1·δ_0
+    rng = random.Random(battery.DEFAULT_SEED)
+    family = [_d_squared_modulo_relations(ring, rng) for _ in range(30)]
+    without_h = weakened(
+        homalg._free_model,
+        "blocks += [(0, 0, cx.differentials[k]), (g[k + 1], 0, minus_h.get(k, []))]",
+        "blocks += [(0, 0, cx.differentials[k])]",
+    )
+    for cx in family:
+        _assert_the_lattice_cohomology(cx)
+        deltas = homalg._free_model(cx)[1]
+        assert all(not any(map(any, smith.mat_mul(b, a))) for a, b in zip(deltas, deltas[1:]))
+        cut = without_h(ChainComplex.from_json(cx.to_json()))[1]
+        assert any(map(any, smith.mat_mul(cut[2], cut[1])))
 
 
 def _with_a_module_that_kills_d_squared(cx, rng):

@@ -65,6 +65,20 @@ def test_union_families_are_sorted_by_size_then_by_sorted_labels():
         )
 
 
+def test_the_enumeration_cannot_be_relabelled_through_a_poset_it_hands_out():
+    chain = enumerate_posets(2)[1]
+    assert chain.leq("p1", "p0")
+    with pytest.raises(AttributeError, match="immutable"):
+        chain.elements = ("x", "y")
+    with pytest.raises(AttributeError, match="immutable"):
+        del chain._up
+    assert enumerate_posets(2)[1].leq("p1", "p0")
+    assert enumerate_posets(2) == [
+        FinitePoset(["p0", "p1"], {("p0", "p0"), ("p1", "p1")}),
+        FinitePoset(["p0", "p1"], {("p0", "p0"), ("p1", "p1"), ("p1", "p0")}),
+    ]
+
+
 def test_opposite_is_involutive():
     v = FinitePoset.from_pairs(["g", "m1", "m2"], [("g", "m1"), ("g", "m2")])
     assert v.opposite().opposite() == v
