@@ -12,18 +12,20 @@ the chosen presentation with randomized covers.
 import random
 from functools import reduce
 from operator import or_
+from types import MappingProxyType
 
 from .errors import InputError
 from .frames import FiniteFrame, FrameHom, frame_homs, localizing_frame, set_label, thomason_frame
 from .poset import FinitePoset, bits_of
 from .spectral import SpectralSpace
+from .values import Immutable
 
 
 def _strings(raw):
     return isinstance(raw, list) and all(isinstance(x, str) for x in raw)
 
 
-class SupportDatum:
+class SupportDatum(Immutable):
     """(space, bousfield frame, gamma, recorded complements).
 
     gamma must be a frame map out of the Thomason frame; the recorded
@@ -37,15 +39,14 @@ class SupportDatum:
             raise InputError("datum needs a SpectralSpace")
         if not isinstance(bousfield, FiniteFrame):
             raise InputError("datum needs a FiniteFrame target")
-        self.space = space
-        self.bousfield = bousfield
-        self.tframe, self.tlabels = thomason_frame(space)
-        self.gamma = FrameHom(self.tframe, bousfield, dict(gamma))
+        tframe, tlabels = thomason_frame(space)
+        gamma = FrameHom(tframe, bousfield, dict(gamma))
         if complements is None:
-            complements = {}
-            for v in self.tframe.elements:
-                complements[v] = bousfield.complement(self.gamma(v))
-        self.complements = dict(complements)
+            complements = {v: bousfield.complement(gamma(v)) for v in tframe.elements}
+        self._freeze(
+            space=space, bousfield=bousfield, gamma=gamma, tframe=tframe,
+            complements=MappingProxyType(dict(complements)), tlabels=MappingProxyType(tlabels),
+        )
 
     @classmethod
     def from_json(cls, obj):
@@ -116,14 +117,8 @@ def check_complements(datum):
     return not bad, bad
 
 
-class EtaResult:
+class EtaResult(Immutable):
     __slots__ = ("hom", "frame", "labels", "cover_checks")
-
-    def __init__(self, hom, frame, labels, cover_checks):
-        self.hom = hom
-        self.frame = frame
-        self.labels = labels
-        self.cover_checks = cover_checks
 
 
 def construct_eta(datum, samples=50, seed=0):
@@ -195,7 +190,8 @@ def construct_eta(datum, samples=50, seed=0):
                     "eta value depends on the chosen cover at %s" % label
                 )
         cover_checks += found
-    return EtaResult(eta, lframe, llabels, cover_checks)
+    labels = MappingProxyType(llabels)
+    return EtaResult._assembled(hom=eta, frame=lframe, labels=labels, cover_checks=cover_checks)
 
 
 def eta_is_unique(datum, eta_result):

@@ -13,6 +13,7 @@ import weakref
 from functools import reduce
 from itertools import product
 from operator import or_
+from types import MappingProxyType
 
 from .errors import InputError, ResourceLimitError
 from .poset import FinitePoset, bits_of
@@ -230,7 +231,7 @@ def _refusal(order):
     return "lattice is not distributive"
 
 
-class FrameHom:
+class FrameHom(Immutable):
     """A map of frames preserving bottom, top, binary meets and binary joins
     (for finite frames this is full frame-hom strength).
 
@@ -269,10 +270,8 @@ class FrameHom:
                         raise InputError("hom does not preserve meets")
                     if image[a | b] != fa | fb:
                         raise InputError("hom does not preserve joins")
-        self.source = source
-        self.target = target
-        self.mapping = dict(mapping)
-        self._image = tuple(image.values())
+        mapping = MappingProxyType(dict(mapping))
+        self._freeze(source=source, target=target, mapping=mapping, _image=tuple(image.values()))
 
     def __call__(self, x):
         return self.mapping[x]
@@ -302,7 +301,7 @@ def _keeps_pairs(image, meets, joins=()):
     return True
 
 
-class Nucleus:
+class Nucleus(Immutable):
     """An inflationary, monotone, idempotent, meet-preserving self-map."""
 
     __slots__ = ("frame", "table", "label")
@@ -311,9 +310,9 @@ class Nucleus:
         ok, report = validate_nucleus(frame, table)
         if not ok:
             raise InputError("not a nucleus: " + "; ".join(report))
-        self.frame = frame
-        self.table = dict(table)
-        self.label = "nu(%s)" % "|".join(sorted(self.fixed_points()))
+        table = MappingProxyType(dict(table))
+        fixed = sorted(x for x in frame.elements if table[x] == x)
+        self._freeze(frame=frame, table=table, label="nu(%s)" % "|".join(fixed))
 
     def __call__(self, x):
         return self.table[x]
@@ -428,15 +427,9 @@ def _sublocales(frame):
     return found
 
 
-class AssemblyResult:
+class AssemblyResult(Immutable):
+    # nuclei: label -> nucleus; alpha: base -> frame; alpha_complement: base -> label
     __slots__ = ("base", "frame", "nuclei", "alpha", "alpha_complement", "__weakref__")
-
-    def __init__(self, base, frame, nuclei, alpha, alpha_complement):
-        self.base = base
-        self.frame = frame
-        self.nuclei = nuclei  # label -> Nucleus
-        self.alpha = alpha  # FrameHom base -> frame
-        self.alpha_complement = alpha_complement  # base element -> label
 
 
 def assembly(frame, max_size=ASSEMBLY_MAX):
@@ -498,12 +491,15 @@ def _build_assembly(frame):
         return by_values[values]
 
     alpha = FrameHom(frame, nframe, {x: label_of("join", or_, x) for x in els})
-    alpha_complement = {x: label_of("heyting", frame._implies, x) for x in els}
+    alpha_complement = MappingProxyType({x: label_of("heyting", frame._implies, x) for x in els})
     for x in frame.elements:
         assert nframe.complement(alpha(x)) == alpha_complement[x], (
             "open nucleus is not the complement of the closed one"
         )
-    return AssemblyResult(frame, nframe, by_label, alpha, alpha_complement)
+    nuclei = MappingProxyType(by_label)
+    return AssemblyResult._assembled(
+        base=frame, frame=nframe, nuclei=nuclei, alpha=alpha, alpha_complement=alpha_complement
+    )
 
 
 def nucleus_join(frame, nu, mu):

@@ -1126,7 +1126,7 @@ def restrict_modulus(cx, n):
 # stable Koszul complexes
 
 
-class SymbolicComplex:
+class SymbolicComplex(Immutable):
     """Cohomology-level stand-in for complexes whose terms live over ever
     larger localizations of the integers.  Stores one CanonicalModule per
     degree (with divisible parts); supports further koszul_stable rounds."""
@@ -1134,8 +1134,7 @@ class SymbolicComplex:
     __slots__ = ("ring", "h")
 
     def __init__(self, ring, h):
-        self.ring = ring
-        self.h = dict(h)
+        self._freeze(ring=ring, h=MappingProxyType(dict(h)))
 
     def degrees(self):
         return sorted(self.h)
@@ -1150,7 +1149,7 @@ class SymbolicComplex:
         return all(v.is_zero for v in self.h.values())
 
     def __repr__(self):
-        return "SymbolicComplex(%s, %r)" % (self.ring.label(), self.h)
+        return "SymbolicComplex(%s, %r)" % (self.ring.label(), dict(self.h))
 
 
 def koszul_stable(x, cx):
@@ -1178,6 +1177,9 @@ def _localization_cone(cx, loc):
 
 
 def _koszul_symbolic(x, cx):
+    """H(cx ⊗ (R -> R[1/x])) in degrees min ... max + 1, by the long exact
+    sequence.  A unit x needs no case of its own: no prime of x is live, so
+    each kernel and cokernel below is zero, as R[1/x] = R kills cx."""
     ring = cx.ring
     if not isinstance(x, int):
         raise InputError("elements here are integers")
@@ -1186,8 +1188,6 @@ def _koszul_symbolic(x, cx):
     if x == 0:
         # R[1/0] = 0, the tensor changes nothing
         return SymbolicComplex(ring, h)
-    if ring.is_unit(x):
-        return SymbolicComplex(ring, {i: CanonicalModule() for i in degs})
     live = sorted(q for q in factorize(x) if not ring.is_unit_prime(q))
     out = {}
     lo = min(degs) if degs else 0

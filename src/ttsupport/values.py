@@ -2,11 +2,14 @@
 
 
 class Immutable:
-    """Posets, spaces, frames, modules and complexes take their fields once,
-    in the constructor, and refuse reassignment afterwards.  Matrices they
-    hold are tuples of row tuples, so nothing handed out can be edited
-    either, and each answer derived from the fields is computed once and
-    kept in _cache.
+    """The base of every object the package hands out but a frozen
+    dataclass or an exception: posets, spaces, frames, modules, complexes
+    and records (frame homs, nuclei, assemblies, support data, eta results,
+    symbolic complexes).  Each takes its fields once, in the constructor,
+    and refuses reassignment afterwards.  Matrices are tuples of row tuples
+    and dicts read-only views of a private copy, so nothing handed out can
+    be edited either; each answer derived from the fields is computed once
+    and kept in _cache.
 
     The constructor parses and validates outside input, then hands the
     frozen fields to ``_freeze``.  Sums, shifts, certified cones,

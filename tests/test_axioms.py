@@ -1,5 +1,6 @@
 """Abstract support data: gamma, complements, and the eta factorization."""
 
+import gc
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from ttsupport.axioms import (
 )
 from ttsupport.errors import InputError
 from ttsupport.frames import FiniteFrame, frame_of, set_label, universal_factorization, sigma
+from ttsupport.homalg import IntegersLocalized, PresentedModule, koszul_stable, module_complex
 from ttsupport.poset import FinitePoset, enumerate_posets
 from ttsupport.spectral import SpectralSpace
 from ttsupport.values import Immutable
@@ -198,6 +200,50 @@ def test_eta_exists_is_unique_and_extends_gamma():
     for t in datum.tframe.elements:
         skula_label = set_label(datum.tlabels[t])
         assert result.hom(skula_label) == datum.gamma(t)
+
+
+def test_handed_out_eta_and_datum_mappings_cannot_change_the_uniqueness_verdict():
+    space = _space(["g", "c"], [("g", "c")])
+    datum = canonical_datum(space)
+    eta = construct_eta(datum)
+    assert eta_is_unique(datum, eta)
+    top = eta.frame.top
+    attempts = [
+        lambda: eta.hom.mapping.clear(),
+        lambda: eta.hom.mapping.__setitem__(top, eta.frame.bottom),
+        lambda: eta.labels.__setitem__(top, frozenset()),
+        lambda: datum.gamma.mapping.__setitem__(datum.tframe.top, datum.bousfield.bottom),
+        lambda: datum.complements.__setitem__(datum.tframe.top, datum.bousfield.top),
+        lambda: datum.tlabels.clear(),
+    ]
+    for attempt in attempts:
+        with pytest.raises((TypeError, AttributeError)):
+            attempt()
+        assert eta_is_unique(datum, eta) and check_complements(datum) == (True, [])
+    assert construct_eta(datum).hom.mapping == eta.hom.mapping
+
+
+def test_support_data_and_eta_leave_no_reference_cycles():
+    # as for sigma: dropping the spaces frees their data, etas and Koszul
+    # complexes without the collector.  The exhaustive hom search of
+    # eta_is_unique takes about a second a space on four points, so it runs
+    # on the three-point spaces
+    spaces = [SpectralSpace(order) for n in (3, 4) for order in enumerate_posets(n)]
+    gc.collect()
+    gc.disable()
+    try:
+        verdicts = []
+        for space in spaces:
+            datum = canonical_datum(space)
+            eta = construct_eta(datum)
+            cx = module_complex(PresentedModule.cyclic(IntegersLocalized(), 6), 0)
+            unique = len(space.points) == 4 or eta_is_unique(datum, eta)
+            verdicts.append((unique, koszul_stable(2, cx).is_acyclic()))
+        del spaces, space, datum, eta, cx
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert verdicts == [(True, False)] * 21
 
 
 def test_eta_agrees_with_factorization_through_the_assembly():

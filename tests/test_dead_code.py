@@ -2,13 +2,16 @@
 public function or class that is neither exported nor read, no reads of
 another module's private names in the package, no assignment to a private
 attribute that no class of the assigning module defines, no optional
-parameter that no call sets, and no class but values.Immutable with a
-``_cached`` of its own.
+parameter that no call sets, no class but values.Immutable with a
+``_cached`` of its own, and no class but an exception that assigns an
+attribute of self: every other object the package hands out takes its
+fields once, through Immutable._freeze.
 
 There is no linter in the toolchain, so this walks each module's syntax tree.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import ttsupport
@@ -196,6 +199,46 @@ def _second_cache_rules(trees):
         and (name, cls.name) != ("values", "Immutable")
         and any(isinstance(stmt, ast.FunctionDef) and stmt.name == "_cached" for stmt in cls.body)
     }
+
+
+def _self_assignments(trees):
+    """(module, class, attribute) for each attribute of self that a method
+    of a package class assigns (an Assign, AugAssign or AnnAssign target, or
+    any other store), unless the class derives from an exception."""
+    exceptions = {
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    classes = [
+        (name, cls)
+        for name, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+    ]
+    grew = True
+    while grew:
+        grew = False
+        for _name, cls in classes:
+            bases = {getattr(b, "id", getattr(b, "attr", None)) for b in cls.bases}
+            if cls.name not in exceptions and bases & exceptions:
+                exceptions.add(cls.name)
+                grew = True
+    found = set()
+    for name, cls in classes:
+        if cls.name in exceptions:
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            for sub in ast.walk(method):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    found.add((name, cls.name, sub.attr))
+    return found
 
 
 def _functions(trees):
@@ -413,6 +456,45 @@ def test_a_second_cache_rule_is_flagged():
         "n": ast.parse("class Immutable:\n    def _cached(self, key, compute):\n        pass\n"),
     }
     assert _second_cache_rules(trees) == {("m", "Own"), ("m", "Nested"), ("n", "Immutable")}
+
+
+def test_no_class_but_an_exception_assigns_an_attribute_of_self():
+    assert sorted(_self_assignments(_trees())) == []
+
+
+def test_an_assignment_to_an_attribute_of_self_is_flagged():
+    trees = {
+        "errors": ast.parse(
+            "class Failure(ValueError):\n"
+            "    def __init__(self, bound):\n"
+            "        self.bound = bound\n"
+        ),
+        "m": ast.parse(
+            "from . import errors\n"
+            "class Record:\n"
+            "    def __init__(self, a, b):\n"
+            "        self.plain = a\n"
+            "        self.first, (self.second, other) = b, (a, b)\n"
+            "        self.count += 1\n"
+            "        self.annotated: int = 0\n"
+            "        self.table[a] = b\n"
+            "        object.__setattr__(self, 'frozen', a)\n"
+            "        other.attribute = a\n"
+            "    def later(self):\n"
+            "        def inner():\n"
+            "            self.nested = 1\n"
+            "        return inner\n"
+            "class Refusal(errors.Failure):\n"
+            "    def __init__(self, limit):\n"
+            "        self.limit = limit\n"
+            "class Value:\n"
+            "    pass\n"
+        ),
+    }
+    assert _self_assignments(trees) == {
+        ("m", "Record", name)
+        for name in ("plain", "first", "second", "count", "annotated", "nested")
+    }
 
 
 def test_every_optional_parameter_is_set_by_some_call():

@@ -1,5 +1,6 @@
 """Finite frames, nuclei, the assembly, and the Skula comparison map."""
 
+import dataclasses
 import gc
 import time
 from functools import reduce
@@ -8,8 +9,11 @@ from operator import and_
 
 import pytest
 
+from ttsupport import axioms, homalg, support
 from ttsupport import frames as frames_module
+from ttsupport import poset as poset_module
 from ttsupport import spectral as spectral_module
+from ttsupport.axioms import canonical_datum, construct_eta
 from ttsupport.errors import InputError, ResourceLimitError
 from ttsupport.frames import (
     FiniteFrame,
@@ -28,8 +32,20 @@ from ttsupport.frames import (
     universal_factorization,
     validate_nucleus,
 )
+from ttsupport.homalg import (
+    IntegersLocalized,
+    LnaModule,
+    LocalNilpotentAlgebra,
+    ModularIntegers,
+    PresentedModule,
+    derived_tensor_residue,
+    hom_complex_h0,
+    koszul_stable,
+    module_complex,
+)
 from ttsupport.poset import FinitePoset, enumerate_posets
 from ttsupport.spectral import SpectralSpace
+from ttsupport.support import SupportDescriptor, spec
 from ttsupport.values import Immutable
 
 
@@ -891,16 +907,82 @@ def test_sigma_leaves_no_reference_cycles():
     assert verdicts == [True] * 16
 
 
+def _values_of(space):
+    """The poset, space, frame, hom, nucleus, assembly, support datum and
+    eta result of space, and a symbolic Koszul complex."""
+    psi, _iso, asm = sigma(space)
+    datum = canonical_datum(space)
+    symbolic = koszul_stable(2, module_complex(PresentedModule.free(IntegersLocalized(), 1), 0))
+    return (
+        space.order, space, frame_of(space)[0], psi, next(iter(asm.nuclei.values())), asm,
+        datum, construct_eta(datum), symbolic,
+    )
+
+
 def test_posets_spaces_and_frames_refuse_reassignment_and_deletion():
     order = FinitePoset.from_pairs(["g", "m1", "m2"], [("g", "m1"), ("g", "m2")])
-    space = SpectralSpace(order)
-    for obj in (order, space, frame_of(space)[0]):
+    values = _values_of(SpectralSpace(order))
+    assert [type(v).__name__ for v in values] == [
+        "FinitePoset", "SpectralSpace", "FiniteFrame", "FrameHom", "Nucleus", "AssemblyResult",
+        "SupportDatum", "EtaResult", "SymbolicComplex",
+    ]
+    for obj in values:
         assert isinstance(obj, Immutable)
         for field in type(obj).__slots__ + ("_cache",):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(obj, field, getattr(obj, field))
             with pytest.raises(AttributeError, match="immutable"):
                 delattr(obj, field)
+
+
+def test_no_public_field_of_a_value_is_a_list_dict_or_set():
+    # one instance of every public Immutable and frozen dataclass
+    z4 = ModularIntegers(4)
+    cx = module_complex(PresentedModule.cyclic(z4, 2), 0)
+    lna = LocalNilpotentAlgebra(2, (("x", 2),))
+    values = _values_of(VPOSET) + (
+        PresentedModule.free(z4, 1), LnaModule.free(lna, 1), cx, cx.cohomology(0),
+        derived_tensor_residue(module_complex(PresentedModule.free(IntegersLocalized(), 1)), 2),
+        hom_complex_h0(cx, cx), spec(z4), SupportDescriptor(explicit=frozenset({2})),
+        IntegersLocalized(), z4, lna,
+    )
+    classes = {
+        cls
+        for module in (axioms, frames_module, homalg, poset_module, spectral_module, support)
+        for name, cls in vars(module).items()
+        if isinstance(cls, type) and cls.__module__ == module.__name__ and not name.startswith("_")
+        and (issubclass(cls, Immutable) or dataclasses.is_dataclass(cls))
+    }
+    assert {type(v) for v in values} == classes
+    for value in values:
+        if dataclasses.is_dataclass(value):
+            fields = [f.name for f in dataclasses.fields(value)]
+        else:
+            fields = [f for cls in type(value).__mro__ for f in getattr(cls, "__slots__", ())]
+        public = [f for f in fields if not f.startswith("_")]
+        assert public, type(value).__name__
+        for field in public:
+            assert not isinstance(getattr(value, field), (list, dict, set)), (value, field)
+
+
+def test_handed_out_nuclei_tables_and_mappings_cannot_change_sigma():
+    space = _space(["g", "c"], [("g", "c")])
+    psi, iso, asm = sigma(space)
+    first = (dict(psi.mapping), iso, dict(asm.nuclei), dict(asm.alpha_complement))
+    top = asm.nuclei[asm.frame.top]
+    attempts = [
+        lambda: asm.nuclei.clear(),
+        lambda: top.table.update({x: x for x in top.frame.elements}),
+        lambda: psi.mapping.__setitem__(asm.frame.bottom, psi.target.top),
+        lambda: asm.alpha.mapping.__setitem__(asm.base.top, asm.frame.bottom),
+        lambda: asm.alpha_complement.pop(asm.base.top),
+    ]
+    for attempt in attempts:
+        with pytest.raises((TypeError, AttributeError)):
+            attempt()
+        again, again_iso, again_asm = sigma(space)
+        assert again_asm is asm and again_iso and psi.is_injective()
+        assert (dict(again.mapping), again_iso, dict(asm.nuclei), dict(asm.alpha_complement)) == first
 
 
 def test_a_space_cannot_swap_its_order_under_its_kept_frames():

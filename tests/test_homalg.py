@@ -320,6 +320,14 @@ def test_handed_out_matrices_cannot_change_cached_answers():
     assert cx.differential(0) == ((2,),) and cx.module(1).rel == ((6,),)
     assert lna.to_json() == LnaModule.free(LNA, 1).to_json()
     assert cx.cohomology(1) is h1 and h1.factors == (2,)
+    k = koszul_stable(2, cx)
+    first = k.cohomology_all()
+    with pytest.raises(AttributeError):
+        k.h.clear()
+    with pytest.raises(TypeError):
+        k.h[1] = canonical_module(Z, [], 0)
+    assert not k.is_acyclic() and k.cohomology_all() == first
+    assert repr(k) == "SymbolicComplex(Z, %r)" % first
 
 
 def test_cohomology_of_multiplication_by_two_on_the_integers():
@@ -790,6 +798,18 @@ def test_stable_koszul_at_zero_or_a_unit_keeps_or_kills_everything():
                 assert koszul_stable(x, cx).is_acyclic()
             for x in live:
                 assert not koszul_stable(x, cx).is_acyclic()
+
+
+def test_stable_koszul_at_a_unit_lists_the_cone_degrees_all_zero():
+    # with no live prime the long exact sequence gives zero in every degree
+    # min ... max + 1, the degrees the Z/n route's cone of the identity lists
+    z_half = IntegersLocalized(inverted={2})
+    for ring, units in ((Z, [1, -1]), (z_half, [2, 4]), (Z6, [5])):
+        for cx in battery.instances(ring, 30, battery.DEFAULT_SEED):
+            for x in units:
+                k = koszul_stable(x, cx)
+                assert list(k.degrees()) == list(range(cx.min_deg, cx.max_deg + 2))
+                assert k.is_acyclic()
 
 
 def test_the_koszul_step_at_a_nilpotent_returns_a_complex_over_two_degrees_itself():
