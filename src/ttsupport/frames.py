@@ -555,38 +555,46 @@ def spc(frame):
 
 
 def frame_homs(source, target):
-    """All frame homs source -> target by exhaustive search over images of
-    join-irreducibles, each hom listed once.  Intended for desk-scale
+    """All frame homs source -> target, each listed once, read off the
+    Birkhoff dual (Davey-Priestley, ch. 5).  For a join-irreducible t of the
+    target, {x : t <= f(x)} is a prime filter of the source, so it is ↑g(t)
+    for exactly one join-irreducible g(t); s <= t gives ↑g(t) ⊆ ↑g(s), so g
+    is order-preserving.  Conversely such a g gives the hom whose f(x) has
+    the mask {t : g(t) in D(x)}, a down-set as g is order-preserving.  So
+    the search runs over the order-preserving maps g from the target's
+    join-irreducibles to the source's, bounded by their count
+    |J(source)|^|J(target)|, and every candidate still goes through
+    FrameHom.  The homs come sorted by the images of the source's
+    join-irreducibles, the first varying slowest.  Intended for desk-scale
     uniqueness checks only."""
-    joinirr = source.join_irreducibles()
-    total = len(target.elements) ** len(joinirr)
+    src_irr, tgt_irr = source._irreducible, target._irreducible
+    total = len(src_irr) ** len(tgt_irr)
     if total > HOM_SEARCH_MAX:
         raise ResourceLimitError(
             "frame hom search bound exceeded: %d > %d" % (total, HOM_SEARCH_MAX),
             bound_name="hom_search",
             bound_value=HOM_SEARCH_MAX,
         )
-    out = []
-    # the images of the join-irreducibles, the first varying slowest; each
-    # element goes to the join of the images of the join-irreducibles below
-    # it, the bits of its mask
-    below = [bits_of(m) for m in source._masks]
-    below_irreducible = [bits_of(j) for j in source._irreducible]
-    for assignment in product([target._mask[t] for t in target.elements], repeat=len(joinirr)):
-        if any(
-            reduce(or_, map(assignment.__getitem__, js)) != a
-            for js, a in zip(below_irreducible, assignment)
-        ):
-            continue  # the same map arises from its own restriction
-        mapping = {
-            x: target._element[reduce(or_, map(assignment.__getitem__, js), 0)]
-            for x, js in zip(source.elements, below)
-        }
-        try:
-            out.append(FrameHom(source, target, mapping))
-        except InputError:
-            pass
-    return out
+    # the pairs s < t of the target's join-irreducibles, which g must keep
+    below = [(s, t) for t, j in enumerate(tgt_irr) for s in bits_of(j) if s != t]
+    downs = [bits_of(m) for m in source._masks]
+    irreducible_at = [source._masks.index(j) for j in src_irr]
+    position = {m: k for k, m in enumerate(target._masks)}
+    found = []
+    for g in product(range(len(src_irr)), repeat=len(tgt_irr)):
+        if not all(src_irr[g[t]] >> g[s] & 1 for s, t in below):
+            continue
+        # f(x) is the union over s in D(x) of the fibre of g over s
+        fibre = [0] * len(src_irr)
+        for t, s in enumerate(g):
+            fibre[s] |= 1 << t
+        image = [reduce(or_, map(fibre.__getitem__, d), 0) for d in downs]
+        found.append((tuple(position[image[i]] for i in irreducible_at), image))
+    found.sort()
+    return [
+        FrameHom(source, target, dict(zip(source.elements, map(target._element.__getitem__, image))))
+        for _key, image in found
+    ]
 
 
 def universal_factorization(asm, phi, check_unique=False):

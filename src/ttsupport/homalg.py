@@ -23,7 +23,10 @@ on the flavour:
   support;
 * ``localized_at(p)`` is the ring at a prime, ``koszul_elements(p)``
   generates the prime, ``_koszul_stable(x, cx)`` tensors with R -> R[1/x];
-* ``residue_nonzero(cx, p)`` tests C ⊗^L k(p) != 0.
+* ``residue_nonzero(cx, p)`` tests C ⊗^L k(p) != 0;
+* over the integer flavours ``is_unit_prime(q)`` says whether the prime q
+  is a unit and ``is_unit(x)`` whether the integer x is; over the local
+  nilpotent algebra ``element_is_unit(x)`` says it for an element.
 
 Modules share the generator count ``ngens``; the algebra behind validation
 and cohomology sits in the two module classes.  Z/n with two or more primes
@@ -46,8 +49,9 @@ modulus that survives), its free model and that model's Smith diagonals,
 over a prime field its map ranks rank_p[d_i | R_(i+1)], and, through
 ``support``, its supports.  Each ring builds its zero module once.  The
 constructors validate outside input; shifts, direct sums, cones (certified
-by their blocks), localizations and ring changes of valid complexes are
-valid by construction, each proved in its docstring, and are assembled.
+by their blocks), derived-Hom complexes (certified by d_P^2 = 0),
+localizations and ring changes of valid complexes are valid by
+construction, each proved in its docstring, and are assembled.
 
 Differentials raise degree by one.  d(a ⊗ b) = da ⊗ b + (-1)^|a| a ⊗ db is
 the sign rule used for the two-term tensor constructions below.
@@ -151,11 +155,14 @@ class IntegersLocalized(_IntegerFlavour):
         return 0
 
     def is_unit_prime(self, q):
+        """Whether the prime q is inverted (ring interface)."""
         if self.at_prime is not None:
             return q != self.at_prime
         return q in self.inverted
 
     def is_unit(self, x):
+        """Whether the integer x is a unit: nonzero with every prime factor
+        inverted (ring interface)."""
         if not isinstance(x, int):
             raise InputError("ring elements here are integers")
         if x == 0:
@@ -263,9 +270,12 @@ class ModularIntegers(_IntegerFlavour):
         return self.n if self._factors == {self.n: 1} else None
 
     def is_unit_prime(self, q):
+        """Whether the prime q is a unit mod n, as it is when q ∤ n (ring
+        interface)."""
         return self.n % q != 0
 
     def is_unit(self, x):
+        """Whether the integer x is a unit mod n (ring interface)."""
         if not isinstance(x, int):
             raise InputError("ring elements here are integers")
         return gcd(x, self.n) == 1
@@ -360,7 +370,8 @@ class LocalNilpotentAlgebra:
         """Ring elements are given as a constant (int), a generator name, or
         a coefficient vector over the monomial basis.  A nonzero constant
         term (the first: the basis is lexicographic) means unit; everything
-        else is nilpotent (the ring is local)."""
+        else is nilpotent (the ring is local).  The flavour's unit test in
+        the ring interface."""
         if isinstance(x, int):
             return x % self.p != 0
         if isinstance(x, str):
@@ -808,8 +819,9 @@ class ChainComplex(Immutable):
     The constructor validates outside input (``_validate``): over a Z/n
     split by CRT, ``localize(self, p)`` for each p | n in increasing order,
     so a complex with faults at several primes is refused with the first
-    fault of the smallest such prime.  Shifts, direct sums, cones,
-    localizations and ring changes of valid complexes are assembled."""
+    fault of the smallest such prime.  Shifts, direct sums, cones, Hom
+    complexes, localizations and ring changes of valid complexes are
+    assembled."""
 
     __slots__ = ("ring", "min_deg", "modules", "differentials")
 
@@ -1362,6 +1374,13 @@ def hom_complex_h0(s_cx, t_cx, window=(0, 0), gens_bound=HOM_GENS_MAX):
     answer is certified exact unless the generator-count bound is hit, in
     which case the result recombines the blocks it finished and says so
     instead of guessing.
+
+    A block where every module of the local source, or every module of the
+    local target, is zero is the zero group in every degree, with no
+    resolution: each Hom module is a direct sum of copies of the target's
+    modules, and a source whose modules are all zero is the zero complex,
+    quasi-isomorphic to the zero resolution.  Such a block never meets the
+    bound.  A side that is acyclic but not zero takes the full route.
     """
     ring = s_cx.ring
     if not isinstance(ring, ModularIntegers) or t_cx.ring != ring:
@@ -1373,7 +1392,11 @@ def hom_complex_h0(s_cx, t_cx, window=(0, 0), gens_bound=HOM_GENS_MAX):
     blocks, note = [], ""
     try:
         for p in primes:
-            blocks.append(_hom_block(localize(s_cx, p), localize(t_cx, p), lo_k, hi_k, gens_bound))
+            s_p, t_p = localize(s_cx, p), localize(t_cx, p)
+            if _all_zero(s_p) or _all_zero(t_p):
+                blocks.append(dict.fromkeys(range(lo_k, hi_k + 1), CanonicalModule()))
+            else:
+                blocks.append(_hom_block(s_p, t_p, lo_k, hi_k, gens_bound))
     except ResourceLimitError as exc:
         note = "%s: the %s bound %d was hit" % (exc, exc.bound_name, exc.bound_value)
     groups = tuple(
@@ -1382,9 +1405,30 @@ def hom_complex_h0(s_cx, t_cx, window=(0, 0), gens_bound=HOM_GENS_MAX):
     return HomExtResult((lo_k, hi_k), groups, not note, note)
 
 
+def _all_zero(cx):
+    """Whether every module of the complex is zero."""
+    return all(m.is_zero for m in cx.modules)
+
+
 def _hom_block(s_cx, t_cx, lo_k, hi_k, gens_bound):
+    """Hom groups [S, T[k]], k in lo_k .. hi_k, over a local ring Z/q, q a
+    prime power: the cohomology of Hom(P, T), P a free resolution of S.
+
+    Hom(P, T) is certified by d_P^2 = 0 and assembled.  T is a localization
+    of a validated complex, so its d_T blocks carry its relations and d_T^2
+    vanishes in T.  Each d_P block of δ is an integer combination of copies
+    of a single module T^(j+k), so it carries relations into relations too,
+    and δ is well defined.  The cross terms of δ^2 cancel:
+    (δ^2 φ)_j = d_T^2 φ_j − φ_(j+2) d_P^2.  The first term vanishes in T, and
+    the second does when d_P^(j+1) d_P^j ≡ 0 modulo q, which is asserted
+    for each pair of consecutive resolution degrees: the literal validation
+    of Hom(P, T) would then pass."""
     ring = s_cx.ring
     res = _free_resolution(s_cx, t_cx.min_deg - hi_k - 2, gens_bound)
+    for j in res:
+        if j + 1 in res:
+            square = mat_mul(res[j + 1][1], res[j][1])
+            assert not any(v % ring.modulus for row in square for v in row), "d_P^2 != 0"
     hom_lo, hom_hi = lo_k - 1, hi_k + 1
     # Hom^k(P, T) is the direct sum over j of rank(P^j) copies of T^{j+k};
     # layouts[k] lists its nonzero summands (j, rank, T^{j+k})
@@ -1404,8 +1448,10 @@ def _hom_block(s_cx, t_cx, lo_k, hi_k, gens_bound):
         mods.append(PresentedModule(ring, total_gens, rel))
     diffs = []
     for k in range(hom_lo, hom_hi):
-        diffs.append(_hom_differential(layouts[k], layouts[k + 1], t_cx, res, k))
-    hom_cx = ChainComplex(ring, hom_lo, mods, diffs)
+        diffs.append(_frozen(_hom_differential(layouts[k], layouts[k + 1], t_cx, res, k)))
+    hom_cx = ChainComplex._assembled(
+        ring=ring, min_deg=hom_lo, modules=tuple(mods), differentials=tuple(diffs)
+    )
     return {k: hom_cx.cohomology(k) for k in range(lo_k, hi_k + 1)}
 
 

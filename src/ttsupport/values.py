@@ -12,8 +12,8 @@ class Immutable:
     and kept in _cache.
 
     The constructor parses and validates outside input, then hands the
-    frozen fields to ``_freeze``.  Sums, shifts, certified cones,
-    localizations and ring changes of valid objects are valid by
+    frozen fields to ``_freeze``.  Sums, shifts, certified cones and Hom
+    complexes, localizations and ring changes of valid objects are valid by
     construction, so ``_assembled`` and ``_with`` skip the constructor."""
 
     __slots__ = ("_cache",)

@@ -1020,6 +1020,62 @@ def test_frame_homs_counts_on_small_frames():
     assert len(frame_homs(CHAIN3, BOOL4)) == 4
 
 
+def _reference_frame_homs(source, target):
+    """The search frame_homs made before it moved to the Birkhoff dual: every
+    assignment of target elements to the source's join-irreducibles, the
+    first varying slowest, extended to each element by the join over the
+    join-irreducibles below it, kept when it is its own restriction and a
+    hom."""
+    joinirr = source.join_irreducibles()
+    out = []
+    for values in product(target.elements, repeat=len(joinirr)):
+        image = dict(zip(joinirr, values))
+
+        def extended(x):
+            return target.join_many(image[j] for j in joinirr if source.leq(j, x))
+
+        if any(extended(j) != image[j] for j in joinirr):
+            continue
+        try:
+            out.append(FrameHom(source, target, {x: extended(x) for x in source.elements}))
+        except InputError:
+            pass
+    return out
+
+
+def test_frame_homs_on_the_dual_are_the_reference_search_in_its_order():
+    # opens, Thomason, localizing and assembly frames of every space up to
+    # three points: 32 frames, 1,024 ordered pairs
+    pool = []
+    for space in _small_spaces(3):
+        base = frame_of(space)[0]
+        pool += [base, thomason_frame(space)[0], localizing_frame(space)[0], assembly(base).frame]
+    pairs = homs = 0
+    for source in pool:
+        for target in pool:
+            expected = [dict(h.mapping) for h in _reference_frame_homs(source, target)]
+            assert [dict(h.mapping) for h in frame_homs(source, target)] == expected
+            pairs += 1
+            homs += len(expected)
+    assert pairs == 1024 and homs == 10448
+
+
+def _chain_frame(joinirr):
+    """The chain 0 < 1 < ... with the given number of join-irreducibles."""
+    names = ["c%02d" % k for k in range(joinirr + 1)]
+    return FiniteFrame(FinitePoset.from_pairs(names, list(zip(names, names[1:]))))
+
+
+def test_frame_hom_search_counts_dual_maps_against_its_bound():
+    # |J(CHAIN3)|^|J(target)| = 2^17 = 131,072 maps are searched: a monotone
+    # g from the 17-chain to the 2-chain per hom, 18 of them
+    assert frames_module.HOM_SEARCH_MAX == 200000
+    assert len(frame_homs(CHAIN3, _chain_frame(17))) == 18
+    with pytest.raises(ResourceLimitError, match="bound exceeded: 262144 > 200000") as info:
+        frame_homs(CHAIN3, _chain_frame(18))
+    assert (info.value.bound_name, info.value.bound_value) == ("hom_search", 200000)
+
+
 def test_sets_with_colliding_labels_are_refused():
     with pytest.raises(InputError, match=r"share the label \{a,b\}"):
         FiniteFrame.from_sets([set(), {"a,b"}, {"a", "b"}])

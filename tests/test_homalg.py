@@ -1277,19 +1277,133 @@ def test_derived_hom_answers_at_the_generator_bound():
 HOM_BATCH_SHA256 = "f95ec651d3f8c56018f7cbf0f5c4b4da57540166ad4fd21b30b1eb6e6843eeeb"
 
 
-@pytest.fixture(scope="module")
-def hom_batch():
+def _hom_batch_pairs():
     out = []
     for n in battery.MODULI:
         ring = ModularIntegers(n)
         batch = battery.instances(ring, 12, battery.DEFAULT_SEED)
         for s, t in zip(batch, batch[1:]):
-            pairs = [(s, t)] + [
+            out.append((s, t))
+            out.extend(
                 (torsion_functor(s, {p}), localization_functor(t, {p}))
                 for p in ring.prime_divisors()
-            ]
-            out.extend(hom_complex_h0(first, second, window=(-2, 2)) for first, second in pairs)
+            )
     return out
+
+
+@pytest.fixture(scope="module")
+def hom_batch():
+    return [hom_complex_h0(first, second, window=(-2, 2)) for first, second in _hom_batch_pairs()]
+
+
+def _modules_all_zero(cx):
+    return all(m.canonical().is_zero for m in cx.modules)
+
+
+@pytest.fixture(scope="module")
+def hom_batch_blocks():
+    """The batch's prime blocks (source, target) localized at each p | n,
+    split into those with a side whose modules are all zero and the rest."""
+    zero_side, full = [], []
+    for s, t in _hom_batch_pairs():
+        for p in s.ring.prime_divisors():
+            block = localize(s, p), localize(t, p)
+            (zero_side if any(map(_modules_all_zero, block)) else full).append(block)
+    return zero_side, full
+
+
+def test_the_zero_side_blocks_of_the_battery_batch_are_zero_on_the_full_route(hom_batch_blocks):
+    zero_side, full = hom_batch_blocks
+    assert (len(zero_side), len(full)) == (103, 95)
+    for s, t in zero_side:
+        groups = homalg._hom_block(s, t, -2, 2, homalg.HOM_GENS_MAX)
+        assert list(groups) == [-2, -1, 0, 1, 2]
+        assert all(g.is_zero for g in groups.values())
+
+
+def test_every_hom_complex_of_the_battery_batch_passes_the_literal_validation(
+    hom_batch_blocks, monkeypatch
+):
+    built = _recording_assembled(monkeypatch, ChainComplex)
+    for s, t in hom_batch_blocks[1]:
+        homalg._hom_block(s, t, -2, 2, homalg.HOM_GENS_MAX)
+    assert len(built) == 95 and {cx.min_deg for cx in built} == {-3}
+    _assert_the_literal_validation_passes(built)
+
+
+def _counted_resolutions(monkeypatch):
+    """The arguments of every free resolution built while the test runs."""
+    calls = []
+    resolve = homalg._free_resolution
+    monkeypatch.setattr(homalg, "_free_resolution", lambda *a: calls.append(a) or resolve(*a))
+    return calls
+
+
+def test_criterion_nine_resolves_only_the_blocks_without_a_zero_side(monkeypatch):
+    # 12 orthogonality pairs over Z/6 and Z/12, each split at 2 and 3: 24
+    # blocks, of which 14 have a side that localizes to zero
+    calls = _counted_resolutions(monkeypatch)
+    pairs = 0
+    for ring in (Z6, Z12):
+        batch = battery.instances(ring, battery.DEFAULT_SAMPLES, battery.DEFAULT_SEED)
+        for k in range(battery.ORTHOGONALITY_PAIRS):
+            applicable, ok, _res = support.orthogonality_check(batch[k], batch[k + 1], {2})
+            assert applicable and ok
+            pairs += 1
+    assert (pairs, len(calls)) == (12, 10)
+
+
+def _acyclic_over_f2():
+    f2 = ModularIntegers(2)
+    mods = [PresentedModule.free(f2, 1), PresentedModule.free(f2, 2), PresentedModule.free(f2, 1)]
+    return ChainComplex(f2, 0, mods, [[[1], [1]], [[1, -1]]])
+
+
+def test_a_resolution_whose_square_does_not_vanish_is_refused_by_the_hom_block(
+    monkeypatch, weakened
+):
+    # mutant row: one entry of d_P^0 off by one makes d_P^1 d_P^0 odd
+    resolve = homalg._free_resolution
+
+    def forged(*args):
+        res = resolve(*args)
+        rank, d = res[0]
+        res[0] = (rank, [[v + (r == 0) for v in row] for r, row in enumerate(d)])
+        return res
+
+    monkeypatch.setattr(homalg, "_free_resolution", forged)
+    s = _acyclic_over_f2()
+    t = module_complex(PresentedModule.free(s.ring, 1))
+    with pytest.raises(AssertionError, match=r"d_P\^2 != 0"):
+        homalg._hom_block(s, t, -1, 1, homalg.HOM_GENS_MAX)
+    built = _recording_assembled(monkeypatch, ChainComplex)
+    without_square = weakened(homalg._hom_block, '"d_P^2 != 0"')
+    assert list(without_square(s, t, -1, 1, homalg.HOM_GENS_MAX)) == [-1, 0, 1]
+    [hom_cx] = built
+    with pytest.raises(InputError, match=r"d\^2 != 0"):
+        homalg._validate(hom_cx.modules, hom_cx.differentials)
+
+
+def test_the_hom_block_of_an_acyclic_source_that_is_not_zero_takes_the_full_route(monkeypatch):
+    calls = _counted_resolutions(monkeypatch)
+    s = _acyclic_over_f2()
+    t = module_complex(PresentedModule.free(s.ring, 1))
+    assert s.is_acyclic() and not _modules_all_zero(s)
+    res = hom_complex_h0(s, t, window=(-1, 1))
+    assert res.all_vanish and len(calls) == 1
+
+
+@pytest.mark.parametrize("zero_side", ["target", "source"])
+def test_a_zero_side_is_certified_zero_past_the_generator_bound(zero_side, monkeypatch):
+    # the target (or source) localizes to zero at 2 and at 3, so no block is
+    # resolved and the bound 0 is never met
+    monkeypatch.setattr(homalg, "_free_resolution", None)
+    zero = module_complex(PresentedModule.cyclic(Z6, 1))
+    other = module_complex(PresentedModule.free(Z6, 2))
+    s, t = (other, zero) if zero_side == "target" else (zero, other)
+    res = hom_complex_h0(s, t, window=(-1, 1), gens_bound=0)
+    assert res.certified and res.note == "" and res.all_vanish
+    assert [k for k, _g in res.groups] == [-1, 0, 1]
 
 
 def test_derived_hom_of_the_battery_batch_is_pinned(hom_batch):
