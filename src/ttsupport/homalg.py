@@ -57,8 +57,6 @@ Differentials raise degree by one.  d(a ⊗ b) = da ⊗ b + (-1)^|a| a ⊗ db is
 the sign rule used for the two-term tensor constructions below.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations, product
 from math import gcd, prod
 from types import MappingProxyType
@@ -84,7 +82,7 @@ from .smith import (
     transpose,
     zeros,
 )
-from .values import Immutable
+from .values import Immutable, Record, derived
 
 HOM_GENS_MAX = 800
 
@@ -107,14 +105,14 @@ def _prime_part(d, primes):
 # rings
 
 
-class _IntegerFlavour:
+class _IntegerFlavour(Record):
     """Ring interface shared by the flavours whose modules are presented by
     integer matrices."""
 
     def zero_module(self):
         return self._zero_module
 
-    @cached_property
+    @derived
     def _zero_module(self):
         """The zero module, built once per ring object."""
         return PresentedModule(self, 0, [])
@@ -131,24 +129,23 @@ class _IntegerFlavour:
         return derived_tensor_residue(cx, p).is_nonzero
 
 
-@dataclass(frozen=True)
 class IntegersLocalized(_IntegerFlavour):
-    inverted: frozenset = frozenset()
-    at_prime: int | None = None
+    __slots__ = ("inverted", "at_prime")
 
     has_generic = True
     crt_primes = None
     field_prime = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "inverted", frozenset(self.inverted))
-        if self.at_prime is not None:
-            if not _is_prime(self.at_prime):
+    def __init__(self, inverted=frozenset(), at_prime=None):
+        inverted = frozenset(inverted)
+        if at_prime is not None:
+            if not _is_prime(at_prime):
                 raise InputError("at_prime must be prime")
-            if self.inverted:
+            if inverted:
                 raise InputError("at_prime form keeps no explicit inverted set")
-        elif not all(_is_prime(q) for q in self.inverted):
+        elif not all(_is_prime(q) for q in inverted):
             raise InputError("inverted set must consist of primes")
+        self._freeze(inverted=inverted, at_prime=at_prime)
 
     @property
     def modulus(self):
@@ -221,15 +218,15 @@ class IntegersLocalized(_IntegerFlavour):
         return {"type": "Z", "inverted": sorted(self.inverted)}
 
 
-@dataclass(frozen=True)
 class ModularIntegers(_IntegerFlavour):
-    n: int
+    __slots__ = ("n",)
 
     has_generic = False
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
+    def __init__(self, n):
+        if not isinstance(n, int) or n < 2:
             raise InputError("ModularIntegers wants n >= 2")
+        self._freeze(n=n)
 
     @property
     def modulus(self):
@@ -238,7 +235,7 @@ class ModularIntegers(_IntegerFlavour):
     def prime_divisors(self):
         return tuple(sorted(self._prime_powers()))
 
-    @cached_property
+    @derived
     def _factors(self):
         """factorize(n), or None when n is too large to factor."""
         try:
@@ -251,12 +248,12 @@ class ModularIntegers(_IntegerFlavour):
         raises its ResourceLimitError again."""
         return factorize(self.n) if self._factors is None else self._factors
 
-    @cached_property
+    @derived
     def _local_rings(self):
         """Z/p^k for each p^k || n, one ring object per prime."""
         return {p: ModularIntegers(p**k) for p, k in self._prime_powers().items()}
 
-    @cached_property
+    @derived
     def crt_primes(self):
         """The primes p | n when there are two or more: Z/n is then the
         product of the Z/p^k, p^k || n.  None for a prime power and for an
@@ -264,7 +261,7 @@ class ModularIntegers(_IntegerFlavour):
         f = self._factors
         return tuple(sorted(f)) if f and len(f) > 1 else None
 
-    @cached_property
+    @derived
     def field_prime(self):
         """n when it is prime, so that Z/n is the field F_n; else None."""
         return self.n if self._factors == {self.n: 1} else None
@@ -323,18 +320,16 @@ class ModularIntegers(_IntegerFlavour):
         return {"type": "Z/n", "n": self.n}
 
 
-@dataclass(frozen=True)
-class LocalNilpotentAlgebra:
-    p: int
-    generators: tuple  # of (name, exponent >= 2) pairs
+class LocalNilpotentAlgebra(Record):
+    __slots__ = ("p", "generators")  # generators: (name, exponent >= 2) pairs
 
     has_generic = False
     crt_primes = None
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
+    def __init__(self, p, generators):
+        if not _is_prime(p):
             raise InputError("characteristic must be prime")
-        gens = tuple((n, e) for n, e in self.generators)
+        gens = tuple((n, e) for n, e in generators)
         if not all(type(n) is str and type(e) is int for n, e in gens):
             raise InputError("generator names must be strings and exponents integers")
         if not gens:
@@ -343,7 +338,7 @@ class LocalNilpotentAlgebra:
             raise InputError("nilpotency exponents must be >= 2")
         if len({n for n, _e in gens}) != len(gens):
             raise InputError("duplicate generator names")
-        object.__setattr__(self, "generators", gens)
+        self._freeze(p=p, generators=gens)
 
     def monomials(self):
         """Exponent tuples of the monomial basis, lexicographic."""
@@ -386,7 +381,7 @@ class LocalNilpotentAlgebra:
     def zero_module(self):
         return self._zero_module
 
-    @cached_property
+    @derived
     def _zero_module(self):
         """The zero module, built once per ring object."""
         return LnaModule(self, 0, {n: [] for n, _e in self.generators})
@@ -486,17 +481,17 @@ def ring_from_json(obj):
 # canonical forms
 
 
-@dataclass(frozen=True)
-class CanonicalModule:
+class CanonicalModule(Record):
     """Isomorphism-class data of a module: invariant factors, free rank and
     (for the symbolic localization calculus) divisible p-power-torsion parts
     recorded as (prime, multiplicity) pairs."""
 
-    factors: tuple = ()
-    rank: int = 0
-    divisible: tuple = ()
+    __slots__ = ("factors", "rank", "divisible")
 
     rank_prime = 0  # free rank lives at the generic point
+
+    def __init__(self, factors=(), rank=0, divisible=()):
+        self._freeze(factors=factors, rank=rank, divisible=divisible)
 
     @property
     def is_zero(self):
@@ -1223,12 +1218,14 @@ def _koszul_symbolic(x, cx):
 # residue fields
 
 
-@dataclass(frozen=True)
-class ResidueOutcome:
-    """Dimensions of the cohomology of C ⊗^L k(p)."""
+class ResidueOutcome(Record):
+    """Dimensions of the cohomology of C ⊗^L k(p): prime is 0 for the
+    generic point, else the prime, and dims is ((degree, dim), ...)."""
 
-    prime: object  # 0 for the generic point, else the prime
-    dims: tuple  # ((degree, dim), ...)
+    __slots__ = ("prime", "dims")
+
+    def __init__(self, prime, dims):
+        self._freeze(prime=prime, dims=dims)
 
     @property
     def is_nonzero(self):
@@ -1351,12 +1348,15 @@ def _from_columns(cols, height):
 # derived Hom over Z/n
 
 
-@dataclass(frozen=True)
-class HomExtResult:
-    window: tuple
-    groups: tuple  # ((degree, CanonicalModule), ...)
-    certified: bool
-    note: str = ""
+class HomExtResult(Record):
+    """Derived Hom groups over a window of degrees: groups is ((degree,
+    CanonicalModule), ...), and note is "" for a certified answer, else it
+    names the bound that was hit."""
+
+    __slots__ = ("window", "groups", "certified", "note")
+
+    def __init__(self, window, groups, certified, note=""):
+        self._freeze(window=window, groups=groups, certified=certified, note=note)
 
     @property
     def all_vanish(self):

@@ -16,8 +16,6 @@ Koszul generators of a prime (``koszul_elements``) and tests residue fields
 (per sequence length), big and Foxby supports once computed.
 """
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .homalg import (
     IntegersLocalized,
@@ -35,24 +33,29 @@ from .homalg import (
 from .poset import FinitePoset
 from .smith import factorize
 from .spectral import SpectralSpace
+from .values import Record
 
 
 # ---------------------------------------------------------------------------
 # the prime spectrum
 
 
-@dataclass(frozen=True)
-class SpecOf:
+class SpecOf(Record):
     """Prime spectrum data of a base ring.  For finite spectra the space is
     materialized; for integer flavours the closed points form an infinite
     discrete crowd under a single generic point and only a description is
-    kept."""
+    kept: space is then None and closed_points (labels) is ()."""
 
-    ring: object
-    space: object  # SpectralSpace or None when infinite
-    closed_points: tuple  # labels, () when infinite
-    has_generic: bool
-    description: str
+    __slots__ = ("ring", "space", "closed_points", "has_generic", "description")
+
+    def __init__(self, ring, space, closed_points, has_generic, description):
+        self._freeze(
+            ring=ring,
+            space=space,
+            closed_points=closed_points,
+            has_generic=has_generic,
+            description=description,
+        )
 
 
 def prime_label(p):
@@ -74,24 +77,21 @@ def spec(ring):
 # support descriptors
 
 
-@dataclass(frozen=True)
-class SupportDescriptor:
+class SupportDescriptor(Record):
     """A subset of the spectrum: an explicit set of closed primes, or (for
     the integer flavours) 'generic point plus all closed points except the
     listed exceptions'."""
 
-    generic: bool = False
-    cofinite: bool = False
-    explicit: frozenset = frozenset()
-    exceptions: frozenset = frozenset()
+    __slots__ = ("generic", "cofinite", "explicit", "exceptions")
 
-    def __post_init__(self):
-        if self.cofinite and self.explicit:
+    def __init__(self, generic=False, cofinite=False, explicit=frozenset(), exceptions=frozenset()):
+        if cofinite and explicit:
             raise InputError("cofinite descriptors list exceptions, not members")
-        if not self.cofinite and self.exceptions:
+        if not cofinite and exceptions:
             raise InputError("exceptions only make sense for cofinite descriptors")
-        if self.exceptions & self.explicit:
+        if exceptions & explicit:
             raise InputError("exception set must be disjoint from explicit primes")
+        self._freeze(generic=generic, cofinite=cofinite, explicit=explicit, exceptions=exceptions)
 
     @property
     def is_empty(self):

@@ -1,15 +1,17 @@
 """Immutable values: the one way the package keeps a derived fact."""
 
+from operator import attrgetter
+
 
 class Immutable:
-    """The base of every object the package hands out but a frozen
-    dataclass or an exception: posets, spaces, frames, modules, complexes
-    and records (frame homs, nuclei, assemblies, support data, eta results,
-    symbolic complexes).  Each takes its fields once, in the constructor,
-    and refuses reassignment afterwards.  Matrices are tuples of row tuples
-    and dicts read-only views of a private copy, so nothing handed out can
-    be edited either; each answer derived from the fields is computed once
-    and kept in _cache.
+    """The base of every object the package hands out but an exception:
+    posets, spaces, frames, modules, complexes and records (frame homs,
+    nuclei, assemblies, support data, eta results, symbolic complexes, and
+    through ``Record`` the rings and the answer records).  Each takes its
+    fields once, in the constructor, and refuses reassignment afterwards.
+    Matrices are tuples of row tuples and dicts read-only views of a private
+    copy, so nothing handed out can be edited either; each answer derived
+    from the fields is computed once and kept in _cache.
 
     The constructor parses and validates outside input, then hands the
     frozen fields to ``_freeze``.  Sums, shifts, certified cones and Hom
@@ -46,3 +48,81 @@ class Immutable:
         if key not in cache:
             cache[key] = compute()
         return cache[key]
+
+
+class derived(property):
+    """A fact of a ``Record`` derived from its fields: the decorated method
+    runs on the first read, and its value is kept in a slot of the same
+    name, so that every later read is a plain slot read."""
+
+
+def _derive(record, name):
+    """The __getattr__ of a record class with derived facts, called only when
+    the ordinary lookup fails: on a fact's first read, while its slot is
+    empty.  Other classes get none, as it slows every attribute read."""
+    compute = record._derived.get(name)
+    if compute is None:
+        raise AttributeError("%r object has no attribute %r" % (type(record).__name__, name))
+    value = compute(record)
+    object.__setattr__(record, name, value)
+    return value
+
+
+class _RecordType(type):
+    """Gives each Record class its fields (the names in its ``__slots__``),
+    a slot for each of its derived facts, and one getter of the tuple of
+    its field values, an ``attrgetter`` that eq and hash call."""
+
+    def __new__(mcs, name, bases, namespace):
+        facts = {k: v.fget for k, v in namespace.items() if isinstance(v, derived)}
+        own = tuple(namespace.get("__slots__", ()))
+        body = {k: v for k, v in namespace.items() if k not in facts}
+        cls = super().__new__(mcs, name, bases, body | {"__slots__": own + tuple(facts)})
+        cls._derived = cls._derived | facts
+        if cls._derived:
+            cls.__getattr__ = _derive
+        if own:
+            cls._fields = fields = cls._fields + own
+            get = attrgetter(*fields)
+            cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+        return cls
+
+
+class Record(Immutable, metaclass=_RecordType):
+    """An Immutable that is its fields, as a frozen dataclass is: the rings
+    and the answer records (canonical modules, residue outcomes, Hom/Ext
+    results, spectra and support descriptors).  The class lists its fields
+    in ``__slots__``, and its constructor validates them and ends in
+    ``_freeze``.  Records are not assembled: ``_with`` would copy every
+    slot, derived facts included, into a record whose fields changed, while
+    pickle and copy rebuild a record through its constructor.  Two records are equal when
+    they have the same class and equal fields, the hash is that of the
+    tuple of fields, and the repr is ``Name(field=value, ...)``.  A
+    ``derived`` fact sits in a slot beside the fields, so it is neither
+    compared nor hashed; its first read fills the slot."""
+
+    __slots__ = ()
+    _fields = ()
+    _derived = {}  # slot name -> the method that derives its value
+    _values = None  # the record -> the tuple of its field values
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        # pickle and copy rebuild a record through its constructor
+        return type(self), self._values(self)
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+        )
+

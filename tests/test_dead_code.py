@@ -5,13 +5,17 @@ attribute that no class of the assigning module defines, no optional
 parameter that no call sets, no class but values.Immutable with a
 ``_cached`` of its own, and no class but an exception that assigns an
 attribute of self: every other object the package hands out takes its
-fields once, through Immutable._freeze.
+fields once, through Immutable._freeze.  No module imports ``dataclasses``
+or ``cached_property``: records are values.Record, and importing the
+command line pulls in neither ``dataclasses`` nor ``inspect``.
 
 There is no linter in the toolchain, so this walks each module's syntax tree.
 """
 
 import ast
 import builtins
+import subprocess
+import sys
 from pathlib import Path
 
 import ttsupport
@@ -241,6 +245,23 @@ def _self_assignments(trees):
     return found
 
 
+def _second_value_models(trees):
+    """(module, name) for each import of ``dataclasses`` or of
+    ``cached_property``: a value model or a cache beside values.Record."""
+    banned = {"dataclasses", "cached_property"}
+    found = set()
+    for name, tree in trees.items():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Import):
+                imported = {alias.name.split(".")[0] for alias in sub.names}
+            elif isinstance(sub, ast.ImportFrom):
+                imported = {(sub.module or "").split(".")[0]} | {alias.name for alias in sub.names}
+            else:
+                continue
+            found.update((name, hit) for hit in imported & banned)
+    return found
+
+
 def _functions(trees):
     """(module, qualified name, node, whether it takes self or cls) for each
     function and method."""
@@ -456,6 +477,35 @@ def test_a_second_cache_rule_is_flagged():
         "n": ast.parse("class Immutable:\n    def _cached(self, key, compute):\n        pass\n"),
     }
     assert _second_cache_rules(trees) == {("m", "Own"), ("m", "Nested"), ("n", "Immutable")}
+
+
+def test_no_module_imports_dataclasses_or_cached_property():
+    assert sorted(_second_value_models(_trees())) == []
+
+
+def test_an_import_of_dataclasses_or_cached_property_is_flagged():
+    trees = {
+        "a": ast.parse("from dataclasses import dataclass\nimport functools\n"),
+        "b": ast.parse("def f():\n    from functools import cached_property, reduce\n"),
+        "c": ast.parse("import dataclasses as dc\nfrom .values import Record\n"),
+    }
+    assert _second_value_models(trees) == {
+        ("a", "dataclasses"),
+        ("b", "cached_property"),
+        ("c", "dataclasses"),
+    }
+
+
+def test_the_command_line_starts_without_dataclasses_or_inspect():
+    # -S: no site packages, so nothing but the package's own imports count
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "import ttsupport.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    ) % str(SRC.parent)
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_no_class_but_an_exception_assigns_an_attribute_of_self():

@@ -1,6 +1,5 @@
 """Finite frames, nuclei, the assembly, and the Skula comparison map."""
 
-import dataclasses
 import gc
 import time
 from functools import reduce
@@ -936,7 +935,7 @@ def test_posets_spaces_and_frames_refuse_reassignment_and_deletion():
 
 
 def test_no_public_field_of_a_value_is_a_list_dict_or_set():
-    # one instance of every public Immutable and frozen dataclass
+    # one instance of every public Immutable, records included
     z4 = ModularIntegers(4)
     cx = module_complex(PresentedModule.cyclic(z4, 2), 0)
     lna = LocalNilpotentAlgebra(2, (("x", 2),))
@@ -951,14 +950,11 @@ def test_no_public_field_of_a_value_is_a_list_dict_or_set():
         for module in (axioms, frames_module, homalg, poset_module, spectral_module, support)
         for name, cls in vars(module).items()
         if isinstance(cls, type) and cls.__module__ == module.__name__ and not name.startswith("_")
-        and (issubclass(cls, Immutable) or dataclasses.is_dataclass(cls))
+        and issubclass(cls, Immutable)
     }
     assert {type(v) for v in values} == classes
     for value in values:
-        if dataclasses.is_dataclass(value):
-            fields = [f.name for f in dataclasses.fields(value)]
-        else:
-            fields = [f for cls in type(value).__mro__ for f in getattr(cls, "__slots__", ())]
+        fields = [f for cls in type(value).__mro__ for f in getattr(cls, "__slots__", ())]
         public = [f for f in fields if not f.startswith("_")]
         assert public, type(value).__name__
         for field in public:
