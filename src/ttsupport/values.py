@@ -1,4 +1,5 @@
-"""Immutable values: the one way the package keeps a derived fact."""
+"""Immutable values: the one way the package keeps a derived fact, in the
+object's _cache or, for a record, in a derived slot."""
 
 from operator import attrgetter
 
@@ -68,10 +69,28 @@ def _derive(record, name):
     return value
 
 
+def _comparisons(get, single):
+    """__eq__ and __hash__ of a record class whose field values get reads:
+    an attrgetter, which gives the bare value when there is a single field.
+    Each is a closure over get, so a comparison reads no class attribute."""
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return get(self) == get(other)
+
+    def __hash__(self):
+        return hash((get(self),) if single else get(self))
+
+    return __eq__, __hash__
+
+
 class _RecordType(type):
     """Gives each Record class its fields (the names in its ``__slots__``),
-    a slot for each of its derived facts, and one getter of the tuple of
-    its field values, an ``attrgetter`` that eq and hash call."""
+    a slot for each of its derived facts, and its ``__eq__`` and
+    ``__hash__``."""
 
     def __new__(mcs, name, bases, namespace):
         facts = {k: v.fget for k, v in namespace.items() if isinstance(v, derived)}
@@ -83,8 +102,7 @@ class _RecordType(type):
             cls.__getattr__ = _derive
         if own:
             cls._fields = fields = cls._fields + own
-            get = attrgetter(*fields)
-            cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+            cls.__eq__, cls.__hash__ = _comparisons(attrgetter(*fields), len(fields) == 1)
         return cls
 
 
@@ -93,32 +111,26 @@ class Record(Immutable, metaclass=_RecordType):
     and the answer records (canonical modules, residue outcomes, Hom/Ext
     results, spectra and support descriptors).  The class lists its fields
     in ``__slots__``, and its constructor validates them and ends in
-    ``_freeze``.  Records are not assembled: ``_with`` would copy every
-    slot, derived facts included, into a record whose fields changed, while
-    pickle and copy rebuild a record through its constructor.  Two records are equal when
-    they have the same class and equal fields, the hash is that of the
-    tuple of fields, and the repr is ``Name(field=value, ...)``.  A
-    ``derived`` fact sits in a slot beside the fields, so it is neither
-    compared nor hashed; its first read fills the slot."""
+    ``_freeze``.  Two records are equal when they have the same class and
+    equal fields, the hash is that of the tuple of fields, and the repr is
+    ``Name(field=value, ...)``.  A ``derived`` fact sits in a slot beside
+    the fields, so it is neither compared nor hashed; its first read fills
+    the slot.  Records are not assembled: ``_with`` would copy every slot,
+    derived facts included, into a record whose fields changed, while
+    pickle and copy rebuild a record through its constructor."""
 
     __slots__ = ()
     _fields = ()
     _derived = {}  # slot name -> the method that derives its value
-    _values = None  # the record -> the tuple of its field values
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) == self._values(other)
-
-    def __hash__(self):
-        return hash(self._values(self))
+    def _freeze(self, **fields):
+        # a record keeps its derived facts in slots, so it takes no _cache
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):
         # pickle and copy rebuild a record through its constructor
-        return type(self), self._values(self)
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self):
         return "%s(%s)" % (
