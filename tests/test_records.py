@@ -141,7 +141,7 @@ RECORDS = [
 ]
 
 
-@pytest.mark.parametrize("record, fields, text, pinned", RECORDS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record, fields, text, pinned", RECORDS, ids=[row[2] for row in RECORDS])
 def test_a_record_is_its_fields_in_repr_and_hash(record, fields, text, pinned):
     assert [(f, getattr(record, f)) for f in fields] == list(fields.items())
     assert repr(record) == text
@@ -150,7 +150,7 @@ def test_a_record_is_its_fields_in_repr_and_hash(record, fields, text, pinned):
         assert hash(record) == pinned
 
 
-@pytest.mark.parametrize("record, fields, _text, _pinned", RECORDS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record, fields, _text, _pinned", RECORDS, ids=[row[2] for row in RECORDS])
 def test_a_record_refuses_assignment_and_deletion_and_has_no_dict(record, fields, _text, _pinned):
     assert isinstance(record, Record)
     assert not hasattr(record, "__dict__")
@@ -199,7 +199,7 @@ EQUALITIES = [
 ]
 
 
-@pytest.mark.parametrize("a, b, equal", EQUALITIES, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("a, b, equal", EQUALITIES, ids=[repr(row) for row in EQUALITIES])
 def test_records_are_equal_by_class_and_fields(a, b, equal):
     assert (a == b, a != b, b == a, b != a) == (equal, not equal, equal, not equal)
 
